@@ -49,19 +49,13 @@ def conformal_tensor(alg):
     R, scal = _ric_scal(alg)
     hp = np.tensordot(np.tensordot(m, H, axes=(2, 0)), m, axes=(2, 2))
     # hp[i,j,k,l] = h(e_i e_j, e_k e_l)
-    w = zeros((n, n, n, n), alg.backend)
     nn = Fraction(n) if alg.backend == RATIONAL else float(n)
     c1 = 1 / (nn - 2)
     c2 = scal / ((nn - 1) * (nn - 2))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    w[i, j, k, l] = (hp[j, k, i, l] - hp[k, i, l, j]
-                                     + c1 * (R[i, k] * H[j, l] - R[j, k] * H[i, l]
-                                             - R[i, l] * H[j, k] + R[j, l] * H[i, k])
-                                     + c2 * (H[i, l] * H[j, k] - H[j, l] * H[i, k]))
-    return w
+    return (np.einsum("jkil->ijkl", hp) - np.einsum("kilj->ijkl", hp)
+            + c1 * (np.einsum("ik,jl->ijkl", R, H) - np.einsum("jk,il->ijkl", R, H)
+                    - np.einsum("il,jk->ijkl", R, H) + np.einsum("jl,ik->ijkl", R, H))
+            + c2 * (np.einsum("il,jk->ijkl", H, H) - np.einsum("jl,ik->ijkl", H, H)))
 
 
 def is_conformally_associative(alg, tol=EPS0):
@@ -83,22 +77,20 @@ def is_projectively_associative(alg, tol=EPS0):
     n = alg.dim
     denom = Fraction(n - 1) if alg.backend == RATIONAL else float(n - 1)
     C = -alg.ricci_form().gram / denom
-    err = 0
-    basis = [alg.basis_vector(i) for i in range(n)]
+    I = linalg.eye(n, alg.backend)
+    rhs = np.einsum("jk,il->ijkl", C, I) - np.einsum("ij,kl->ijkl", C, I)
+    err = max_abs(alg.associator_tensor() - rhs)
+    # sum_cyc [L_i, L_j] L_k = T[i,j,k] + T[j,k,i] + T[k,i,j] with
+    # T[i,j,k] = [L_i, L_j] L_k and T[k,i,j] = -T[i,k,j]; one (j,k,a,b)
+    # slab per i keeps the largest array at n^4 entries.
+    L = np.transpose(alg.structure, (0, 2, 1))                     # L[i] = L(e_i)
+    LL = np.tensordot(L, L, axes=(2, 1))                            # [i,a,j,b]
+    Comm = np.transpose(LL, (0, 2, 1, 3)) - np.transpose(LL, (2, 0, 1, 3))
     for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = alg.associator(basis[i], basis[j], basis[k])
-                rhs = C[j, k] * basis[i] - C[i, j] * basis[k]
-                err = max(err, max_abs(lhs - rhs))
-    Ls = [alg.left_mult_matrix(b) for b in basis]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                M = (Ls[i] @ Ls[j] - Ls[j] @ Ls[i]) @ Ls[k] \
-                    + (Ls[j] @ Ls[k] - Ls[k] @ Ls[j]) @ Ls[i] \
-                    + (Ls[k] @ Ls[i] - Ls[i] @ Ls[k]) @ Ls[j]
-                err = max(err, max_abs(M))
+        T = np.tensordot(Comm[i], L, axes=(2, 1))                   # [j,a,k,b]
+        M = (np.transpose(T, (0, 2, 1, 3)) - np.transpose(T, (2, 0, 1, 3))
+             + np.tensordot(Comm, L[i], axes=(3, 0)))
+        err = max(err, max_abs(M))
     ok = err == 0 if alg.backend == RATIONAL else err <= tol * max(1.0, max_abs(alg.structure) ** 3)
     return ok, err
 
@@ -116,14 +108,9 @@ def constant_sect_check(alg, kappa=None, tol=EPS0):
         k0 = next(i for i in range(n) if not is_zero(H[i, i], alg.backend, tol))
         denom = (Fraction(n - 1) if alg.backend == RATIONAL else float(n - 1))
         kappa = R[k0, k0] / (denom * H[k0, k0])
-    basis = [alg.basis_vector(i) for i in range(n)]
-    err = 0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = alg.associator(basis[i], basis[j], basis[k])
-                rhs = kappa * (H[i, j] * basis[k] - H[j, k] * basis[i])
-                err = max(err, max_abs(lhs - rhs))
+    I = linalg.eye(n, alg.backend)
+    rhs = kappa * (np.einsum("ij,kl->ijkl", H, I) - np.einsum("jk,il->ijkl", H, I))
+    err = max_abs(alg.associator_tensor() - rhs)
     ok = err == 0 if alg.backend == RATIONAL else err <= tol * max(1.0, max_abs(H))
     return ok, kappa, err
 

@@ -166,13 +166,10 @@ def cmd_decompose(args):
 
 def cmd_check(args):
     alg = _load(args.infile)
-    reports = {}
-    ok = True
-    for suite in ("exact", "killing-invariant", "ricci-invariant"):
-        rep = run_suite(alg, suite, args.seed, args.tol)
-        reports[suite] = rep
+    reports = {suite: run_suite(alg, suite, args.seed, args.tol)
+               for suite in ("exact", "killing-invariant", "ricci-invariant")}
     _emit({"schema": 1, "reports": reports}, args.out)
-    return 0
+    return 0 if all(rep["verdict"] for rep in reports.values()) else 1
 
 
 def main(argv=None):
@@ -180,17 +177,15 @@ def main(argv=None):
     sub = p.add_subparsers(dest="cmd", required=True)
 
     pc = sub.add_parser("construct", help="build a catalogue algebra")
-    pb = sub.add_parser("build", help="alias of construct")
-    for q in (pc, pb):
-        q.add_argument("family")
-        q.add_argument("--n", type=int)
-        q.add_argument("--alpha")
-        q.add_argument("--level", choices=sorted(LEVEL_OF_LETTER))
-        q.add_argument("--scalar", choices=(RATIONAL, FLOAT))
-        q.add_argument("--base")
-        q.add_argument("--base2")
-        q.add_argument("-o", "--out")
-        q.set_defaults(func=cmd_construct)
+    pc.add_argument("family")
+    pc.add_argument("--n", type=int)
+    pc.add_argument("--alpha")
+    pc.add_argument("--level", choices=sorted(LEVEL_OF_LETTER))
+    pc.add_argument("--scalar", choices=(RATIONAL, FLOAT))
+    pc.add_argument("--base")
+    pc.add_argument("--base2")
+    pc.add_argument("-o", "--out")
+    pc.set_defaults(func=cmd_construct)
 
     pr = sub.add_parser("report", help="run a verification suite")
     pr.add_argument("--in", dest="infile", required=True)

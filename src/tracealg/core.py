@@ -59,14 +59,11 @@ class Algebra:
         return max_abs(t) <= tol
 
     def killing_form(self):
-        Ls = [self.left_mult_matrix(self.basis_vector(i)) for i in range(self.dim)]
-        g = zeros((self.dim, self.dim), self.backend)
-        for i in range(self.dim):
-            for j in range(i + 1):
-                v = np.sum(Ls[i] * Ls[j].T)
-                g[i, j] = v
-                g[j, i] = v
-        return SymBilinearForm(g, self.backend)
+        """tau(e_i, e_j) = tr L(e_i) L(e_j) = sum_ab m[i,a,b] m[j,b,a]."""
+        g = np.tensordot(self.structure, self.structure, axes=([1, 2], [2, 1]))
+        # g[i,j] and g[j,i] sum the same terms in different orders; on floats
+        # the average keeps the Gram matrix exactly symmetric
+        return SymBilinearForm((g + g.T) / 2, self.backend)
 
     def ricci_form(self):
         """ric(x, y) = tr L(x y) - tau(x, y)."""
@@ -77,6 +74,13 @@ class Algebra:
     def associator(self, x, y, z):
         return (self.multiply(self.multiply(x, y), z)
                 - self.multiply(x, self.multiply(y, z)))
+
+    def associator_tensor(self):
+        """A[i,j,k,l] = [e_i, e_j, e_k]_l = ((e_i e_j) e_k - e_i (e_j e_k))_l."""
+        m = self.structure
+        left = np.tensordot(m, m, axes=(2, 0))                     # [i,j,k,l]
+        right = np.tensordot(m, m, axes=(2, 1))                    # [j,k,i,l]
+        return left - np.transpose(right, (2, 0, 1, 3))
 
     def is_invariant(self, form, tol=EPS0):
         """Check h(xy, z) = h(x, yz) on basis triples; returns (ok, max violation)."""
@@ -92,43 +96,37 @@ class Algebra:
         six = Fraction(6) if self.backend == RATIONAL else 6.0
         return form.apply(self.multiply(x, x), x) / six
 
+    def _products_outside(self, S, tol):
+        """The products e_i s_j (s_j outer, e_i inner) not in S, lazily."""
+        P = np.tensordot(self.structure, S.basis, axes=(1, 0))    # [i,k,j]
+        products = np.transpose(P, (2, 0, 1)).reshape(-1, self.dim)
+        return (p for p in products if not S.contains(p, tol))
+
     def is_ideal(self, S, tol=EPS0):
-        for j in range(S.dim):
-            b = S.basis[:, j]
-            for i in range(self.dim):
-                if not S.contains(self.multiply(self.basis_vector(i), b), tol):
-                    return False
-        return True
+        return next(self._products_outside(S, tol), None) is None
 
     def ideal_closure(self, generators, tol=EPS0):
         S = Subspace.from_spanning(generators, self.backend, tol)
         while True:
-            new = [S.basis[:, j] for j in range(S.dim)]
-            grew = False
-            for j in range(S.dim):
-                for i in range(self.dim):
-                    p = self.multiply(self.basis_vector(i), S.basis[:, j])
-                    if not S.contains(p, tol):
-                        new.append(p)
-                        grew = True
-            if not grew:
+            outside = list(self._products_outside(S, tol))
+            if not outside:
                 return S
-            S = Subspace.from_spanning(new, self.backend, tol)
+            S = Subspace.from_spanning(list(S.basis.T) + outside, self.backend, tol)
 
     def find_unit(self, tol=EPS0):
-        """Solve L(e) = Id if possible, else return None."""
+        """Solve L(e) = Id if possible, else return None.
+
+        The rational backend solves A e = b exactly: it has a solution iff
+        the nullspace of [A | -b] holds a vector (e, t) with t != 0.
+        """
         n = self.dim
         A = np.transpose(self.structure, (1, 2, 0)).reshape(n * n, n)
-        b = zeros(n * n, self.backend)
-        one = Fraction(1) if self.backend == RATIONAL else 1.0
-        for j in range(n):
-            b[j * n + j] = one
-        Af = linalg.to_float(A)
-        e, *_ = np.linalg.lstsq(Af, linalg.to_float(b), rcond=None)
+        b = linalg.eye(n, self.backend).reshape(n * n)
         if self.backend == RATIONAL:
-            e = np.array([Fraction(float(v)).limit_denominator(10 ** 9) for v in e],
-                         dtype=object)
-            return e if all(x == y for x, y in zip(A @ e, b)) else None
+            N = linalg.nullspace(np.column_stack([A, -b]), RATIONAL)
+            v = next((v for v in N.T if v[n] != 0), None)
+            return None if v is None else v[:n] / v[n]
+        e, *_ = np.linalg.lstsq(A, b, rcond=None)
         resid = max_abs(A @ e - b)
         return e if resid <= tol * max(1.0, max_abs(self.structure)) else None
 
@@ -233,15 +231,13 @@ def retraction(alg, basis, scale=None):
     B = np.asarray(basis)
     n, k = B.shape
     G = alg.gram if scale is None else scale * alg.gram
-    M = B.T @ G @ B
-    s = zeros((k, k, k), alg.backend)
-    for i in range(k):
-        for j in range(i + 1):
-            p = alg.multiply(B[:, i], B[:, j])
-            coords = linalg.solve(M, B.T @ G @ p, alg.backend)
-            s[i, j, :] = coords
-            s[j, i, :] = coords
-    out = MetrizedAlgebra(s, M, COMMUTATIVE, alg.backend)
+    BG = B.T @ G
+    M = BG @ B
+    P = np.tensordot(B, np.tensordot(B, alg.structure, axes=(0, 1)), axes=(0, 1))
+    # P[i,j] = B[:,i] B[:,j]; one multi-column solve gives all coordinates
+    coords = linalg.solve(M, BG @ P.reshape(k * k, n).T, alg.backend)
+    s = coords.T.reshape(k, k, k)
+    out = MetrizedAlgebra(s, M, alg.symmetry, alg.backend)
     out.embedding = B
     return out
 
@@ -270,13 +266,10 @@ def deunitalization(alg, tol=EPS0):
 def verify_homomorphism(psi, a, b, tol=EPS0):
     """Max violation of psi(x y) = psi(x) psi(y) over basis pairs."""
     psi = np.asarray(psi)
-    err = 0
-    for i in range(a.dim):
-        for j in range(i + 1):
-            lhs = psi @ a.multiply(a.basis_vector(i), a.basis_vector(j))
-            rhs = b.multiply(psi[:, i], psi[:, j])
-            err = max(err, max_abs(lhs - rhs))
-    return err
+    lhs = np.tensordot(a.structure, psi, axes=(2, 1))              # psi(e_i e_j)
+    rhs = np.tensordot(psi, np.tensordot(psi, b.structure, axes=(0, 1)),
+                       axes=(0, 1))                                # psi(e_i) psi(e_j)
+    return max_abs(lhs - rhs)
 
 
 def verify_isometric(psi, a, b, tol=EPS0):
@@ -299,23 +292,6 @@ def voa_kappa(c, n):
     charge c and dim-of-weight-2-part n."""
     c, n = Fraction(c), Fraction(n)
     return (-5 * c ** 2 + 88 * (n - 2) - 2 * c * (n + 20)) / (4 * (5 * c + 22))
-
-
-def _restrict_to_ideal(alg, S):
-    """Metrized algebra induced on an ideal subspace (basis coordinates)."""
-    B = S.basis
-    M = B.T @ alg.gram @ B
-    k = S.dim
-    s = zeros((k, k, k), alg.backend)
-    for i in range(k):
-        for j in range(i + 1):
-            p = alg.multiply(B[:, i], B[:, j])
-            coords = linalg.solve(M, B.T @ alg.gram @ p, alg.backend)
-            s[i, j, :] = coords
-            s[j, i, :] = coords
-    sub = MetrizedAlgebra(s, M, alg.symmetry, alg.backend)
-    sub.embedding = B
-    return sub
 
 
 def _find_proper_ideal(alg, rng, trials, tol):
@@ -361,21 +337,15 @@ def decompose_ideals(alg, seed, trials=16, tol=EPS0):
 
     def recurse(sub_alg, embed):
         S = _find_proper_ideal(sub_alg, rng, trials, tol)
-        if S is None:
-            full = Subspace(embed, alg.backend, tol)
-            return [(full, sub_alg)], S is not None
-        comp = linalg.orthogonal_complement(S, sub_alg.form, tol)
-        if not sub_alg.is_ideal(comp, tol):
-            full = Subspace(embed, alg.backend, tol)
-            return [(full, sub_alg)], False
+        comp = None if S is None else linalg.orthogonal_complement(S, sub_alg.form, tol)
+        if comp is None or not sub_alg.is_ideal(comp, tol):
+            return [(Subspace(embed, alg.backend, tol), sub_alg)]
         parts = []
         for piece in (S, comp):
-            piece_alg = _restrict_to_ideal(sub_alg, piece)
-            sub_parts, _ = recurse(piece_alg, embed @ piece.basis)
-            parts.extend(sub_parts)
-        return parts, True
+            parts.extend(recurse(retraction(sub_alg, piece.basis), embed @ piece.basis))
+        return parts
 
-    parts, split = recurse(alg, linalg.eye(alg.dim, alg.backend))
+    parts = recurse(alg, linalg.eye(alg.dim, alg.backend))
     verdict = "decomposed" if len(parts) > 1 else "no_proper_ideal_found"
     return parts, verdict
 

@@ -87,6 +87,16 @@ def test_check_command(tmp_path, capsys):
     assert all(r["verdict"] for r in doc["reports"].values())
 
 
+def test_check_command_fails_on_false_verdict(tmp_path, capsys):
+    path = str(tmp_path / "t.json")
+    run(capsys, "construct", "talg", "--n", "3", "--alpha", "1/2", "-o", path)
+    code, out = run(capsys, "check", "--in", path)
+    assert code == 1
+    reports = json.loads(out)["reports"]
+    assert reports["exact"]["verdict"] is False
+    assert reports["killing-invariant"]["verdict"] is True
+
+
 def test_usage_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])

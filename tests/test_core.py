@@ -8,11 +8,14 @@ import numpy as np
 import pytest
 
 import tracealg as ta
+from tracealg.analysis import (conformal_tensor, constant_sect_check,
+                               is_projectively_associative)
 from tracealg.core import (Algebra, MetrizedAlgebra, deunitalization,
                            direct_sum, einstein_fit, from_json, griess_einstein,
-                           intrinsic_unitalization, tensor_product, to_json,
-                           unitalization, voa_kappa)
-from tracealg.linalg import RATIONAL, SymBilinearForm, Subspace, inv, max_abs
+                           intrinsic_unitalization, retraction, tensor_product,
+                           to_json, unitalization, verify_homomorphism, voa_kappa)
+from tracealg.linalg import (FLOAT, RATIONAL, SymBilinearForm, Subspace, inv,
+                             inertia, max_abs, solve, to_float, zeros)
 
 F = Fraction
 
@@ -146,6 +149,15 @@ def test_find_unit():
     U = unitalization(A)
     e = U.find_unit()
     assert np.all(np.asarray(e)[:2] == 0) and np.asarray(e)[2] == 1
+
+
+def test_find_unit_is_exact():
+    """e e = c e has the unit e / c; a float solve rounded back to a
+    rational misses it once c exceeds the rounding denominator."""
+    c = 10 ** 10 + 1
+    A = Algebra(np.array([[[F(c)]]], dtype=object))
+    assert list(A.find_unit()) == [F(1, c)]
+    assert ta.simplicial(3).find_unit() is None
 
 
 def test_direct_sum():
@@ -294,3 +306,204 @@ def test_decompose_ideals_simple_case():
     parts, verdict = ta.decompose_ideals(M, seed=0, trials=8)
     assert verdict == "no_proper_ideal_found"
     assert len(parts) == 1
+
+
+# -- differential test: whole-tensor contractions against per-basis loops --
+#
+# The references below are the per-basis-vector loops the library used
+# before its trace forms, associativity checks, ideal tests, retraction and
+# homomorphism check became contractions of the whole structure tensor.
+# Exact results must agree as Fractions, entry for entry.
+
+def ref_killing(A):
+    n = A.dim
+    Ls = [A.left_mult_matrix(A.basis_vector(i)) for i in range(n)]
+    g = zeros((n, n), A.backend)
+    for i in range(n):
+        for j in range(i + 1):
+            g[i, j] = g[j, i] = np.sum(Ls[i] * Ls[j].T)
+    return g
+
+
+def ref_associator_residual(A, rhs):
+    """Max over basis triples of |[e_i, e_j, e_k] - rhs(e, i, j, k)|."""
+    e = [A.basis_vector(i) for i in range(A.dim)]
+    err = 0
+    for i, j, k in itertools.product(range(A.dim), repeat=3):
+        err = max(err, max_abs(A.associator(e[i], e[j], e[k]) - rhs(e, i, j, k)))
+    return err
+
+
+def ref_const_sect_residual(A, kappa):
+    H = A.gram
+    return ref_associator_residual(
+        A, lambda e, i, j, k: kappa * (H[i, j] * e[k] - H[j, k] * e[i]))
+
+
+def ref_proj_assoc_residual(A):
+    n = A.dim
+    C = -A.ricci_form().gram / (n - 1)
+    err = ref_associator_residual(
+        A, lambda e, i, j, k: C[j, k] * e[i] - C[i, j] * e[k])
+    Ls = [A.left_mult_matrix(A.basis_vector(i)) for i in range(n)]
+    for i, j, k in itertools.product(range(n), repeat=3):
+        M = ((Ls[i] @ Ls[j] - Ls[j] @ Ls[i]) @ Ls[k]
+             + (Ls[j] @ Ls[k] - Ls[k] @ Ls[j]) @ Ls[i]
+             + (Ls[k] @ Ls[i] - Ls[i] @ Ls[k]) @ Ls[j])
+        err = max(err, max_abs(M))
+    return err
+
+
+def ref_conformal(A):
+    n = A.dim
+    m, H = A.structure, A.gram
+    R = A.ricci_form().gram
+    scal = np.trace(inv(H, A.backend) @ R)
+    hp = np.tensordot(np.tensordot(m, H, axes=(2, 0)), m, axes=(2, 2))
+    nn = F(n) if A.backend == RATIONAL else float(n)
+    c1 = 1 / (nn - 2)
+    c2 = scal / ((nn - 1) * (nn - 2))
+    w = zeros((n, n, n, n), A.backend)
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        w[i, j, k, l] = (hp[j, k, i, l] - hp[k, i, l, j]
+                         + c1 * (R[i, k] * H[j, l] - R[j, k] * H[i, l]
+                                 - R[i, l] * H[j, k] + R[j, l] * H[i, k])
+                         + c2 * (H[i, l] * H[j, k] - H[j, l] * H[i, k]))
+    return w
+
+
+def ref_homomorphism(psi, a, b):
+    err = 0
+    for i in range(a.dim):
+        for j in range(i + 1):
+            lhs = psi @ a.multiply(a.basis_vector(i), a.basis_vector(j))
+            rhs = b.multiply(psi[:, i], psi[:, j])
+            err = max(err, max_abs(lhs - rhs))
+    return err
+
+
+def ref_products(A, S):
+    return [A.multiply(A.basis_vector(i), S.basis[:, j])
+            for j in range(S.dim) for i in range(A.dim)]
+
+
+def ref_is_ideal(A, S):
+    return all(S.contains(p) for p in ref_products(A, S))
+
+
+def ref_ideal_closure(A, generators):
+    S = Subspace.from_spanning(generators, A.backend)
+    while True:
+        outside = [p for p in ref_products(A, S) if not S.contains(p)]
+        if not outside:
+            return S
+        S = Subspace.from_spanning([S.basis[:, j] for j in range(S.dim)] + outside,
+                                   A.backend)
+
+
+def ref_retraction(A, B):
+    k = B.shape[1]
+    M = B.T @ A.gram @ B
+    s = zeros((k, k, k), A.backend)
+    for i in range(k):
+        for j in range(k):
+            s[i, j, :] = solve(M, B.T @ A.gram @ A.multiply(B[:, i], B[:, j]),
+                               A.backend)
+    return s, M
+
+
+def rational_matrix(rng, rows, cols):
+    return np.array([[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)]
+                     for _ in range(rows)], dtype=object).reshape(rows, cols)
+
+
+def retraction_bases(rng, A):
+    """A random change of basis (k = n) and a random nondegenerate
+    hyperplane (k = n - 1)."""
+    n = A.dim
+    out = []
+    for k in (n, n - 1):
+        while True:
+            B = rational_matrix(rng, n, k)
+            if inertia(B.T @ A.gram @ B, A.backend)[2] == 0:
+                out.append(B)
+                break
+    return out
+
+
+DIFFERENTIAL_CASES = [
+    pytest.param(lambda n=n, s=s: random_metrized(random.Random(s), n),
+                 id="random-dim%d-seed%d" % (n, s))
+    for n in (2, 3, 4) for s in (10, 11)
+] + [pytest.param(lambda: ta.lie_su(2), id="lie-su2"),
+     pytest.param(lambda: ta.lie_so(3), id="lie-so3")]
+
+
+@pytest.mark.parametrize("make", DIFFERENTIAL_CASES)
+def test_contractions_equal_basis_loops(make):
+    A = make()
+    n = A.dim
+    rng = random.Random(n)
+
+    tau = A.killing_form().gram
+    assert all(isinstance(v, F) for v in tau.flat)
+    assert np.array_equal(tau, ref_killing(A))
+    assert all(isinstance(v, F) for v in A.associator_tensor().flat)
+
+    ok, kappa, err = constant_sect_check(A)
+    assert err == ref_const_sect_residual(A, kappa) and ok == (err == 0)
+    ok, err = is_projectively_associative(A)
+    assert err == ref_proj_assoc_residual(A) and ok == (err == 0)
+    if n >= 3:
+        assert np.array_equal(conformal_tensor(A), ref_conformal(A))
+
+    psi = rational_matrix(rng, n, n)
+    assert verify_homomorphism(psi, A, A) == ref_homomorphism(psi, A, A) != 0
+    diag = np.vstack([np.eye(n, dtype=int), np.eye(n, dtype=int)]) * F(1)
+    D = direct_sum(A, A)
+    assert verify_homomorphism(diag, A, D) == ref_homomorphism(diag, A, D) == 0
+
+    v = rational_matrix(rng, n, 1)[:, 0]
+    closure = A.ideal_closure([v])
+    assert np.array_equal(closure.basis, ref_ideal_closure(A, [v]).basis)
+    vv = np.append(v, v)
+    assert np.array_equal(D.ideal_closure([vv]).basis, ref_ideal_closure(D, [vv]).basis)
+    first = Subspace(np.vstack([np.eye(n, dtype=int), np.zeros((n, n), dtype=int)]) * F(1))
+    for alg, S in ((A, Subspace.from_spanning([v])), (A, closure),
+                   (D, first), (D, Subspace.from_spanning([vv]))):
+        assert alg.is_ideal(S) == ref_is_ideal(alg, S)
+    assert D.is_ideal(first)
+
+    for B in retraction_bases(rng, A):
+        R = retraction(A, B)
+        s, M = ref_retraction(A, B)
+        assert np.array_equal(R.structure, s) and np.array_equal(R.gram, M)
+
+
+def test_float_contractions_match_basis_loops():
+    A = random_metrized(random.Random(12), 4)
+    Af = MetrizedAlgebra(to_float(A.structure), to_float(A.gram), A.symmetry, FLOAT)
+    rng = random.Random(4)
+
+    def close(x, y):
+        x, y = to_float(x), to_float(y)
+        return x.shape == y.shape and np.allclose(x, y, rtol=1e-10, atol=1e-10)
+
+    assert close(Af.killing_form().gram, ref_killing(Af))
+    assert close(Af.killing_form().gram, A.killing_form().gram)
+    _, kappa, err = constant_sect_check(Af)
+    assert close(err, ref_const_sect_residual(Af, kappa))
+    assert close(is_projectively_associative(Af)[1], ref_proj_assoc_residual(Af))
+    assert close(conformal_tensor(Af), ref_conformal(Af))
+    psi = to_float(rational_matrix(rng, 4, 4))
+    assert close(verify_homomorphism(psi, Af, Af), ref_homomorphism(psi, Af, Af))
+    v = to_float(rational_matrix(rng, 4, 1)[:, 0])
+    assert close(Af.ideal_closure([v]).basis, ref_ideal_closure(Af, [v]).basis)
+    S = Subspace.from_spanning([v])
+    assert Af.is_ideal(S) == ref_is_ideal(Af, S)
+    for B in retraction_bases(rng, A):
+        Bf = to_float(B)
+        R = retraction(Af, Bf)
+        s, M = ref_retraction(Af, Bf)
+        assert close(R.structure, s) and close(R.gram, M)
+        assert close(R.structure, retraction(A, B).structure)
