@@ -367,7 +367,7 @@ def deunit_sect_shift_check(unital_alg, seed, trials=50, tol=EPS0):
     from .core import deunitalization
     A = deunitalization(unital_alg)
     E = linalg.to_float(A.embedding)
-    gee = float(unital_alg.h(unital_alg.find_unit(), unital_alg.find_unit()))
+    gee = float(unital_alg.h(A.unit, A.unit))
     mB = linalg.to_float(unital_alg.structure)
     GB = linalg.to_float(unital_alg.gram)
     mA = linalg.to_float(A.structure)

@@ -27,7 +27,10 @@ def _metrized(alg):
     if isinstance(alg, MetrizedAlgebra):
         return alg
     tau = alg.killing_form()
-    if not tau.is_nondegenerate():
+    inertia = tau.inertia()
+    if inertia[2]:
+        print("error: input has no metric and its Killing form is degenerate "
+              "(inertia %s)" % (inertia,), file=sys.stderr)
         raise SystemExit(2)
     return MetrizedAlgebra(alg.structure, tau.gram, alg.symmetry, alg.backend,
                            name=alg.name)
@@ -119,10 +122,9 @@ def run_suite(alg, suite, seed=0, tol=linalg.EPS0):
                                     witnesses=[str(kappa)], seed=seed)
     if suite == "ideals":
         alg = _metrized(alg)
-        parts, verdict = core.decompose_ideals(alg, seed)
-        certified = all(alg.is_ideal(S) for S, _ in parts) if len(parts) > 1 else True
+        parts, verdict = core.decompose_ideals(alg, tol)
         return analysis.make_report("ideal decomposition certificates",
-                                    certified, 0,
+                                    verdict != "undetermined", 0,
                                     witnesses=[verdict] + [S.dim for S, _ in parts],
                                     seed=seed)
     raise SystemExit(2)
@@ -157,9 +159,9 @@ def cmd_sect(args):
 
 def cmd_decompose(args):
     alg = _metrized(_load(args.infile))
-    parts, verdict = core.decompose_ideals(alg, args.seed, trials=args.trials)
+    parts, verdict = core.decompose_ideals(alg, args.tol)
     doc = {"schema": 1, "verdict": verdict,
-           "component_dims": [S.dim for S, _ in parts], "seed": args.seed}
+           "component_dims": [S.dim for S, _ in parts]}
     _emit(doc, args.out)
     return 0
 
@@ -200,7 +202,7 @@ def main(argv=None):
     ps.set_defaults(func=cmd_sect)
     ps.add_argument("--in", dest="infile", required=True)
 
-    pd = sub.add_parser("decompose", help="probabilistic ideal decomposition")
+    pd = sub.add_parser("decompose", help="certified ideal decomposition")
     pd.set_defaults(func=cmd_decompose)
     pd.add_argument("--in", dest="infile", required=True)
 

@@ -263,7 +263,7 @@ def deunitalization(alg, tol=EPS0):
     return out
 
 
-def verify_homomorphism(psi, a, b, tol=EPS0):
+def verify_homomorphism(psi, a, b):
     """Max violation of psi(x y) = psi(x) psi(y) over basis pairs."""
     psi = np.asarray(psi)
     lhs = np.tensordot(a.structure, psi, axes=(2, 1))              # psi(e_i e_j)
@@ -272,10 +272,10 @@ def verify_homomorphism(psi, a, b, tol=EPS0):
     return max_abs(lhs - rhs)
 
 
-def verify_isometric(psi, a, b, tol=EPS0):
+def verify_isometric(psi, a, b):
     """Max violation over (products, metric pullback)."""
     psi = np.asarray(psi)
-    hom = verify_homomorphism(psi, a, b, tol)
+    hom = verify_homomorphism(psi, a, b)
     met = max_abs(psi.T @ b.gram @ psi - a.gram)
     return max(hom, met)
 
@@ -294,59 +294,75 @@ def voa_kappa(c, n):
     return (-5 * c ** 2 + 88 * (n - 2) - 2 * c * (n + 20)) / (4 * (5 * c + 22))
 
 
-def _find_proper_ideal(alg, rng, trials, tol):
+def _commutant(alg, tol):
+    """Basis of {T : T L(e_i) = L(e_i) T for all i}, as n x n matrices.
+
+    This is the centroid (Schafer, An Introduction to Nonassociative
+    Algebras, ch. II): its idempotents are the projections of the
+    direct-sum decompositions into ideals.
+    """
     n = alg.dim
-    for _ in range(trials):
+    L = alg.structure.transpose(0, 2, 1)                           # L[i] = L(e_i)
+    # M[i,a,c,p,q] is the coefficient of T[p,q] in (T L_i - L_i T)[a,c],
+    # that is [p == a] L_i[q,c] - L_i[a,p] [q == c]; the two identity
+    # factors become index-diagonal assignments, not n^5 multiplications
+    M = zeros((n,) * 5, alg.backend)
+    d = np.arange(n)
+    M[:, d, :, d, :] = alg.structure                               # [a,i,c,q]
+    M[:, :, d, :, d] -= L                                          # [c,i,a,p]
+    N = linalg.nullspace(M.reshape(n ** 3, n * n), alg.backend, tol)
+    return [N[:, j].reshape(n, n) for j in range(N.shape[1])]
+
+
+def _certified_split(alg, commutant, tol):
+    """First eigenspace S = ker(T - lam I), T in the commutant, that is a
+    proper nondegenerate ideal with an ideal orthocomplement C; (S, C) or None.
+
+    Every such eigenspace is an ideal, since T(x v) = x (T v); the checks
+    below certify the split rather than trust it.
+    """
+    n = alg.dim
+    I = linalg.eye(n, alg.backend)
+    for T in commutant:
         if alg.backend == RATIONAL:
-            x = np.array([Fraction(int(rng.integers(-9, 10)),
-                                   int(rng.integers(1, 4))) for _ in range(n)],
-                         dtype=object)
+            eigenvalues = linalg.rational_eigenvalues(T)
         else:
-            x = rng.standard_normal(n)
-        L = linalg.to_float(alg.left_mult_matrix(x))
-        w, V = np.linalg.eig(L)
-        order = np.argsort(w.real)
-        for idx in order:
-            if abs(w[idx].imag) > 1e-8:
+            eigenvalues = linalg.general_real_eigenvalues(T, tol)[0]
+        for lam in eigenvalues:
+            S = Subspace(linalg.nullspace(T - lam * I, alg.backend, tol), alg.backend, tol)
+            if not 0 < S.dim < n:
                 continue
-            v = V[:, idx].real
-            v = v / np.max(np.abs(v))
-            if alg.backend == RATIONAL:
-                vr = np.array([Fraction(float(t)).limit_denominator(10 ** 6)
-                               for t in v], dtype=object)
-            else:
-                vr = v
-            try:
-                S = alg.ideal_closure([vr], tol)
-            except Exception:
+            if not SymBilinearForm(S.basis.T @ alg.gram @ S.basis, alg.backend).is_nondegenerate():
                 continue
-            if 0 < S.dim < n and alg.is_ideal(S, tol):
-                return S
+            comp = linalg.orthogonal_complement(S, alg.form, tol)
+            if alg.is_ideal(S, tol) and alg.is_ideal(comp, tol):
+                return S, comp
     return None
 
 
-def decompose_ideals(alg, seed, trials=16, tol=EPS0):
-    """Probabilistic direct-sum decomposition into ideals.
+def decompose_ideals(alg, tol=EPS0):
+    """Certified direct-sum decomposition into ideals, through the commutant.
 
     Returns (components, verdict): components are (Subspace in original
-    coordinates, restricted MetrizedAlgebra) pairs; verdict is
-    "decomposed" or "no_proper_ideal_found".  A negative verdict is not
-    a proof of simplicity.
+    coordinates, restricted MetrizedAlgebra) pairs.  The verdict is
+    "decomposed" when a certified split was found, "indecomposable" when
+    the commutant is one-dimensional (a proof), and "undetermined" when no
+    commutant eigenspace passed the certificate.
     """
-    rng = np.random.default_rng(seed)
-
     def recurse(sub_alg, embed):
-        S = _find_proper_ideal(sub_alg, rng, trials, tol)
-        comp = None if S is None else linalg.orthogonal_complement(S, sub_alg.form, tol)
-        if comp is None or not sub_alg.is_ideal(comp, tol):
-            return [(Subspace(embed, alg.backend, tol), sub_alg)]
-        parts = []
-        for piece in (S, comp):
-            parts.extend(recurse(retraction(sub_alg, piece.basis), embed @ piece.basis))
-        return parts
+        C = _commutant(sub_alg, tol)
+        pieces = None if len(C) == 1 else _certified_split(sub_alg, C, tol)
+        if pieces is None:
+            return [(Subspace(embed, alg.backend, tol), sub_alg)], len(C)
+        parts = [part for piece in pieces
+                 for part in recurse(retraction(sub_alg, piece.basis), embed @ piece.basis)[0]]
+        return parts, len(C)
 
-    parts = recurse(alg, linalg.eye(alg.dim, alg.backend))
-    verdict = "decomposed" if len(parts) > 1 else "no_proper_ideal_found"
+    parts, commutant_dim = recurse(alg, linalg.eye(alg.dim, alg.backend))
+    if len(parts) > 1:
+        verdict = "decomposed"
+    else:
+        verdict = "indecomposable" if commutant_dim == 1 else "undetermined"
     return parts, verdict
 
 

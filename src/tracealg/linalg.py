@@ -5,6 +5,7 @@ arrays holding fractions.Fraction) and binary64 floats.  Everything in
 this module is deterministic: echelon pivots are the first nonzero row,
 with largest-magnitude tie-break on the float backend.
 """
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -118,9 +119,7 @@ def inv(A, backend=None):
         backend = backend_of(A)
     if backend == FLOAT:
         return np.linalg.inv(to_float(A))
-    n = A.shape[0]
-    cols = [solve(A, eye(n)[:, j], RATIONAL) for j in range(n)]
-    return np.stack(cols, axis=1)
+    return solve(A, eye(A.shape[0]), RATIONAL)
 
 
 def inertia(gram, backend=None, tol=EPS_RANK):
@@ -216,6 +215,33 @@ def general_real_eigenvalues(M, tol=EPS0):
     return real, len(real) < len(w)
 
 
+def rational_eigenvalues(M):
+    """Distinct rational eigenvalues of an exact square matrix, ascending.
+
+    They are the rational roots of the minimal polynomial, the first exact
+    dependency among I, M, M^2, ...; candidates come from the rational-root
+    theorem and are tested exactly, so no float is involved.
+    """
+    powers = [eye(M.shape[0])]
+    while True:
+        powers.append(powers[-1] @ M)
+        dependency = nullspace(np.stack([P.reshape(-1) for P in powers], axis=1), RATIONAL)
+        if dependency.shape[1]:
+            break
+    scale = math.lcm(*(c.denominator for c in dependency[:, 0]))
+    c = [int(x * scale) for x in dependency[:, 0]]
+    low = next(k for k, x in enumerate(c) if x)      # x^low divides the polynomial
+    candidates = {Fraction(s * p, q) for p in _divisors(abs(c[low]))
+                  for q in _divisors(abs(c[-1])) for s in (1, -1)}
+    roots = {r for r in candidates if sum(x * r ** k for k, x in enumerate(c)) == 0}
+    return sorted(roots | ({Fraction(0)} if low else set()))
+
+
+def _divisors(k):
+    small = [d for d in range(1, math.isqrt(k) + 1) if k % d == 0]
+    return set(small) | {k // d for d in small}
+
+
 def column_echelon(cols, backend=None, tol=EPS0):
     """Reduce the columns of an n x k matrix to a deterministic echelon basis.
 
@@ -288,9 +314,12 @@ def nullspace(M, backend=None, tol=EPS0):
         if piv != row:
             M[[row, piv]] = M[[piv, row]]
         M[row] = M[row] / M[row, col]
+        # only the pivot row's nonzeros change other rows; sparse systems
+        # such as the commutant equations stay cheap
+        support = np.flatnonzero(M[row] != 0)
         for i in range(m):
             if i != row and not is_zero(M[i, col], backend, tol * scale):
-                M[i] = M[i] - M[i, col] * M[row]
+                M[i, support] = M[i, support] - M[i, col] * M[row, support]
         pivots.append(col)
         row += 1
         if row == m:

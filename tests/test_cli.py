@@ -74,6 +74,33 @@ def test_decompose_command(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["verdict"] == "decomposed"
     assert sorted(doc["component_dims"]) == [2, 2]
+    # the decomposition is deterministic: --seed and --trials change nothing
+    assert run(capsys, "decompose", "--in", prod, "--seed", "0",
+               "--trials", "3") == (0, out)
+
+
+def test_decompose_refuses_degenerate_killing_form(tmp_path, capsys):
+    path = str(tmp_path / "t.json")
+    run(capsys, "construct", "talg", "--n", "3", "--alpha", "1/2", "-o", path)
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--in", path])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "Killing form is degenerate" in err and "(1, 0, 2)" in err
+
+
+def test_ideals_suite_reports_certified_split(tmp_path, capsys):
+    base = str(tmp_path / "e3.json")
+    both = str(tmp_path / "e3e3.json")
+    run(capsys, "construct", "ealg", "--n", "3", "-o", base)
+    run(capsys, "construct", "dsum", "--base", base, "--base2", base, "-o", both)
+    code, out = run(capsys, "report", "--in", both, "--suite", "ideals")
+    assert code == 0
+    assert json.loads(out)["witnesses"] == ["decomposed", 3, 3]
+    code, out = run(capsys, "report", "--in", base, "--suite", "ideals")
+    assert code == 0
+    assert json.loads(out)["witnesses"] == ["indecomposable", 3]
 
 
 def test_check_command(tmp_path, capsys):

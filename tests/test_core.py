@@ -15,7 +15,8 @@ from tracealg.core import (Algebra, MetrizedAlgebra, deunitalization,
                            intrinsic_unitalization, retraction, tensor_product,
                            to_json, unitalization, verify_homomorphism, voa_kappa)
 from tracealg.linalg import (FLOAT, RATIONAL, SymBilinearForm, Subspace, inv,
-                             inertia, max_abs, solve, to_float, zeros)
+                             inertia, max_abs, rational_eigenvalues, solve,
+                             to_float, zeros)
 
 F = Fraction
 
@@ -293,7 +294,7 @@ def test_json_anticommutative():
 def test_decompose_ideals_tensor_square():
     A = ta.simplicial(2)
     T = tensor_product(A, A)
-    parts, verdict = ta.decompose_ideals(T, seed=7)
+    parts, verdict = ta.decompose_ideals(T)
     assert verdict == "decomposed"
     assert sorted(S.dim for S, _ in parts) == [2, 2]
     for S, _ in parts:
@@ -303,9 +304,88 @@ def test_decompose_ideals_tensor_square():
 def test_decompose_ideals_simple_case():
     E = ta.simplicial(3)
     M = MetrizedAlgebra(E.structure, E.gram, "commutative", RATIONAL)
-    parts, verdict = ta.decompose_ideals(M, seed=0, trials=8)
-    assert verdict == "no_proper_ideal_found"
+    parts, verdict = ta.decompose_ideals(M)
+    assert verdict == "indecomposable"
     assert len(parts) == 1
+
+
+DECOMPOSITIONS = {
+    "lie_so(4)": (lambda b: ta.lie_so(4), "decomposed", [3, 3]),
+    "ealg(2)(x)ealg(2)": (lambda b: tensor_product(ta.simplicial(2, b), ta.simplicial(2, b)),
+                          "decomposed", [2, 2]),
+    "ealg(3)(+)ealg(3)": (lambda b: direct_sum(ta.simplicial(3, b), ta.simplicial(3, b)),
+                          "decomposed", [3, 3]),
+    "herm0(3,1)(+)ealg(2)": (lambda b: direct_sum(ta.herm0(3, 1), ta.simplicial(2, b)),
+                             "decomposed", [2, 5]),
+    "ealg(2)(x)ealg(3)": (lambda b: tensor_product(ta.simplicial(2, b), ta.simplicial(3, b)),
+                          "indecomposable", [6]),
+    "ealg(3)": (lambda b: ta.simplicial(3, b), "indecomposable", [3]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSITIONS))
+def test_decompose_ideals_verdicts(name):
+    build, expected, dims = DECOMPOSITIONS[name]
+    alg = build(RATIONAL)
+    parts, verdict = ta.decompose_ideals(alg)
+    assert verdict == expected
+    assert sorted(S.dim for S, _ in parts) == dims
+    for S, part in parts:
+        assert alg.is_ideal(S)
+        assert part.dim == S.dim
+        assert part.form.is_nondegenerate()
+
+
+def test_decompose_ideals_float_path():
+    """ealg(3) (+) ealg(3) on floats splits into the same ideals as on
+    rationals; the ideal check on each part is exact."""
+    build = DECOMPOSITIONS["ealg(3)(+)ealg(3)"][0]
+    exact_parts, _ = ta.decompose_ideals(build(RATIONAL))
+    parts, verdict = ta.decompose_ideals(build(FLOAT))
+    assert verdict == "decomposed"
+    assert [S.dim for S, _ in parts] == [S.dim for S, _ in exact_parts] == [3, 3]
+    for (S, _), (X, _) in zip(parts, exact_parts):
+        assert np.allclose(S.basis, to_float(X.basis), atol=1e-12)
+        assert build(RATIONAL).is_ideal(X)
+
+
+def test_decompose_ideals_undetermined_without_rational_eigenvalues():
+    """Q(i) = span(1, i) with its trace form: the commutant is Q(i) itself,
+    whose non-scalar elements have eigenvalues +-i, so no split is certified
+    and none exists."""
+    s = zeros((2, 2, 2))
+    s[0, 0, 0] = s[0, 1, 1] = s[1, 0, 1] = F(1)
+    s[1, 1, 0] = F(-1)
+    A = MetrizedAlgebra(s, [[F(2), F(0)], [F(0), F(-2)]])
+    assert A.is_invariant(A.form)[0]
+    parts, verdict = ta.decompose_ideals(A)
+    assert verdict == "undetermined"
+    assert [S.dim for S, _ in parts] == [2]
+
+
+@pytest.mark.parametrize("name, dim", [("lie_so(4)", 2), ("ealg(3)(+)ealg(3)", 2),
+                                       ("ealg(2)(x)ealg(3)", 1)])
+def test_commutant_commutes_with_left_multiplications(name, dim):
+    alg = DECOMPOSITIONS[name][0](RATIONAL)
+    C = ta.core._commutant(alg, 0)
+    assert len(C) == dim
+    for T in C:
+        for i in range(alg.dim):
+            L = alg.left_mult_matrix(alg.basis_vector(i))
+            assert max_abs(T @ L - L @ T) == 0
+
+
+def test_rational_eigenvalues():
+    P = np.array([[F(1), F(2), F(0)], [F(0), F(1), F(3)], [F(1), F(0), F(1)]],
+                 dtype=object)
+    D = np.diag([F(1, 2), F(-3), F(1, 2)])
+    assert rational_eigenvalues(P @ D @ inv(P)) == [F(-3), F(1, 2)]
+    sqrt2 = np.array([[F(0), F(2)], [F(1), F(0)]], dtype=object)
+    assert rational_eigenvalues(sqrt2) == []
+    nilpotent = np.array([[F(0), F(1)], [F(0), F(0)]], dtype=object)
+    assert rational_eigenvalues(nilpotent) == [F(0)]
+    scalar = np.diag([F(-4, 9)] * 3)
+    assert rational_eigenvalues(scalar) == [F(-4, 9)]
 
 
 # -- differential test: whole-tensor contractions against per-basis loops --
