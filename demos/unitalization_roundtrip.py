@@ -10,7 +10,7 @@ import numpy as np
 
 from tracealg.core import (MetrizedAlgebra, deunitalization, einstein_fit,
                            intrinsic_unitalization, unitalization)
-from tracealg.linalg import RATIONAL, inv, max_abs
+from tracealg.linalg import inv, max_abs
 
 F = Fraction
 rng = random.Random(0)
@@ -26,8 +26,8 @@ for i in range(n):
                 C[p] = v
 G = np.array([[F(2), F(1), F(0)], [F(1), F(2), F(1)], [F(0), F(1), F(2)]],
              dtype=object)
-m = np.einsum("ijl,kl->ijk", C, inv(G, RATIONAL))
-A = MetrizedAlgebra(m, G, "commutative", RATIONAL)
+m = np.einsum("ijl,kl->ijk", C, inv(G))
+A = MetrizedAlgebra(m, G, "commutative")
 
 U = unitalization(A)
 print("dim %d -> %d, unit found: %s" % (A.dim, U.dim, U.find_unit()))

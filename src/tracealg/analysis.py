@@ -7,7 +7,7 @@ from scipy import optimize
 from . import linalg
 from .core import MetrizedAlgebra
 from .catalog import gamma_vectors, triple_embeddings
-from .linalg import EPS0, EPS_DEDUP, FLOAT, RATIONAL, is_zero, max_abs, zeros
+from .linalg import EPS0, EPS_DEDUP, FLOAT, RATIONAL, _is_zero, is_zero, max_abs, zeros
 
 
 def make_report(predicate, verdict, residual, witnesses=None, seed=None):
@@ -36,7 +36,7 @@ def isect(alg, x, y, tau=None):
 def _ric_scal(alg):
     H = alg.gram
     R = alg.ricci_form().gram
-    scal = np.trace(linalg.inv(H, alg.backend) @ R)
+    scal = np.trace(linalg.inv(H) @ R)
     return R, scal
 
 
@@ -44,17 +44,16 @@ def conformal_tensor(alg):
     """Trace-adjusted curvature-type tensor w[i,j,k,l]; identically zero
     iff the algebra is conformally associative (dim > 3)."""
     n = alg.dim
-    assert n >= 3
+    if n < 3:
+        raise ValueError("the conformal tensor needs dim >= 3")
     m, H = alg.structure, alg.gram
     R, scal = _ric_scal(alg)
     hp = np.tensordot(np.tensordot(m, H, axes=(2, 0)), m, axes=(2, 2))
     # hp[i,j,k,l] = h(e_i e_j, e_k e_l)
-    nn = Fraction(n) if alg.backend == RATIONAL else float(n)
-    c1 = 1 / (nn - 2)
-    c2 = scal / ((nn - 1) * (nn - 2))
+    c2 = scal / ((n - 1) * (n - 2))
     return (np.einsum("jkil->ijkl", hp) - np.einsum("kilj->ijkl", hp)
-            + c1 * (np.einsum("ik,jl->ijkl", R, H) - np.einsum("jk,il->ijkl", R, H)
-                    - np.einsum("il,jk->ijkl", R, H) + np.einsum("jl,ik->ijkl", R, H))
+            + (np.einsum("ik,jl->ijkl", R, H) - np.einsum("jk,il->ijkl", R, H)
+               - np.einsum("il,jk->ijkl", R, H) + np.einsum("jl,ik->ijkl", R, H)) / (n - 2)
             + c2 * (np.einsum("il,jk->ijkl", H, H) - np.einsum("jl,ik->ijkl", H, H)))
 
 
@@ -67,16 +66,14 @@ def is_conformally_associative(alg, tol=EPS0):
     err = max_abs(w)
     if alg.dim == 3:
         return True, err
-    ok = err == 0 if alg.backend == RATIONAL else err <= tol * max(1.0, max_abs(alg.gram) ** 2)
-    return ok, err
+    return bool(_is_zero(err, tol, lambda: max_abs(alg.gram) ** 2)), err
 
 
 def is_projectively_associative(alg, tol=EPS0):
     """Check [x,y,z] = c(y,z) x - c(x,y) z with c = -ric/(dim-1) on basis
     triples, plus the cyclic commutator identity it implies."""
     n = alg.dim
-    denom = Fraction(n - 1) if alg.backend == RATIONAL else float(n - 1)
-    C = -alg.ricci_form().gram / denom
+    C = -alg.ricci_form().gram / (n - 1)
     I = linalg.eye(n, alg.backend)
     rhs = np.einsum("jk,il->ijkl", C, I) - np.einsum("ij,kl->ijkl", C, I)
     err = max_abs(alg.associator_tensor() - rhs)
@@ -91,8 +88,7 @@ def is_projectively_associative(alg, tol=EPS0):
         M = (np.transpose(T, (0, 2, 1, 3)) - np.transpose(T, (2, 0, 1, 3))
              + np.tensordot(Comm, L[i], axes=(3, 0)))
         err = max(err, max_abs(M))
-    ok = err == 0 if alg.backend == RATIONAL else err <= tol * max(1.0, max_abs(alg.structure) ** 3)
-    return ok, err
+    return bool(_is_zero(err, tol, lambda: max_abs(alg.structure) ** 3)), err
 
 
 def constant_sect_check(alg, kappa=None, tol=EPS0):
@@ -105,14 +101,12 @@ def constant_sect_check(alg, kappa=None, tol=EPS0):
     H = alg.gram
     if kappa is None:
         R = alg.ricci_form().gram
-        k0 = next(i for i in range(n) if not is_zero(H[i, i], alg.backend, tol))
-        denom = (Fraction(n - 1) if alg.backend == RATIONAL else float(n - 1))
-        kappa = R[k0, k0] / (denom * H[k0, k0])
+        k0 = next(i for i in range(n) if not is_zero(H[i, i], tol))
+        kappa = R[k0, k0] / ((n - 1) * H[k0, k0])
     I = linalg.eye(n, alg.backend)
     rhs = kappa * (np.einsum("ij,kl->ijkl", H, I) - np.einsum("jk,il->ijkl", H, I))
     err = max_abs(alg.associator_tensor() - rhs)
-    ok = err == 0 if alg.backend == RATIONAL else err <= tol * max(1.0, max_abs(H))
-    return ok, kappa, err
+    return bool(_is_zero(err, tol, lambda: max_abs(H))), kappa, err
 
 
 def talg_idempotents(n, alpha):
@@ -231,7 +225,7 @@ def square_zero_rays(alg, trials, seed, tol=1e-10, dedup=EPS_DEDUP):
 def orth_spectrum(alg, e, tol=EPS0):
     """Eigenvalues of L(e) on the metric-orthocomplement of e, ascending."""
     Ge = linalg.to_float(alg.gram) @ linalg.to_float(e)
-    C = linalg.nullspace(Ge.reshape(1, -1), FLOAT, tol)
+    C = linalg.nullspace(Ge.reshape(1, -1), tol)
     L = linalg.to_float(alg.left_mult_matrix(e))
     M, *_ = np.linalg.lstsq(C, L @ C, rcond=None)
     vals, has_complex = linalg.general_real_eigenvalues(M, 1e-7)
@@ -393,8 +387,7 @@ def triple_sect_relations_check(base_alg, seed, trials=30):
     (with its Killing form) and its triple construction; returns max residual."""
     from .catalog import triple
     tau = base_alg.killing_form()
-    T = triple(MetrizedAlgebra(base_alg.structure, tau.gram, base_alg.symmetry,
-                               base_alg.backend))
+    T = triple(MetrizedAlgebra(base_alg.structure, tau.gram, base_alg.symmetry))
     n = base_alg.dim
     emb = triple_embeddings(n, FLOAT)
     tauT = T.killing_form()

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import hurwitz, linalg
+from . import hurwitz
 from .core import (ANTICOMMUTATIVE, COMMUTATIVE, Algebra, MetrizedAlgebra,
                    tensor_product, unitalization)
 from .hurwitz import hmat_jordan, hmat_mul, hmat_re_tr
@@ -25,19 +25,16 @@ def talg(n, alpha, backend=RATIONAL):
             if j != i:
                 s[i, j, i] = alpha
                 s[i, j, j] = alpha
-    return Algebra(s, COMMUTATIVE, backend, name="talg(%d)" % n)
+    return Algebra(s, COMMUTATIVE, name="talg(%d)" % n)
 
 
 def simplicial(n, backend=RATIONAL):
     """Exact simple algebra on n generators gamma_1..gamma_n with
     gamma_i^2 = gamma_i and gamma_i gamma_j = -(gamma_i + gamma_j)/(n-1);
     metric is the Killing form."""
-    alpha = Fraction(-1, n - 1) if backend == RATIONAL else -1.0 / (n - 1)
-    base = talg(n, alpha, backend)
-    tau = base.killing_form()
-    out = MetrizedAlgebra(base.structure, tau.gram, COMMUTATIVE, backend,
-                          name="ealg(%d)" % n)
-    return out
+    base = talg(n, Fraction(-1, n - 1), backend)
+    return MetrizedAlgebra(base.structure, base.killing_form().gram, COMMUTATIVE,
+                           name="ealg(%d)" % n)
 
 
 def gamma_vectors(n, backend=RATIONAL):
@@ -58,9 +55,8 @@ def cyclic3(c=1, backend=RATIONAL):
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         s[i, j, k] = c
         s[j, i, k] = c
-    base = Algebra(s, COMMUTATIVE, backend)
-    return MetrizedAlgebra(s, base.killing_form().gram, COMMUTATIVE, backend,
-                           name="cyclic3")
+    base = Algebra(s, COMMUTATIVE)
+    return MetrizedAlgebra(s, base.killing_form().gram, COMMUTATIVE, name="cyclic3")
 
 
 def simplicial_reflection(n, i, j, backend=RATIONAL):
@@ -83,20 +79,19 @@ def tensor_witnesses(n, backend=RATIONAL):
     gn = gamma_vectors(n, backend)
     e = [[np.kron(g2[i], gn[al]) for al in range(n + 1)] for i in range(3)]
     out = {"e": e, "a": {}, "b": {}, "z": {}}
-    nn = Fraction(n) if backend == RATIONAL else float(n)
     for al in range(n + 1):
         for be in range(n + 1):
             for ga in range(n + 1):
                 if len({al, be, ga}) < 3:
                     continue
-                out["a"][(al, be, ga)] = ((nn - 1) / (nn + 1)) * (
-                    e[0][al] + e[1][be] + e[2][ga])
+                out["a"][(al, be, ga)] = (
+                    (e[0][al] + e[1][be] + e[2][ga]) * (n - 1) / (n + 1))
                 for i in range(3):
                     base = e[i][al] + e[i][be] + e[i][ga]
                     if n == 5:
                         out["z"][(i, al, be, ga)] = (4 * base) / 3
                     else:
-                        out["b"][(i, al, be, ga)] = ((nn - 1) / (nn - 5)) * base
+                        out["b"][(i, al, be, ga)] = base * (n - 1) / (n - 5)
     return out
 
 
@@ -134,8 +129,8 @@ def _herm_coords(M, n, level, traceless=False):
 def herm_jordan(n, level):
     """Hermitian matrix Jordan algebra x * y = (xy + yx)/2 with
     h(x, y) = re tr(xy) / n; exact rational."""
-    if level == 8:
-        assert n == 3, "octonionic Hermitian matrices only at size 3"
+    if level == 8 and n != 3:
+        raise ValueError("octonionic Hermitian matrices only at size 3")
     mats = _herm_basis(n, level)
     k = len(mats)
     s = zeros((k, k, k), RATIONAL)
@@ -146,11 +141,12 @@ def herm_jordan(n, level):
             coords = _herm_coords(prod, n, level)
             s[p, q, :] = coords
             s[q, p, :] = coords
-            v = Fraction(hmat_re_tr(hmat_mul(mats[p], mats[q], level)), n)
+            # re tr(XY) = re tr(X o Y), as re(ab) = re(ba) in every
+            # Cayley-Dickson algebra
+            v = Fraction(hmat_re_tr(prod), n)
             g[p, q] = v
             g[q, p] = v
-    out = MetrizedAlgebra(s, g, COMMUTATIVE, RATIONAL,
-                          name="herm(%d,%d)" % (n, level))
+    out = MetrizedAlgebra(s, g, COMMUTATIVE, name="herm(%d,%d)" % (n, level))
     out.matrices = mats
     out.msize = n
     out.level = level
@@ -160,8 +156,8 @@ def herm_jordan(n, level):
 def herm0(n, level):
     """Traceless Hermitian matrices, x y = x * y - tr(x * y) I / n,
     h(x, y) = re tr(xy) / n; exact rational."""
-    if level == 8:
-        assert n == 3
+    if level == 8 and n != 3:
+        raise ValueError("octonionic Hermitian matrices only at size 3")
     mats = _herm_basis(n, level, traceless=True)
     k = len(mats)
     s = zeros((k, k, k), RATIONAL)
@@ -175,11 +171,10 @@ def herm0(n, level):
             coords = _herm_coords(prod, n, level, traceless=True)
             s[p, q, :] = coords
             s[q, p, :] = coords
-            v = Fraction(hmat_re_tr(hmat_mul(mats[p], mats[q], level)), n)
+            v = Fraction(tr, n)                      # re tr(XY) = re tr(X o Y)
             g[p, q] = v
             g[q, p] = v
-    out = MetrizedAlgebra(s, g, COMMUTATIVE, RATIONAL,
-                          name="herm0(%d,%d)" % (n, level))
+    out = MetrizedAlgebra(s, g, COMMUTATIVE, name="herm0(%d,%d)" % (n, level))
     out.matrices = mats
     out.msize = n
     out.level = level
@@ -192,7 +187,8 @@ def herm0_coords(M, n, level):
 
 def diagonal_generators(n, level):
     """Vectors gamma(i) = n/(n-2) (e_ii - I/n) in herm0(n, level) coordinates."""
-    assert n > 2
+    if n <= 2:
+        raise ValueError("diagonal generators need n > 2")
     alg_dim = (n - 1) + (n * (n - 1) // 2) * level
     out = []
     for i in range(1, n + 1):
@@ -217,16 +213,17 @@ def algebra_from_matrix_basis(mats, product, coords, gram=None, symmetry=ANTICOM
             c = coords(product(mats[p], mats[q]))
             s[p, q, :] = c
             s[q, p, :] = sign * c
-    base = Algebra(s, symmetry, RATIONAL, name=name)
+    base = Algebra(s, symmetry, name=name)
     g = gram if gram is not None else base.killing_form().gram
-    out = MetrizedAlgebra(s, g, symmetry, RATIONAL, name=name)
+    out = MetrizedAlgebra(s, g, symmetry, name=name)
     out.matrices = mats
     return out
 
 
 def lie_so(n):
     """so(n), n >= 3; for n = 3 the cyclic basis with [L1, L2] = L3."""
-    assert n >= 3
+    if n < 3:
+        raise ValueError("lie-so needs n >= 3")
     if n == 3:
         mats = []
         for k in range(3):
@@ -290,7 +287,8 @@ def _su_coords(M, n):
 
 def lie_su(n):
     """su(n) with the commutator bracket, aligned with the herm0(n,2) basis."""
-    assert n >= 2
+    if n < 2:
+        raise ValueError("lie-su needs n >= 2")
     mats = _su_basis(n)
 
     def prod(x, y):
@@ -303,7 +301,8 @@ def lie_su(n):
 def su_circle(n):
     """Commutative product x o y = (j/2)(xy + yx - 2 tr(xy) I / n) on su(n),
     with h(x, y) = -re tr(xy)/n; exact rational."""
-    assert n >= 2
+    if n < 2:
+        raise ValueError("su-circle needs n >= 2")
     mats = _su_basis(n)
     k = len(mats)
     s = zeros((k, k, k), RATIONAL)
@@ -323,10 +322,10 @@ def su_circle(n):
             c = _su_coords(prod, n)
             s[p, q, :] = c
             s[q, p, :] = c
-            v = -Fraction(hmat_re_tr(hmat_mul(mats[p], mats[q], 2)), n)
+            v = -Fraction(tr, n)                     # re tr(XY) = re tr(X o Y)
             g[p, q] = v
             g[q, p] = v
-    out = MetrizedAlgebra(s, g, COMMUTATIVE, RATIONAL, name="su-circle(%d)" % n)
+    out = MetrizedAlgebra(s, g, COMMUTATIVE, name="su-circle(%d)" % n)
     out.matrices = mats
     return out
 
@@ -340,7 +339,6 @@ def triple(alg, name=""):
     """
     n = alg.dim
     backend = alg.backend
-    half = Fraction(1, 2) if backend == RATIONAL else 0.5
     s = zeros((3 * n, 3 * n, 3 * n), backend)
     m = alg.structure
     for i in range(3):
@@ -350,18 +348,18 @@ def triple(alg, name=""):
             for a in range(n):
                 for b in range(n):
                     row = m[a, b] if dj == 1 else m[b, a]
-                    s[i * n + a, j * n + b, k * n:(k + 1) * n] = half * row
+                    s[i * n + a, j * n + b, k * n:(k + 1) * n] = row / 2
     sign = 1 if alg.symmetry == COMMUTATIVE else -1
     g = zeros((3 * n, 3 * n), backend)
     for i in range(3):
-        g[i * n:(i + 1) * n, i * n:(i + 1) * n] = sign * half * alg.gram
-    return MetrizedAlgebra(s, g, COMMUTATIVE, backend,
-                           name=name or ("triple(%s)" % alg.name))
+        g[i * n:(i + 1) * n, i * n:(i + 1) * n] = sign * alg.gram / 2
+    return MetrizedAlgebra(s, g, COMMUTATIVE, name=name or ("triple(%s)" % alg.name))
 
 
 def nahm(lie_alg):
     """Triple construction applied to a Lie algebra with its Killing form."""
-    assert lie_alg.symmetry == ANTICOMMUTATIVE
+    if lie_alg.symmetry != ANTICOMMUTATIVE:
+        raise ValueError("nahm needs an anticommutative (Lie) algebra")
     return triple(lie_alg, name="nahm(%s)" % lie_alg.name)
 
 
@@ -375,8 +373,7 @@ def triple_embeddings(n, backend=RATIONAL):
 
     nu = [stack(I, Z, Z), stack(Z, I, Z), stack(Z, Z, I)]
     gamma = [stack(I, I, I), stack(I, -I, -I), stack(-I, I, -I), stack(-I, -I, I)]
-    half = Fraction(1, 2) if backend == RATIONAL else 0.5
-    nabla_pair = {(i, j): half * (gamma[i] - gamma[j])
+    nabla_pair = {(i, j): (gamma[i] - gamma[j]) / 2
                   for i in range(4) for j in range(4) if i != j}
     nabla = {i: gamma[0] - 3 * nu[i - 1] for i in (1, 2, 3)}
     return {"nu": nu, "gamma": gamma, "nabla_pair": nabla_pair, "nabla": nabla,
@@ -421,12 +418,8 @@ def conformal_extension(alg, backend=FLOAT):
     metric again.  Carries `.canonical_idempotent`.
     """
     n = alg.dim
-    if backend == FLOAT:
-        G = linalg.to_float(alg.gram)
-        m = linalg.to_float(alg.structure)
-    else:
-        G = alg.gram
-        m = alg.structure
+    G = as_backend(alg.gram, backend)
+    m = as_backend(alg.structure, backend)
     cn = 1 / _sqrt_scalar(n * (n + 1), backend)
     a = _sqrt_scalar((n + 2) * (n - 1), backend)
     s = zeros((n + 1, n + 1, n + 1), backend)
@@ -439,11 +432,9 @@ def conformal_extension(alg, backend=FLOAT):
     g = zeros((n + 1, n + 1), backend)
     g[:n, :n] = G
     g[n, n] = _one(backend)
-    out = MetrizedAlgebra(s, g, COMMUTATIVE, backend,
-                          name="confext(%s)" % alg.name)
+    out = MetrizedAlgebra(s, g, COMMUTATIVE, name="confext(%s)" % alg.name)
     e = zeros(n + 1, backend)
-    e[n] = _sqrt_scalar(Fraction(n + 1, n) if backend == RATIONAL
-                        else (n + 1) / n, backend)
+    e[n] = _sqrt_scalar(Fraction(n + 1, n), backend)
     out.canonical_idempotent = e
     return out
 

@@ -1,8 +1,9 @@
 """Finite dimensional commutative / anticommutative algebras with trace forms.
 
 An algebra is a structure tensor m[i,j,k] (e_i e_j = sum_k m[i,j,k] e_k)
-over the rational or float backend.  A metrized algebra additionally
-carries a nondegenerate invariant symmetric bilinear form.
+whose dtype gives the scalar kind: Fractions (exact) or floats.  A metrized
+algebra additionally carries a nondegenerate invariant symmetric bilinear
+form of the same kind.
 """
 import json
 from fractions import Fraction
@@ -10,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .linalg import (EPS0, EPS_RANK, FLOAT, RATIONAL, SymBilinearForm, Subspace,
+from .linalg import (EPS0, FLOAT, RATIONAL, SymBilinearForm, Subspace, _is_zero,
                      as_backend, backend_of, is_zero, max_abs, zeros)
 
 COMMUTATIVE = "commutative"
@@ -18,19 +19,21 @@ ANTICOMMUTATIVE = "anticommutative"
 
 
 class Algebra:
-    def __init__(self, structure, symmetry=COMMUTATIVE, backend=None, name=""):
-        if backend is None:
-            backend = backend_of(structure)
-        self.structure = as_backend(structure, backend)
-        self.backend = backend
+    def __init__(self, structure, symmetry=COMMUTATIVE, name=""):
+        self.structure = m = as_backend(structure, backend_of(structure))
         self.symmetry = symmetry
         self.name = name
-        n = self.structure.shape[0]
-        assert self.structure.shape == (n, n, n)
+        if m.ndim != 3 or not m.shape[0] == m.shape[1] == m.shape[2]:
+            raise ValueError("structure tensor of shape %s is not n x n x n" % (m.shape,))
+        if symmetry not in (COMMUTATIVE, ANTICOMMUTATIVE):
+            raise ValueError("unknown symmetry %r" % (symmetry,))
         sign = 1 if symmetry == COMMUTATIVE else -1
-        sym_err = max_abs(self.structure - sign * np.swapaxes(self.structure, 0, 1))
-        tol = 0 if backend == RATIONAL else EPS0 * max(1.0, max_abs(self.structure))
-        assert sym_err <= tol, "structure tensor has the wrong symmetry"
+        if not np.all(_is_zero(m - sign * np.swapaxes(m, 0, 1), EPS0, lambda: max_abs(m))):
+            raise ValueError("structure tensor is not %s" % symmetry)
+
+    @property
+    def backend(self):
+        return backend_of(self.structure)
 
     @property
     def dim(self):
@@ -38,7 +41,7 @@ class Algebra:
 
     def basis_vector(self, i):
         v = zeros(self.dim, self.backend)
-        v[i] = Fraction(1) if self.backend == RATIONAL else 1.0
+        v[i] += 1
         return v
 
     def multiply(self, x, y):
@@ -53,23 +56,20 @@ class Algebra:
         return np.trace(self.structure, axis1=1, axis2=2)
 
     def is_exact(self, tol=EPS0):
-        t = self.trace_linear()
-        if self.backend == RATIONAL:
-            return all(v == 0 for v in t)
-        return max_abs(t) <= tol
+        return is_zero(self.trace_linear(), tol)
 
     def killing_form(self):
         """tau(e_i, e_j) = tr L(e_i) L(e_j) = sum_ab m[i,a,b] m[j,b,a]."""
         g = np.tensordot(self.structure, self.structure, axes=([1, 2], [2, 1]))
         # g[i,j] and g[j,i] sum the same terms in different orders; on floats
         # the average keeps the Gram matrix exactly symmetric
-        return SymBilinearForm((g + g.T) / 2, self.backend)
+        return SymBilinearForm((g + g.T) / 2)
 
     def ricci_form(self):
         """ric(x, y) = tr L(x y) - tau(x, y)."""
         t = self.trace_linear()
         g = np.tensordot(self.structure, t, axes=(2, 0)) - self.killing_form().gram
-        return SymBilinearForm(g, self.backend)
+        return SymBilinearForm(g)
 
     def associator(self, x, y, z):
         return (self.multiply(self.multiply(x, y), z)
@@ -88,13 +88,12 @@ class Algebra:
         A = np.tensordot(self.structure, G, axes=(2, 0))           # h(e_i e_j, e_k)
         B = np.transpose(np.tensordot(self.structure, G, axes=(2, 0)), (2, 0, 1))
         err = max_abs(A - B)
-        scale = 1 if self.backend == RATIONAL else max(1.0, max_abs(G), max_abs(self.structure))
-        return (err == 0 if self.backend == RATIONAL else err <= tol * scale), err
+        ok = _is_zero(err, tol, lambda: max(max_abs(G), max_abs(self.structure)))
+        return bool(ok), err
 
     def cubic_value(self, form, x):
         """P(x) with 6 P(x) = h(x x, x)."""
-        six = Fraction(6) if self.backend == RATIONAL else 6.0
-        return form.apply(self.multiply(x, x), x) / six
+        return form.apply(self.multiply(x, x), x) / 6
 
     def _products_outside(self, S, tol):
         """The products e_i s_j (s_j outer, e_i inner) not in S, lazily."""
@@ -106,36 +105,37 @@ class Algebra:
         return next(self._products_outside(S, tol), None) is None
 
     def ideal_closure(self, generators, tol=EPS0):
-        S = Subspace.from_spanning(generators, self.backend, tol)
+        S = Subspace.from_spanning(generators, tol)
         while True:
             outside = list(self._products_outside(S, tol))
             if not outside:
                 return S
-            S = Subspace.from_spanning(list(S.basis.T) + outside, self.backend, tol)
+            S = Subspace.from_spanning(list(S.basis.T) + outside, tol)
 
     def find_unit(self, tol=EPS0):
         """Solve L(e) = Id if possible, else return None.
 
-        The rational backend solves A e = b exactly: it has a solution iff
-        the nullspace of [A | -b] holds a vector (e, t) with t != 0.
+        An exact algebra solves A e = b exactly: it has a solution iff the
+        nullspace of [A | -b] holds a vector (e, t) with t != 0.
         """
         n = self.dim
         A = np.transpose(self.structure, (1, 2, 0)).reshape(n * n, n)
         b = linalg.eye(n, self.backend).reshape(n * n)
         if self.backend == RATIONAL:
-            N = linalg.nullspace(np.column_stack([A, -b]), RATIONAL)
+            N = linalg.nullspace(np.column_stack([A, -b]))
             v = next((v for v in N.T if v[n] != 0), None)
             return None if v is None else v[:n] / v[n]
         e, *_ = np.linalg.lstsq(A, b, rcond=None)
-        resid = max_abs(A @ e - b)
-        return e if resid <= tol * max(1.0, max_abs(self.structure)) else None
+        return e if np.all(_is_zero(A @ e - b, tol, lambda: max_abs(self.structure))) else None
 
 
 class MetrizedAlgebra(Algebra):
-    def __init__(self, structure, gram, symmetry=COMMUTATIVE, backend=None, name=""):
-        super().__init__(structure, symmetry, backend, name)
-        self.form = SymBilinearForm(as_backend(gram, self.backend), self.backend)
-        assert self.form.dim == self.dim
+    def __init__(self, structure, gram, symmetry=COMMUTATIVE, name=""):
+        super().__init__(structure, symmetry, name)
+        self.form = SymBilinearForm(as_backend(gram, self.backend))
+        if self.form.dim != self.dim:
+            raise ValueError("Gram matrix of dim %d on an algebra of dim %d"
+                             % (self.form.dim, self.dim))
 
     @property
     def gram(self):
@@ -152,16 +152,21 @@ def einstein_fit(alg, tol=EPS0):
     """
     tau = alg.killing_form().gram
     G = alg.gram
-    k = next((i for i in range(alg.dim)
-              if not is_zero(G[i, i], alg.backend, tol)), None)
+    k = next((i for i in range(alg.dim) if not is_zero(G[i, i], tol)), None)
     if k is None:
         raise ValueError("metric vanishes on the whole diagonal")
     kappa = tau[k, k] / G[k, k]
     return kappa, max_abs(tau - kappa * G)
 
 
+def _check_same_kind(a, b):
+    if a.symmetry != b.symmetry or a.backend != b.backend:
+        raise ValueError("operands differ: %s %s and %s %s"
+                         % (a.symmetry, a.backend, b.symmetry, b.backend))
+
+
 def direct_sum(a, b):
-    assert a.symmetry == b.symmetry and a.backend == b.backend
+    _check_same_kind(a, b)
     n, m = a.dim, b.dim
     s = zeros((n + m, n + m, n + m), a.backend)
     s[:n, :n, :n] = a.structure
@@ -169,21 +174,18 @@ def direct_sum(a, b):
     g = zeros((n + m, n + m), a.backend)
     g[:n, :n] = a.gram
     g[n:, n:] = b.gram
-    return MetrizedAlgebra(s, g, a.symmetry, a.backend,
-                           name="%s(+)%s" % (a.name, b.name))
+    return MetrizedAlgebra(s, g, a.symmetry, name="%s(+)%s" % (a.name, b.name))
 
 
 def tensor_product(a, b):
     """Tensor product algebra; basis e_i (x) f_j in row-major order."""
-    assert a.symmetry == b.symmetry, "mixed symmetry tensor product not defined"
-    assert a.backend == b.backend
+    _check_same_kind(a, b)
     n, m = a.dim, b.dim
     s = np.multiply.outer(a.structure, b.structure)      # (i1,j1,k1,i2,j2,k2)
     s = np.transpose(s, (0, 3, 1, 4, 2, 5)).reshape(n * m, n * m, n * m)
     g = np.multiply.outer(a.gram, b.gram)
     g = np.transpose(g, (0, 2, 1, 3)).reshape(n * m, n * m)
-    return MetrizedAlgebra(s, g, COMMUTATIVE, a.backend,
-                           name="%s(x)%s" % (a.name, b.name))
+    return MetrizedAlgebra(s, g, COMMUTATIVE, name="%s(x)%s" % (a.name, b.name))
 
 
 def unitalization(alg, c=None, name=""):
@@ -195,30 +197,22 @@ def unitalization(alg, c=None, name=""):
     if c is None:
         c = alg.form
     n = alg.dim
+    I = linalg.eye(n + 1, alg.backend)
     s = zeros((n + 1, n + 1, n + 1), alg.backend)
-    one = Fraction(1) if alg.backend == RATIONAL else 1.0
     s[:n, :n, :n] = alg.structure
     s[:n, :n, n] = c.gram
-    for i in range(n):
-        s[i, n, i] = one
-        s[n, i, i] = one
-    s[n, n, n] = one
-    g = zeros((n + 1, n + 1), alg.backend)
+    s[n] = s[:, n] = I                  # the adjoined basis vector is the unit
+    g = I.copy()
     g[:n, :n] = c.gram
-    g[n, n] = one
-    return MetrizedAlgebra(s, g, COMMUTATIVE, alg.backend,
-                           name=name or ("unit(%s)" % alg.name))
+    return MetrizedAlgebra(s, g, COMMUTATIVE, name=name or ("unit(%s)" % alg.name))
 
 
 def intrinsic_unitalization(alg):
     """Unitalization with c = -ric / (dim - 1)."""
     n = alg.dim
-    denom = Fraction(n - 1) if alg.backend == RATIONAL else float(n - 1)
-    ric = alg.ricci_form().gram
-    c = SymBilinearForm(-ric / denom, alg.backend)
+    c = SymBilinearForm(-alg.ricci_form().gram / (n - 1))
     base = alg if isinstance(alg, MetrizedAlgebra) else \
-        MetrizedAlgebra(alg.structure, linalg.eye(n, alg.backend), alg.symmetry,
-                        alg.backend, alg.name)
+        MetrizedAlgebra(alg.structure, linalg.eye(n, alg.backend), alg.symmetry, alg.name)
     return unitalization(base, c, name="iunit(%s)" % alg.name)
 
 
@@ -228,16 +222,16 @@ def retraction(alg, basis, scale=None):
     Products: pi(x) pi(y) projected back; metric: restricted Gram, times
     scale if given.  Returns a MetrizedAlgebra in the basis coordinates.
     """
-    B = np.asarray(basis)
+    B = as_backend(basis, alg.backend)
     n, k = B.shape
     G = alg.gram if scale is None else scale * alg.gram
     BG = B.T @ G
     M = BG @ B
     P = np.tensordot(B, np.tensordot(B, alg.structure, axes=(0, 1)), axes=(0, 1))
     # P[i,j] = B[:,i] B[:,j]; one multi-column solve gives all coordinates
-    coords = linalg.solve(M, BG @ P.reshape(k * k, n).T, alg.backend)
+    coords = linalg.solve(M, BG @ P.reshape(k * k, n).T)
     s = coords.T.reshape(k, k, k)
-    out = MetrizedAlgebra(s, M, alg.symmetry, alg.backend)
+    out = MetrizedAlgebra(s, M, alg.symmetry)
     out.embedding = B
     return out
 
@@ -252,10 +246,9 @@ def deunitalization(alg, tol=EPS0):
     if e is None:
         raise ValueError("algebra has no unit")
     gee = alg.h(e, e)
-    if is_zero(gee, alg.backend, tol):
+    if is_zero(gee, tol):
         raise ValueError("unit is null for the metric")
-    comp = linalg.orthogonal_complement(
-        Subspace.from_spanning([e], alg.backend, tol), alg.form, tol)
+    comp = linalg.orthogonal_complement(Subspace.from_spanning([e], tol), alg.form, tol)
     inv_gee = 1 / gee
     out = retraction(alg, comp.basis, scale=inv_gee)
     out.unit = e
@@ -303,14 +296,19 @@ def _commutant(alg, tol):
     """
     n = alg.dim
     L = alg.structure.transpose(0, 2, 1)                           # L[i] = L(e_i)
-    # M[i,a,c,p,q] is the coefficient of T[p,q] in (T L_i - L_i T)[a,c],
-    # that is [p == a] L_i[q,c] - L_i[a,p] [q == c]; the two identity
-    # factors become index-diagonal assignments, not n^5 multiplications
-    M = zeros((n,) * 5, alg.backend)
     d = np.arange(n)
-    M[:, d, :, d, :] = alg.structure                               # [a,i,c,q]
-    M[:, :, d, :, d] -= L                                          # [c,i,a,p]
-    N = linalg.nullspace(M.reshape(n ** 3, n * n), alg.backend, tol)
+    R = zeros((0, n * n), alg.backend)
+    for i in range(n):
+        # M[a,c,p,q] is the coefficient of T[p,q] in (T L_i - L_i T)[a,c],
+        # that is [p == a] L_i[q,c] - L_i[a,p] [q == c]; the two identity
+        # factors become index-diagonal assignments, not n^4 multiplications
+        M = zeros((n,) * 4, alg.backend)
+        M[d, :, d, :] = alg.structure[i]                           # [a,c,q]
+        M[:, d, :, d] -= L[i]                                      # [c,a,p]
+        # reducing one block at a time keeps at most n^2 independent rows,
+        # not the whole n^3 x n^2 system
+        R, pivots = linalg._reduce_rows(np.vstack([R, M.reshape(n * n, n * n)]), tol)
+    N = linalg._kernel(R, pivots)
     return [N[:, j].reshape(n, n) for j in range(N.shape[1])]
 
 
@@ -329,10 +327,10 @@ def _certified_split(alg, commutant, tol):
         else:
             eigenvalues = linalg.general_real_eigenvalues(T, tol)[0]
         for lam in eigenvalues:
-            S = Subspace(linalg.nullspace(T - lam * I, alg.backend, tol), alg.backend, tol)
+            S = Subspace(linalg.nullspace(T - lam * I, tol), tol)
             if not 0 < S.dim < n:
                 continue
-            if not SymBilinearForm(S.basis.T @ alg.gram @ S.basis, alg.backend).is_nondegenerate():
+            if not SymBilinearForm(S.basis.T @ alg.gram @ S.basis).is_nondegenerate():
                 continue
             comp = linalg.orthogonal_complement(S, alg.form, tol)
             if alg.is_ideal(S, tol) and alg.is_ideal(comp, tol):
@@ -353,7 +351,7 @@ def decompose_ideals(alg, tol=EPS0):
         C = _commutant(sub_alg, tol)
         pieces = None if len(C) == 1 else _certified_split(sub_alg, C, tol)
         if pieces is None:
-            return [(Subspace(embed, alg.backend, tol), sub_alg)], len(C)
+            return [(Subspace(embed, tol), sub_alg)], len(C)
         parts = [part for piece in pieces
                  for part in recurse(retraction(sub_alg, piece.basis), embed @ piece.basis)[0]]
         return parts, len(C)
@@ -368,21 +366,16 @@ def decompose_ideals(alg, tol=EPS0):
 
 def to_json(alg, name=None):
     n = alg.dim
-    upper = []
-    for i in range(n):
-        for j in range(i, n):
-            if alg.symmetry == ANTICOMMUTATIVE and i == j:
-                continue
-            for k in range(n):
-                v = alg.structure[i, j, k]
-                if not is_zero(v, alg.backend, 0 if alg.backend == RATIONAL else 0.0):
-                    upper.append([i, j, k, linalg.scalar_to_json(v)])
+    # rows i <= j (i < j when anticommutative) of the nonzero entries
+    upper = np.triu(np.ones((n, n), dtype=bool), int(alg.symmetry == ANTICOMMUTATIVE))
+    rows = np.argwhere(upper[:, :, None] & ~_is_zero(alg.structure, 0)).tolist()
     doc = {
         "name": name if name is not None else alg.name,
         "dim": n,
         "symmetry": alg.symmetry,
         "scalar": alg.backend,
-        "structure": upper,
+        "structure": [[i, j, k, linalg.scalar_to_json(alg.structure[i, j, k])]
+                      for i, j, k in rows],
     }
     if isinstance(alg, MetrizedAlgebra):
         doc["metric"] = {"gram": [[linalg.scalar_to_json(v) for v in row]
@@ -391,24 +384,29 @@ def to_json(alg, name=None):
 
 
 def from_json(doc):
+    """Algebra of a JSON document; malformed input raises KeyError,
+    IndexError, TypeError or ValueError."""
     n = doc["dim"]
     backend = doc.get("scalar", RATIONAL)
+    if backend not in (RATIONAL, FLOAT):
+        raise ValueError("unknown scalar kind %r" % (backend,))
     symmetry = doc.get("symmetry", COMMUTATIVE)
     s = zeros((n, n, n), backend)
     sign = 1 if symmetry == COMMUTATIVE else -1
     for i, j, k, v in doc["structure"]:
-        val = linalg.parse_scalar(v)
-        if backend == FLOAT:
-            val = float(val)
+        if not 0 <= min(i, j, k) <= max(i, j, k) < n:
+            raise IndexError("structure index (%s, %s, %s) out of range for dim %d"
+                             % (i, j, k, n))
+        val = linalg.parse_scalar(v)                 # a float array rounds it
         s[i, j, k] = val
         if i != j:
             s[j, i, k] = sign * val
     if "metric" in doc and doc["metric"] is not None:
         gram = [[linalg.parse_scalar(v) for v in row]
                 for row in doc["metric"]["gram"]]
-        return MetrizedAlgebra(s, as_backend(gram, backend), symmetry, backend,
+        return MetrizedAlgebra(s, as_backend(gram, backend), symmetry,
                                name=doc.get("name", ""))
-    return Algebra(s, symmetry, backend, name=doc.get("name", ""))
+    return Algebra(s, symmetry, name=doc.get("name", ""))
 
 
 def dump_json(alg, path, name=None):

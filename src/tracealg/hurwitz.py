@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import RATIONAL, backend_of, zeros
+from .linalg import EPS0, RATIONAL, _is_zero, backend_of, max_abs, zeros
 
 LEVELS = (1, 2, 4, 8)
 LEVEL_OF_LETTER = {"r": 1, "c": 2, "h": 4, "o": 8}
@@ -103,9 +103,7 @@ def hmat_re_tr(X):
 
 def hmat_jordan(X, Y, level):
     """Symmetrized product (XY + YX) / 2."""
-    P = hmat_mul(X, Y, level) + hmat_mul(Y, X, level)
-    half = Fraction(1, 2) if backend_of(X) == RATIONAL else 0.5
-    return half * P
+    return (hmat_mul(X, Y, level) + hmat_mul(Y, X, level)) / 2
 
 
 def hmat_commutator(X, Y, level):
@@ -118,8 +116,4 @@ def frobenius(X, Y):
 
 
 def is_hermitian(X):
-    n = X.shape[0]
-    C = hmat_conj_t(X)
-    return all((X[i, j] == C[i, j]).all() if backend_of(X) == RATIONAL
-               else np.allclose(np.asarray(X[i, j], float), np.asarray(C[i, j], float))
-               for i in range(n) for j in range(n))
+    return bool(np.all(_is_zero(X - hmat_conj_t(X), EPS0, lambda: max_abs(X))))

@@ -4,7 +4,6 @@ from scipy import optimize
 
 from . import hurwitz, linalg
 from .hurwitz import frobenius, hmat_commutator
-from .linalg import RATIONAL, backend_of
 
 
 def cdk_residual(X, Y, level):
@@ -40,7 +39,8 @@ def bw_lie_estimate(lie_alg, samples=2000, ascent=200, seed=0):
     dict {"value", "witness", "seed"}."""
     B = lie_alg.killing_form()
     p, m, z = B.inertia()
-    assert p == 0 and z == 0, "Killing form must be negative definite"
+    if p or z:
+        raise ValueError("Killing form must be negative definite, inertia %s" % ((p, m, z),))
     n = lie_alg.dim
     mf = linalg.to_float(lie_alg.structure)
     Gf = linalg.to_float(B.gram)

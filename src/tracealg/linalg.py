@@ -1,9 +1,11 @@
-"""Scalar backends and small dense linear algebra.
+"""Scalar kinds and small dense linear algebra.
 
-Two backends are supported everywhere: exact rationals (numpy object
-arrays holding fractions.Fraction) and binary64 floats.  Everything in
-this module is deterministic: echelon pivots are the first nonzero row,
-with largest-magnitude tie-break on the float backend.
+An array's dtype says which kind of scalar it holds: an object array of
+fractions.Fraction is exact (RATIONAL), a float64 array is FLOAT.  Functions
+read the kind from their input; only builders that start from nothing
+(zeros, eye, the target of as_backend) are told it.  Everything in this
+module is deterministic: echelon pivots are the first nonzero entry, with
+the largest-magnitude entry chosen on floats.
 """
 import math
 from fractions import Fraction
@@ -18,10 +20,6 @@ EPS_RANK = 1e-8  # default rank / inertia threshold
 EPS_DEDUP = 1e-6  # default deduplication radius for numeric searches
 
 
-def frac(p, q=1):
-    return Fraction(p, q)
-
-
 def zeros(shape, backend=RATIONAL):
     if backend == RATIONAL:
         a = np.empty(shape, dtype=object)
@@ -32,17 +30,15 @@ def zeros(shape, backend=RATIONAL):
 
 def eye(n, backend=RATIONAL):
     a = zeros((n, n), backend)
-    one = Fraction(1) if backend == RATIONAL else 1.0
-    for i in range(n):
-        a[i, i] = one
+    a[np.diag_indices(n)] += 1          # Fraction(0) + 1 stays a Fraction
     return a
 
 
 def as_backend(data, backend):
-    """Convert nested lists / arrays to the requested backend."""
-    a = np.asarray(data)
+    """A new array holding nested lists / arrays as the requested kind."""
     if backend == FLOAT:
-        return np.asarray([float(x) for x in a.flat], dtype=float).reshape(a.shape)
+        return np.array(data, dtype=float)
+    a = np.asarray(data)
     out = np.empty(a.shape, dtype=object)
     flat = out.reshape(-1)
     for i, x in enumerate(a.flat):
@@ -51,23 +47,34 @@ def as_backend(data, backend):
 
 
 def to_float(a):
-    a = np.asarray(a)
-    return np.asarray([float(x) for x in a.flat], dtype=float).reshape(a.shape)
+    return np.array(a, dtype=float)
 
 
 def backend_of(a):
     return RATIONAL if np.asarray(a).dtype == object else FLOAT
 
 
-def is_zero(x, backend, tol=EPS0):
-    if backend == RATIONAL:
+def _is_zero(x, tol=EPS0, scale=None):
+    """Entrywise zero test of a scalar or an array: the one rule behind
+    every verdict, pivot and read-off in the package.
+
+    Exact data is zero when it equals 0.  Float data is zero when
+    abs(x) <= tol * max(1, scale()); scale is called only on float data,
+    so no exact array is ever scanned for a tolerance.
+    """
+    if isinstance(x, Fraction) or getattr(x, "dtype", None) == object:
         return x == 0
-    return abs(x) <= tol
+    return np.abs(x) <= tol * max(1.0, scale() if scale else 1.0)
+
+
+def is_zero(x, tol=EPS0):
+    """True when every entry of x is zero: exactly, or within tol on floats."""
+    return bool(np.all(_is_zero(x, tol)))
 
 
 def max_abs(a):
-    vals = [abs(x) for x in np.asarray(a).flat]
-    return max(vals) if vals else 0
+    a = np.asarray(a)
+    return np.max(np.abs(a)) if a.size else 0
 
 
 def parse_scalar(s):
@@ -90,52 +97,40 @@ def scalar_to_json(x):
     return float(x)
 
 
-def solve(A, b, backend=None):
-    """Solve the square system A x = b exactly (rational) or via numpy."""
-    if backend is None:
-        backend = backend_of(A)
-    if backend == FLOAT:
+def solve(A, b):
+    """Solve the square system A x = b exactly (exact A) or via numpy.
+
+    The exact path reduces [A | b] once; a missing pivot among the columns
+    of A means A is singular.
+    """
+    if backend_of(A) == FLOAT:
         return np.linalg.solve(to_float(A), to_float(b))
-    A = as_backend(A, RATIONAL).copy()
-    b = as_backend(b, RATIONAL).copy()
-    n = A.shape[0]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if A[i, k] != 0), None)
-        if piv is None:
-            raise np.linalg.LinAlgError("singular rational system")
-        if piv != k:
-            A[[k, piv]] = A[[piv, k]]
-            b[[k, piv]] = b[[piv, k]]
-        for i in range(n):
-            if i != k and A[i, k] != 0:
-                f = A[i, k] / A[k, k]
-                A[i] = A[i] - f * A[k]
-                b[i] = b[i] - f * b[k]
-    return np.array([b[i] / A[i, i] for i in range(n)], dtype=object)
+    n = len(A)
+    b = np.asarray(b)
+    R, pivots = _reduce_rows(as_backend(np.column_stack([A, b]), RATIONAL))
+    if pivots[:n] != list(range(n)):
+        raise np.linalg.LinAlgError("singular rational system")
+    return R[:, n] if b.ndim == 1 else R[:, n:]
 
 
-def inv(A, backend=None):
-    if backend is None:
-        backend = backend_of(A)
-    if backend == FLOAT:
+def inv(A):
+    if backend_of(A) == FLOAT:
         return np.linalg.inv(to_float(A))
-    return solve(A, eye(A.shape[0]), RATIONAL)
+    return solve(A, eye(len(A)))
 
 
-def inertia(gram, backend=None, tol=EPS_RANK):
+def inertia(gram, tol=EPS_RANK):
     """Return (n_plus, n_minus, n_zero) of a symmetric matrix.
 
-    Rational backend: symmetric congruence diagonalization (exact).
-    Float backend: eigenvalue counts with absolute threshold tol.
+    Exact: symmetric congruence diagonalization.
+    Float: eigenvalue counts with absolute threshold tol.
     """
-    if backend is None:
-        backend = backend_of(gram)
-    if backend == FLOAT:
+    if backend_of(gram) == FLOAT:
         w = np.linalg.eigvalsh(to_float(gram))
         pos = int(np.sum(w > tol))
         neg = int(np.sum(w < -tol))
         return pos, neg, len(w) - pos - neg
-    A = as_backend(gram, RATIONAL).copy()
+    A = as_backend(gram, RATIONAL)
     n = A.shape[0]
     pos = neg = zero = 0
     for k in range(n):
@@ -167,13 +162,14 @@ def inertia(gram, backend=None, tol=EPS_RANK):
 class SymBilinearForm:
     """A symmetric bilinear form given by its Gram matrix."""
 
-    def __init__(self, gram, backend=None):
-        if backend is None:
-            backend = backend_of(gram)
-        self.gram = as_backend(gram, backend)
-        self.backend = backend
-        n = self.gram.shape[0]
-        assert self.gram.shape == (n, n)
+    def __init__(self, gram):
+        self.gram = as_backend(gram, backend_of(gram))
+        if self.gram.ndim != 2 or self.gram.shape[0] != self.gram.shape[1]:
+            raise ValueError("Gram matrix of shape %s is not square" % (self.gram.shape,))
+
+    @property
+    def backend(self):
+        return backend_of(self.gram)
 
     @property
     def dim(self):
@@ -186,7 +182,7 @@ class SymBilinearForm:
         return self.apply(x, x)
 
     def inertia(self, tol=EPS_RANK):
-        return inertia(self.gram, self.backend, tol)
+        return inertia(self.gram, tol)
 
     def rank(self, tol=EPS_RANK):
         p, m, z = self.inertia(tol)
@@ -196,7 +192,7 @@ class SymBilinearForm:
         return self.rank(tol) == self.dim
 
 
-def symmetric_eigen(M, tol=EPS0):
+def symmetric_eigen(M):
     """Eigenvalues (ascending) and orthonormal eigenvectors; float only."""
     w, V = np.linalg.eigh(to_float(M))
     return w, V
@@ -225,7 +221,7 @@ def rational_eigenvalues(M):
     powers = [eye(M.shape[0])]
     while True:
         powers.append(powers[-1] @ M)
-        dependency = nullspace(np.stack([P.reshape(-1) for P in powers], axis=1), RATIONAL)
+        dependency = nullspace(np.stack([P.reshape(-1) for P in powers], axis=1))
         if dependency.shape[1]:
             break
     scale = math.lcm(*(c.denominator for c in dependency[:, 0]))
@@ -242,43 +238,32 @@ def _divisors(k):
     return set(small) | {k // d for d in small}
 
 
-def column_echelon(cols, backend=None, tol=EPS0):
+def column_echelon(cols, tol=EPS0):
     """Reduce the columns of an n x k matrix to a deterministic echelon basis.
 
     Pivot row: first row with a nonzero entry among remaining columns;
-    pivot column within that row: largest magnitude (float), first (rational).
+    pivot column within that row: first (exact), largest magnitude (float).
     Returns an n x r matrix whose columns have leading 1 pivots.
     """
     A = np.array(cols, copy=True)
-    if backend is None:
-        backend = backend_of(A)
     if A.ndim == 1:
         A = A.reshape(-1, 1)
     n, k = A.shape
-    scale = max(1.0, max_abs(A)) if backend == FLOAT else None
+    exact = backend_of(A) == RATIONAL
+    bound = 0 if exact else tol * max(1.0, max_abs(A))
     out = []
-    used = [False] * k
+    used = np.zeros(k, dtype=bool)
     for row in range(n):
-        best = None
-        for j in range(k):
-            if used[j]:
-                continue
-            v = A[row, j]
-            if backend == RATIONAL:
-                if v != 0:
-                    best = j
-                    break
-            elif abs(v) > tol * scale and (best is None or abs(v) > abs(A[row, best])):
-                best = j
-        if best is None:
+        live = np.flatnonzero(~used & ~_is_zero(A[row], bound))
+        if not live.size:
             continue
+        best = live[0] if exact else live[np.argmax(np.abs(A[row, live]))]
         used[best] = True
         col = A[:, best] / A[row, best]
-        for j in range(k):
-            if not used[j] and not is_zero(A[row, j], backend, tol * (scale or 1)):
-                A[:, j] = A[:, j] - A[row, j] * col
+        for j in live[live != best]:
+            A[:, j] = A[:, j] - A[row, j] * col
         for prev_row, prev in out:
-            if not is_zero(col[prev_row], backend, tol * (scale or 1)):
+            if not _is_zero(col[prev_row], bound):
                 col = col - col[prev_row] * prev
         out.append((row, col))
         if len(out) == min(n, k):
@@ -288,66 +273,72 @@ def column_echelon(cols, backend=None, tol=EPS0):
     return np.stack([c for _, c in out], axis=1)
 
 
-def nullspace(M, backend=None, tol=EPS0):
-    """Basis (columns) of the right nullspace of M."""
+def _reduce_rows(M, tol=EPS0):
+    """Reduced row echelon form of M: (the nonzero rows, their pivot columns).
+
+    Each pivot column holds a leading 1 in its row and 0 in every other row.
+    Exact pivots are the first nonzero entry of a column; float pivots the
+    largest one above tol times the largest |entry| of M.
+    """
     M = np.array(M, copy=True)
-    if backend is None:
-        backend = backend_of(M)
-    if M.ndim == 1:
-        M = M.reshape(1, -1)
     m, n = M.shape
-    scale = max(1.0, max_abs(M)) if backend == FLOAT else 1
+    exact = backend_of(M) == RATIONAL
+    bound = 0 if exact else tol * max(1.0, max_abs(M))
     pivots = []
-    row = 0
     for col in range(n):
-        piv = None
-        for i in range(row, m):
-            v = M[i, col]
-            if backend == RATIONAL:
-                if v != 0:
-                    piv = i
-                    break
-            elif abs(v) > tol * scale and (piv is None or abs(v) > abs(M[piv, col])):
-                piv = i
-        if piv is None:
-            continue
-        if piv != row:
-            M[[row, piv]] = M[[piv, row]]
-        M[row] = M[row] / M[row, col]
-        # only the pivot row's nonzeros change other rows; sparse systems
-        # such as the commutant equations stay cheap
-        support = np.flatnonzero(M[row] != 0)
-        for i in range(m):
-            if i != row and not is_zero(M[i, col], backend, tol * scale):
-                M[i, support] = M[i, support] - M[i, col] * M[row, support]
-        pivots.append(col)
-        row += 1
+        row = len(pivots)
         if row == m:
             break
+        nonzero = ~_is_zero(M[:, col], bound)
+        live = row + np.flatnonzero(nonzero[row:])
+        if not live.size:
+            continue
+        piv = live[0] if exact else live[np.argmax(np.abs(M[live, col]))]
+        if piv != row:
+            M[[row, piv]] = M[[piv, row]]
+            nonzero[[row, piv]] = nonzero[[piv, row]]
+        # only the pivot row's nonzeros change it and the other rows; sparse
+        # systems such as the commutant equations stay cheap
+        support = np.flatnonzero(M[row] != 0)
+        M[row, support] = M[row, support] / M[row, col]
+        for i in np.flatnonzero(nonzero):
+            if i != row:
+                M[i, support] = M[i, support] - M[i, col] * M[row, support]
+        pivots.append(col)
+    return M[:len(pivots)], pivots
+
+
+def _kernel(R, pivots):
+    """Basis (columns) of the right nullspace of a reduced row echelon form."""
+    n = R.shape[1]
     free = [j for j in range(n) if j not in pivots]
-    basis = zeros((n, len(free)), backend)
+    basis = zeros((n, len(free)), backend_of(R))
     for idx, j in enumerate(free):
-        basis[j, idx] = Fraction(1) if backend == RATIONAL else 1.0
-        for r, pc in enumerate(pivots):
-            basis[pc, idx] = -M[r, j]
+        basis[j, idx] += 1
+        basis[pivots, idx] = -R[:, j]
     return basis
+
+
+def nullspace(M, tol=EPS0):
+    """Basis (columns) of the right nullspace of M."""
+    M = np.asarray(M)
+    return _kernel(*_reduce_rows(M.reshape(1, -1) if M.ndim == 1 else M, tol))
 
 
 class Subspace:
     """A linear subspace stored via a deterministic echelon basis."""
 
-    def __init__(self, basis, backend=None, tol=EPS0):
-        basis = np.asarray(basis)
-        if backend is None:
-            backend = backend_of(basis)
-        self.backend = backend
+    def __init__(self, basis, tol=EPS0):
         self.tol = tol
-        self.basis = column_echelon(basis, backend, tol)
+        self.basis = column_echelon(basis, tol)
 
     @classmethod
-    def from_spanning(cls, vectors, backend=None, tol=EPS0):
-        mat = np.stack([np.asarray(v) for v in vectors], axis=1)
-        return cls(mat, backend, tol)
+    def from_spanning(cls, vectors, tol=EPS0):
+        return cls(np.stack([np.asarray(v) for v in vectors], axis=1), tol)
+
+    @property
+    def backend(self):
+        return backend_of(self.basis)
 
     @property
     def ambient_dim(self):
@@ -359,17 +350,11 @@ class Subspace:
 
     def contains(self, v, tol=None):
         tol = self.tol if tol is None else tol
-        r = np.asarray(v).copy()
-        if self.backend == FLOAT:
-            scale = max(1.0, float(np.max(np.abs(r))) if r.size else 1.0)
-        for j in range(self.dim):
-            col = self.basis[:, j]
-            lead = next(i for i in range(len(col))
-                        if not is_zero(col[i], self.backend, 1e-12))
+        r = np.array(v, copy=True)
+        for col in self.basis.T:
+            lead = np.flatnonzero(~_is_zero(col, 1e-12))[0]
             r = r - r[lead] * col
-        if self.backend == RATIONAL:
-            return all(x == 0 for x in r)
-        return float(np.max(np.abs(r))) <= tol * scale if r.size else True
+        return bool(np.all(_is_zero(r, tol, lambda: max_abs(v))))
 
     def equals(self, other):
         return (self.dim == other.dim
@@ -378,8 +363,7 @@ class Subspace:
 
 def orthogonal_complement(S, form, tol=EPS0):
     """Orthogonal complement of a subspace w.r.t. a nondegenerate form."""
-    C = (S.basis.T @ form.gram)
-    comp = Subspace(nullspace(C, form.backend, tol), form.backend, tol)
+    comp = Subspace(nullspace(S.basis.T @ form.gram, tol), tol)
     if comp.dim != S.ambient_dim - S.dim:
         raise ValueError("form degenerate on this configuration")
     return comp

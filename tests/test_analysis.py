@@ -27,18 +27,18 @@ def random_metrized(rng, n):
             for j in range(i + 1):
                 G[i, j] = G[j, i] = F(rng.randint(-3, 3), rng.randint(1, 3))
         try:
-            Gi = inv(G, RATIONAL)
+            Gi = inv(G)
             break
         except Exception:
             continue
     m = np.einsum("ijl,kl->ijk", C, Gi)
-    return MetrizedAlgebra(m, G, "commutative", RATIONAL)
+    return MetrizedAlgebra(m, G, "commutative")
 
 
 def float_copy(alg):
     return MetrizedAlgebra(to_float(np.asarray(alg.structure)),
                            to_float(np.asarray(alg.gram)),
-                           "commutative", FLOAT)
+                           "commutative")
 
 
 def test_sect_scale_invariance():
@@ -110,8 +110,7 @@ def test_sect_extremize_herm0():
 
 def test_sect_extremize_constant_case():
     E = ta.simplicial(3)
-    M = MetrizedAlgebra(E.structure, E.killing_form().gram, "commutative",
-                        RATIONAL)
+    M = MetrizedAlgebra(E.structure, E.killing_form().gram, "commutative")
     est = ta.sect_extremize(M, seed=0, n_starts=10)
     assert abs(est["lower"] + 0.5) < 1e-5
     assert abs(est["upper"] + 0.5) < 1e-5
@@ -143,8 +142,7 @@ def test_conformal_associativity():
 
 def test_conformal_tensor_vanishes_constant_sect():
     E = ta.simplicial(4)
-    M = MetrizedAlgebra(E.structure, E.killing_form().gram, "commutative",
-                        RATIONAL)
+    M = MetrizedAlgebra(E.structure, E.killing_form().gram, "commutative")
     om = ta.conformal_tensor(M)
     assert max_abs(np.asarray(om)) == 0
 

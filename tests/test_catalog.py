@@ -358,6 +358,24 @@ def test_herm_jordan_unital():
         assert max_abs(A.multiply(e, v) - v) == 0
 
 
+@pytest.mark.parametrize("build, n, sign", [
+    (lambda: ta.herm_jordan(3, 1), 3, 1), (lambda: ta.herm_jordan(3, 4), 3, 1),
+    (lambda: ta.herm_jordan(3, 2), 3, 1), (lambda: ta.herm0(3, 2), 3, 1),
+    (lambda: ta.herm0(3, 4), 3, 1), (lambda: ta.herm0(4, 2), 4, 1),
+    (lambda: ta.su_circle(3), 3, -1)], ids=["herm(3,1)", "herm(3,4)", "herm(3,2)",
+                                            "herm0(3,2)", "herm0(3,4)", "herm0(4,2)",
+                                            "su-circle(3)"])
+def test_gram_is_trace_of_matrix_product(build, n, sign):
+    """Each Gram entry, read off the Jordan product, equals sign re tr(m_p m_q) / n
+    of the ordinary matrix product of the basis matrices."""
+    A = build()
+    mats = A.matrices
+    level = mats[0].shape[2]
+    for p, q in itertools.product(range(A.dim), repeat=2):
+        want = sign * F(ta.hurwitz.hmat_re_tr(ta.hurwitz.hmat_mul(mats[p], mats[q], level)), n)
+        assert A.gram[p, q] == want and isinstance(A.gram[p, q], F)
+
+
 def test_diagonal_generators():
     for n, level in ((3, 1), (4, 1), (5, 1), (3, 2), (3, 4), (3, 8)):
         A = ta.herm0(n, level)
@@ -432,7 +450,7 @@ def test_lie_jacobi():
 
 def test_triple_cubic_rank_one():
     R1 = MetrizedAlgebra(np.full((1, 1, 1), F(1)), np.full((1, 1), F(1)),
-                         "commutative", RATIONAL)
+                         "commutative")
     T = ta.triple(R1)
     form = SymBilinearForm(T.gram)
     x = np.array([F(2), F(3), F(5)], dtype=object)
@@ -519,12 +537,12 @@ def random_metrized(rng, n):
             for j in range(i + 1):
                 G[i, j] = G[j, i] = F(rng.randint(-3, 3), rng.randint(1, 3))
         try:
-            Gi = inv(G, RATIONAL)
+            Gi = inv(G)
             break
         except Exception:
             continue
     m = np.einsum("ijl,kl->ijk", C, Gi)
-    return MetrizedAlgebra(m, G, "commutative", RATIONAL)
+    return MetrizedAlgebra(m, G, "commutative")
 
 
 def test_triple_embedding_identities():
@@ -612,8 +630,7 @@ def test_conformal_extension_canonical_idempotent():
 def test_conformal_extension_omega_vanishes_over_simplicial():
     for n in (2, 3):
         C = ta.conformal_extension(ta.simplicial(n))
-        M = MetrizedAlgebra(C.structure, C.killing_form().gram, "commutative",
-                            FLOAT)
+        M = MetrizedAlgebra(C.structure, C.killing_form().gram, "commutative")
         om = ta.conformal_tensor(M)
         assert np.abs(np.asarray(om)).max() < 1e-9
 
@@ -670,8 +687,7 @@ def test_conformal_extension_szero_lift():
 def test_conformal_extension_ray_count():
     for n in (2, 3):
         C = ta.conformal_extension(ta.simplicial(n))
-        M = MetrizedAlgebra(C.structure, C.killing_form().gram, "commutative",
-                            FLOAT)
+        M = MetrizedAlgebra(C.structure, C.killing_form().gram, "commutative")
         idems = ta.newton_idempotents(M, 1500, seed=5)
         szs = ta.square_zero_rays(M, 400, seed=5)
         assert len(idems) + len(szs) == 2 ** (n + 1) - 1

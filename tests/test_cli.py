@@ -1,8 +1,12 @@
 """Command line interface: construction, reports, exit codes."""
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import tracealg
 from tracealg.cli import main
 
 
@@ -141,3 +145,73 @@ def test_json_round_trip_via_cli(tmp_path, capsys):
     assert doc["symmetry"] == "commutative"
     # structure rows are [i, j, k, value] with i <= j
     assert all(row[0] <= row[1] for row in doc["structure"])
+
+
+MALFORMED = {
+    "not-json": "{dim: 3",
+    "no-structure": json.dumps({"dim": 2, "scalar": "rational"}),
+    "index-out-of-range": json.dumps({"dim": 2, "structure": [[0, 1, 2, "1"]]}),
+    "negative-index": json.dumps({"dim": 2, "structure": [[0, -1, 0, "1"]]}),
+    "short-row": json.dumps({"dim": 2, "structure": [[0, 1, "1"]]}),
+    "bad-value": json.dumps({"dim": 2, "structure": [[0, 1, 1, "one"]]}),
+    "dim-not-int": json.dumps({"dim": "2", "structure": []}),
+    "unknown-scalar": json.dumps({"dim": 1, "scalar": "complex", "structure": []}),
+    "unknown-symmetry": json.dumps({"dim": 1, "symmetry": "jordan", "structure": []}),
+    "wrong-symmetry": json.dumps({"dim": 1, "symmetry": "anticommutative",
+                                  "structure": [[0, 0, 0, "1"]]}),
+    "gram-wrong-dim": json.dumps({"dim": 1, "structure": [[0, 0, 0, "1"]],
+                                  "metric": {"gram": [["1", "0"], ["0", "1"]]}}),
+}
+
+COMMANDS = {
+    "report": ["report", "--suite", "exact", "--in", "{}"],
+    "check": ["check", "--in", "{}"],
+    "decompose": ["decompose", "--in", "{}"],
+    "idempotents": ["idempotents", "--trials", "50", "--in", "{}"],
+    "sect": ["sect", "--trials", "2", "--in", "{}"],
+    "construct": ["construct", "unitalize", "--base", "{}"],
+}
+
+# (command, input, expected exit code): 0 pass, 1 false verdict, 2 bad input
+EXIT_CODES = ([(cmd, "ealg3", 0) for cmd in COMMANDS]
+              + [("report", "talg-half", 1), ("check", "talg-half", 1)]
+              + [(cmd, bad, 2) for cmd in COMMANDS for bad in sorted(MALFORMED)])
+
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("cmd, source, code", EXIT_CODES)
+def test_exit_codes(tmp_path, capsys, cmd, source, code):
+    path = str(tmp_path / "in.json")
+    if source in MALFORMED:
+        with open(path, "w") as fh:
+            fh.write(MALFORMED[source])
+    elif source == "ealg3":
+        main(["construct", "ealg", "--n", "3", "-o", path])
+    else:
+        main(["construct", "talg", "--n", "3", "--alpha", "1/2", "-o", path])
+    capsys.readouterr()
+    argv = [a.format(path) for a in COMMANDS[cmd]] + ["-o", str(tmp_path / "out.json")]
+    assert exit_code(argv) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.count("\n") == 1 and err.startswith("error: ")
+    else:
+        assert err == ""
+
+
+def test_construct_validation_survives_optimized_python():
+    """Catalogue preconditions raise ValueError, which -O does not strip."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tracealg.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-m", "tracealg.cli", "construct",
+                           "herm0", "--n", "4", "--level", "o"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and "octonionic" in proc.stderr

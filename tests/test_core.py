@@ -36,12 +36,12 @@ def random_metrized(rng, n):
             for j in range(i + 1):
                 G[i, j] = G[j, i] = F(rng.randint(-3, 3), rng.randint(1, 3))
         try:
-            Gi = inv(G, RATIONAL)
+            Gi = inv(G)
             break
         except Exception:
             continue
     m = np.einsum("ijl,kl->ijk", C, Gi)
-    return MetrizedAlgebra(m, G, "commutative", RATIONAL)
+    return MetrizedAlgebra(m, G, "commutative")
 
 
 def test_multiply_and_left_mult():
@@ -261,7 +261,7 @@ def test_einstein_unitalization_shift():
     for n in (2, 3, 4):
         E = ta.simplicial(n)
         h = np.asarray(E.killing_form().gram) / F(n - 1)
-        A = MetrizedAlgebra(E.structure, h, "commutative", RATIONAL)
+        A = MetrizedAlgebra(E.structure, h, "commutative")
         assert einstein_fit(A) == (n - 1, 0)
         U = intrinsic_unitalization(A)
         assert einstein_fit(U) == (n + 1, 0)
@@ -303,7 +303,7 @@ def test_decompose_ideals_tensor_square():
 
 def test_decompose_ideals_simple_case():
     E = ta.simplicial(3)
-    M = MetrizedAlgebra(E.structure, E.gram, "commutative", RATIONAL)
+    M = MetrizedAlgebra(E.structure, E.gram, "commutative")
     parts, verdict = ta.decompose_ideals(M)
     assert verdict == "indecomposable"
     assert len(parts) == 1
@@ -375,6 +375,33 @@ def test_commutant_commutes_with_left_multiplications(name, dim):
             assert max_abs(T @ L - L @ T) == 0
 
 
+def full_commutant_system(alg):
+    """The whole n^3 x n^2 system of T L(e_i) = L(e_i) T, rows (i, a, c)."""
+    n = alg.dim
+    L = [alg.left_mult_matrix(alg.basis_vector(i)) for i in range(n)]
+    M = zeros((n, n, n, n, n))
+    for i, a, c, p, q in itertools.product(range(n), repeat=5):
+        M[i, a, c, p, q] = (p == a) * L[i][q, c] - L[i][a, p] * (q == c)
+    return M.reshape(n ** 3, n * n)
+
+
+@pytest.mark.parametrize("build", [DECOMPOSITIONS["ealg(3)(+)ealg(3)"][0],
+                                   DECOMPOSITIONS["lie_so(4)"][0],
+                                   lambda b: ta.herm0(3, 2)],
+                         ids=["ealg(3)(+)ealg(3)", "lie_so(4)", "herm0(3,2)"])
+def test_commutant_equals_full_system_nullspace(build):
+    """Reducing one L(e_i) block at a time gives the exact basis of the
+    nullspace of the whole system, entry for entry."""
+    alg = build(RATIONAL)
+    n = alg.dim
+    N = ta.nullspace(full_commutant_system(alg))
+    C = ta.core._commutant(alg, 0)
+    assert len(C) == N.shape[1] >= 1
+    for j, T in enumerate(C):
+        assert all(isinstance(x, F) for x in T.flat)
+        assert np.array_equal(T, N[:, j].reshape(n, n))
+
+
 def test_rational_eigenvalues():
     P = np.array([[F(1), F(2), F(0)], [F(0), F(1), F(3)], [F(1), F(0), F(1)]],
                  dtype=object)
@@ -438,7 +465,7 @@ def ref_conformal(A):
     n = A.dim
     m, H = A.structure, A.gram
     R = A.ricci_form().gram
-    scal = np.trace(inv(H, A.backend) @ R)
+    scal = np.trace(inv(H) @ R)
     hp = np.tensordot(np.tensordot(m, H, axes=(2, 0)), m, axes=(2, 2))
     nn = F(n) if A.backend == RATIONAL else float(n)
     c1 = 1 / (nn - 2)
@@ -472,13 +499,12 @@ def ref_is_ideal(A, S):
 
 
 def ref_ideal_closure(A, generators):
-    S = Subspace.from_spanning(generators, A.backend)
+    S = Subspace.from_spanning(generators)
     while True:
         outside = [p for p in ref_products(A, S) if not S.contains(p)]
         if not outside:
             return S
-        S = Subspace.from_spanning([S.basis[:, j] for j in range(S.dim)] + outside,
-                                   A.backend)
+        S = Subspace.from_spanning([S.basis[:, j] for j in range(S.dim)] + outside)
 
 
 def ref_retraction(A, B):
@@ -487,8 +513,7 @@ def ref_retraction(A, B):
     s = zeros((k, k, k), A.backend)
     for i in range(k):
         for j in range(k):
-            s[i, j, :] = solve(M, B.T @ A.gram @ A.multiply(B[:, i], B[:, j]),
-                               A.backend)
+            s[i, j, :] = solve(M, B.T @ A.gram @ A.multiply(B[:, i], B[:, j]))
     return s, M
 
 
@@ -505,7 +530,7 @@ def retraction_bases(rng, A):
     for k in (n, n - 1):
         while True:
             B = rational_matrix(rng, n, k)
-            if inertia(B.T @ A.gram @ B, A.backend)[2] == 0:
+            if inertia(B.T @ A.gram @ B)[2] == 0:
                 out.append(B)
                 break
     return out
@@ -562,7 +587,7 @@ def test_contractions_equal_basis_loops(make):
 
 def test_float_contractions_match_basis_loops():
     A = random_metrized(random.Random(12), 4)
-    Af = MetrizedAlgebra(to_float(A.structure), to_float(A.gram), A.symmetry, FLOAT)
+    Af = MetrizedAlgebra(to_float(A.structure), to_float(A.gram), A.symmetry)
     rng = random.Random(4)
 
     def close(x, y):
