@@ -1,6 +1,6 @@
 """Commutative nonassociative algebras with invariant trace forms."""
 from .linalg import (FLOAT, RATIONAL, SymBilinearForm, Subspace, inertia,
-                     nullspace, orthogonal_complement, symmetric_eigen,
+                     nullspace, orthogonal_complement,
                      general_real_eigenvalues)
 from .core import (Algebra, MetrizedAlgebra, decompose_ideals, deunitalization,
                    direct_sum, einstein_fit, from_json, griess_einstein,
@@ -17,7 +17,7 @@ from .analysis import (complexified_special_elements_sect, constant_sect_check,
                        conformal_tensor, deunit_sect_shift_check,
                        group_spectrum, is_conformally_associative,
                        is_projectively_associative, isect, newton_idempotents,
-                       orth_spectrum, sect, sect_extremize,
+                       norton_minimum, orth_spectrum, sect, sect_extremize,
                        simplicial_idempotents, square_zero_rays,
                        talg_idempotents, triple_sect_relations_check)
 from .inequalities import (bw_lie_estimate, bw_reduction_check, bw_residual,

@@ -1,4 +1,5 @@
 """Sectional quantities, associativity defects and numeric searches."""
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,8 @@ from scipy import optimize
 from . import linalg
 from .core import MetrizedAlgebra
 from .catalog import gamma_vectors, triple_embeddings
-from .linalg import EPS0, EPS_DEDUP, FLOAT, RATIONAL, _is_zero, is_zero, max_abs, zeros
+from .linalg import (EPS0, EPS_DEDUP, FLOAT, RATIONAL, _contract, _fractions, _is_zero,
+                     _numerators, _residual, is_zero, max_abs, zeros)
 
 
 def make_report(predicate, verdict, residual, witnesses=None, seed=None):
@@ -40,21 +42,34 @@ def _ric_scal(alg):
     return R, scal
 
 
-def conformal_tensor(alg):
-    """Trace-adjusted curvature-type tensor w[i,j,k,l]; identically zero
-    iff the algebra is conformally associative (dim > 3)."""
+def _conformal(alg):
+    """(W, E) with the conformal tensor = W / E, W integer on exact algebras."""
     n = alg.dim
     if n < 3:
         raise ValueError("the conformal tensor needs dim >= 3")
-    m, H = alg.structure, alg.gram
     R, scal = _ric_scal(alg)
-    hp = np.tensordot(np.tensordot(m, H, axes=(2, 0)), m, axes=(2, 2))
-    # hp[i,j,k,l] = h(e_i e_j, e_k e_l)
-    c2 = scal / ((n - 1) * (n - 2))
-    return (np.einsum("jkil->ijkl", hp) - np.einsum("kilj->ijkl", hp)
-            + (np.einsum("ik,jl->ijkl", R, H) - np.einsum("jk,il->ijkl", R, H)
-               - np.einsum("il,jk->ijkl", R, H) + np.einsum("jl,ik->ijkl", R, H)) / (n - 2)
-            + c2 * (np.einsum("il,jk->ijkl", H, H) - np.einsum("jl,ik->ijkl", H, H)))
+    (H, DH), (R, DR) = _numerators(alg.gram), _numerators(R)
+    p, q = _numerators(scal / ((n - 1) * (n - 2)))
+    # w = hp terms + (R (x) H terms) / (n - 2) + scal / ((n-1)(n-2)) (H (x) H terms)
+    # over the common denominator E
+    E = math.lcm(alg._D ** 2 * DH, DR * DH * (n - 2), q * DH ** 2)
+
+    def w(m1, h1, m2, r, h2, c_hp, c_rh, c_hh):
+        hp = np.tensordot(np.tensordot(m1, h1, axes=(2, 0)), m2, axes=(2, 2))
+        # hp[i,j,k,l] = h(e_i e_j, e_k e_l)
+        return (c_hp * (np.einsum("jkil->ijkl", hp) - np.einsum("kilj->ijkl", hp))
+                + c_rh * (np.einsum("ik,jl->ijkl", r, h1) - np.einsum("jk,il->ijkl", r, h1)
+                          - np.einsum("il,jk->ijkl", r, h1) + np.einsum("jl,ik->ijkl", r, h1))
+                + c_hh * (np.einsum("il,jk->ijkl", h1, h2) - np.einsum("jl,ik->ijkl", h1, h2)))
+    W = _contract(w, 2 * n * n + 6, alg._N, H, alg._N, R, H,
+                  E // (alg._D ** 2 * DH), E // (DR * DH * (n - 2)), p * (E // (q * DH ** 2)))
+    return W, E
+
+
+def conformal_tensor(alg):
+    """Trace-adjusted curvature-type tensor w[i,j,k,l]; identically zero
+    iff the algebra is conformally associative (dim > 3)."""
+    return _fractions(*_conformal(alg))
 
 
 def is_conformally_associative(alg, tol=EPS0):
@@ -62,32 +77,45 @@ def is_conformally_associative(alg, tol=EPS0):
     associative by convention."""
     if alg.dim <= 2:
         return True, 0
-    w = conformal_tensor(alg)
-    err = max_abs(w)
+    W, E = _conformal(alg)
+    err = _fractions(max_abs(W), E)
     if alg.dim == 3:
         return True, err
     return bool(_is_zero(err, tol, lambda: max_abs(alg.gram) ** 2)), err
+
+
+def _pair_times_identity(X):
+    """T[i,j,k,l] = X[i,j] [k == l] - X[j,k] [i == l], the basis triples of
+    X(x, y) z - X(y, z) x, for integer (or float) X."""
+    I = np.eye(len(X), dtype=int)
+    return _contract(lambda x, i: np.einsum("ij,kl->ijkl", x, i) - np.einsum("jk,il->ijkl", x, i),
+                     2, X, I)
 
 
 def is_projectively_associative(alg, tol=EPS0):
     """Check [x,y,z] = c(y,z) x - c(x,y) z with c = -ric/(dim-1) on basis
     triples, plus the cyclic commutator identity it implies."""
     n = alg.dim
-    C = -alg.ricci_form().gram / (n - 1)
-    I = linalg.eye(n, alg.backend)
-    rhs = np.einsum("jk,il->ijkl", C, I) - np.einsum("ij,kl->ijkl", C, I)
-    err = max_abs(alg.associator_tensor() - rhs)
+    R, E = alg._ricci()                                  # c = -R / (E (n - 1))
+    P, Q = _residual(*alg._associator(), _pair_times_identity(R), E * (n - 1))
+
     # sum_cyc [L_i, L_j] L_k = T[i,j,k] + T[j,k,i] + T[k,i,j] with
     # T[i,j,k] = [L_i, L_j] L_k and T[k,i,j] = -T[i,k,j]; one (j,k,a,b)
     # slab per i keeps the largest array at n^4 entries.
-    L = np.transpose(alg.structure, (0, 2, 1))                     # L[i] = L(e_i)
-    LL = np.tensordot(L, L, axes=(2, 1))                            # [i,a,j,b]
-    Comm = np.transpose(LL, (0, 2, 1, 3)) - np.transpose(LL, (2, 0, 1, 3))
-    for i in range(n):
-        T = np.tensordot(Comm[i], L, axes=(2, 1))                   # [j,a,k,b]
-        M = (np.transpose(T, (0, 2, 1, 3)) - np.transpose(T, (2, 0, 1, 3))
-             + np.tensordot(Comm, L[i], axes=(3, 0)))
-        err = max(err, max_abs(M))
+    def cyclic(ma, mb, mc):
+        La, Lb, Lc = (np.transpose(x, (0, 2, 1)) for x in (ma, mb, mc))  # L[i] = L(e_i)
+        LL = np.tensordot(La, Lb, axes=(2, 1))                      # [i,a,j,b]
+        Comm = np.transpose(LL, (0, 2, 1, 3)) - np.transpose(LL, (2, 0, 1, 3))
+        err = 0
+        for i in range(n):
+            T = np.tensordot(Comm[i], Lc, axes=(2, 1))              # [j,a,k,b]
+            M = (np.transpose(T, (0, 2, 1, 3)) - np.transpose(T, (2, 0, 1, 3))
+                 + np.tensordot(Comm, Lc[i], axes=(3, 0)))
+            err = max(err, max_abs(M))
+        return err
+    S = _contract(cyclic, 6 * n * n, alg._N, alg._N, alg._N)
+    # the larger of P / Q and S / D^3, over one denominator
+    err = _fractions(max(P * alg._D ** 3, S * Q), Q * alg._D ** 3)
     return bool(_is_zero(err, tol, lambda: max_abs(alg.structure) ** 3)), err
 
 
@@ -100,13 +128,30 @@ def constant_sect_check(alg, kappa=None, tol=EPS0):
     n = alg.dim
     H = alg.gram
     if kappa is None:
-        R = alg.ricci_form().gram
+        R, E = alg._ricci()
         k0 = next(i for i in range(n) if not is_zero(H[i, i], tol))
-        kappa = R[k0, k0] / ((n - 1) * H[k0, k0])
-    I = linalg.eye(n, alg.backend)
-    rhs = kappa * (np.einsum("ij,kl->ijkl", H, I) - np.einsum("jk,il->ijkl", H, I))
-    err = max_abs(alg.associator_tensor() - rhs)
+        kappa = _fractions(R[k0, k0], E) / ((n - 1) * H[k0, k0])
+    G, DG = _numerators(H)
+    err = _fractions(*_residual(*alg._associator(), _pair_times_identity(G), DG, kappa))
     return bool(_is_zero(err, tol, lambda: max_abs(H))), kappa, err
+
+
+def norton_minimum(alg, seed, samples=500):
+    """Smallest h([x, x, y], y) / (|x|^2 |y|^2) over seeded standard normal
+    samples (x, y); Norton's inequality says it is >= 0."""
+    rng = np.random.default_rng(seed)
+    mf = linalg.to_float(alg.structure)
+    Gf = linalg.to_float(alg.gram)
+    worst = np.inf
+    for _ in range(samples):
+        x = rng.standard_normal(alg.dim)
+        y = rng.standard_normal(alg.dim)
+        tx = np.tensordot(x, mf, axes=(0, 0))
+        xx = x @ tx
+        xy = y @ tx
+        v = y @ np.tensordot(xx, mf, axes=(0, 0)) - xy @ tx  # [x, x, y]
+        worst = min(worst, (v @ Gf @ y) / ((x @ x) * (y @ y)))
+    return worst
 
 
 def talg_idempotents(n, alpha):

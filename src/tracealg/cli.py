@@ -6,8 +6,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import analysis, core, catalog, linalg
 from .core import MetrizedAlgebra
 from .hurwitz import LEVEL_OF_LETTER
@@ -103,19 +101,7 @@ def run_suite(alg, suite, seed=0, tol=linalg.EPS0):
         ok, err = analysis.is_conformally_associative(alg, tol)
         return analysis.make_report("conformally associative", ok, err, seed=seed)
     if suite == "norton":
-        alg = _metrized(alg)
-        rng = np.random.default_rng(seed)
-        mf = linalg.to_float(alg.structure)
-        Gf = linalg.to_float(alg.gram)
-        worst = np.inf
-        for _ in range(500):
-            x = rng.standard_normal(alg.dim)
-            y = rng.standard_normal(alg.dim)
-            tx = np.tensordot(x, mf, axes=(0, 0))
-            xx = x @ tx
-            xy = y @ tx
-            v = y @ np.tensordot(xx, mf, axes=(0, 0)) - xy @ tx  # [x, x, y]
-            worst = min(worst, (v @ Gf @ y) / ((x @ x) * (y @ y)))
+        worst = analysis.norton_minimum(_metrized(alg), seed)
         return analysis.make_report("h([x,x,y],y) >= 0 on samples",
                                     worst >= -tol, worst, seed=seed)
     if suite == "const-sect":

@@ -1,9 +1,11 @@
 """Finite dimensional commutative / anticommutative algebras with trace forms.
 
 An algebra is a structure tensor m[i,j,k] (e_i e_j = sum_k m[i,j,k] e_k)
-whose dtype gives the scalar kind: Fractions (exact) or floats.  A metrized
-algebra additionally carries a nondegenerate invariant symmetric bilinear
-form of the same kind.
+whose dtype gives the scalar kind: Fractions (exact) or floats.  An exact
+algebra also holds m once as integer numerators over one common
+denominator, on which its trace forms and associator are computed.  A
+metrized algebra additionally carries a nondegenerate invariant symmetric
+bilinear form of the same kind.
 """
 import json
 from fractions import Fraction
@@ -11,8 +13,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .linalg import (EPS0, FLOAT, RATIONAL, SymBilinearForm, Subspace, _is_zero,
-                     as_backend, backend_of, is_zero, max_abs, zeros)
+from .linalg import (EPS0, FLOAT, RATIONAL, SymBilinearForm, Subspace, _contract,
+                     _fractions, _is_zero, _numerators, _residual, as_backend,
+                     backend_of, is_zero, max_abs, zeros)
 
 COMMUTATIVE = "commutative"
 ANTICOMMUTATIVE = "anticommutative"
@@ -27,8 +30,10 @@ class Algebra:
             raise ValueError("structure tensor of shape %s is not n x n x n" % (m.shape,))
         if symmetry not in (COMMUTATIVE, ANTICOMMUTATIVE):
             raise ValueError("unknown symmetry %r" % (symmetry,))
+        self._N, self._D = _numerators(m)                        # m == N / D
+        N = self._N
         sign = 1 if symmetry == COMMUTATIVE else -1
-        if not np.all(_is_zero(m - sign * np.swapaxes(m, 0, 1), EPS0, lambda: max_abs(m))):
+        if not np.all(_is_zero(N - sign * np.swapaxes(N, 0, 1), EPS0, lambda: max_abs(N))):
             raise ValueError("structure tensor is not %s" % symmetry)
 
     @property
@@ -53,41 +58,55 @@ class Algebra:
 
     def trace_linear(self):
         """Vector t with tr L(x) = t . x."""
-        return np.trace(self.structure, axis1=1, axis2=2)
+        return _fractions(np.trace(self._N, axis1=1, axis2=2), self._D)
 
     def is_exact(self, tol=EPS0):
         return is_zero(self.trace_linear(), tol)
 
+    def _killing(self):
+        """(K, E) with tau = K / E, K integer on exact algebras."""
+        K = _contract(_twice_killing, 2 * self.dim ** 2, self._N, self._N)
+        return K, 2 * self._D ** 2
+
     def killing_form(self):
         """tau(e_i, e_j) = tr L(e_i) L(e_j) = sum_ab m[i,a,b] m[j,b,a]."""
-        g = np.tensordot(self.structure, self.structure, axes=([1, 2], [2, 1]))
-        # g[i,j] and g[j,i] sum the same terms in different orders; on floats
-        # the average keeps the Gram matrix exactly symmetric
-        return SymBilinearForm((g + g.T) / 2)
+        return SymBilinearForm(_fractions(*self._killing()))
+
+    def _ricci(self):
+        """(R, E) with ric = R / E, R integer on exact algebras."""
+        def twice_ricci(a, b):
+            return (2 * np.tensordot(a, np.trace(b, axis1=1, axis2=2), axes=(2, 0))
+                    - _twice_killing(a, b))
+        return _contract(twice_ricci, 4 * self.dim ** 2, self._N, self._N), 2 * self._D ** 2
 
     def ricci_form(self):
         """ric(x, y) = tr L(x y) - tau(x, y)."""
-        t = self.trace_linear()
-        g = np.tensordot(self.structure, t, axes=(2, 0)) - self.killing_form().gram
-        return SymBilinearForm(g)
+        return SymBilinearForm(_fractions(*self._ricci()))
 
     def associator(self, x, y, z):
         return (self.multiply(self.multiply(x, y), z)
                 - self.multiply(x, self.multiply(y, z)))
 
+    def _associator(self):
+        """(A, E) with the associator tensor = A / E, A integer on exact algebras."""
+        def associator(a, b):
+            left = np.tensordot(a, b, axes=(2, 0))                 # [i,j,k,l]
+            right = np.tensordot(a, b, axes=(2, 1))                # [j,k,i,l]
+            return left - np.transpose(right, (2, 0, 1, 3))
+        return _contract(associator, 2 * self.dim, self._N, self._N), self._D ** 2
+
     def associator_tensor(self):
         """A[i,j,k,l] = [e_i, e_j, e_k]_l = ((e_i e_j) e_k - e_i (e_j e_k))_l."""
-        m = self.structure
-        left = np.tensordot(m, m, axes=(2, 0))                     # [i,j,k,l]
-        right = np.tensordot(m, m, axes=(2, 1))                    # [j,k,i,l]
-        return left - np.transpose(right, (2, 0, 1, 3))
+        return _fractions(*self._associator())
 
     def is_invariant(self, form, tol=EPS0):
         """Check h(xy, z) = h(x, yz) on basis triples; returns (ok, max violation)."""
-        G = form.gram
-        A = np.tensordot(self.structure, G, axes=(2, 0))           # h(e_i e_j, e_k)
-        B = np.transpose(np.tensordot(self.structure, G, axes=(2, 0)), (2, 0, 1))
-        err = max_abs(A - B)
+        G, DG = _numerators(form.gram)
+
+        def violation(m, g):
+            A = np.tensordot(m, g, axes=(2, 0))                    # h(e_i e_j, e_k)
+            return max_abs(A - np.transpose(A, (2, 0, 1)))
+        err = _fractions(_contract(violation, 2 * self.dim, self._N, G), self._D * DG)
         ok = _is_zero(err, tol, lambda: max(max_abs(G), max_abs(self.structure)))
         return bool(ok), err
 
@@ -129,6 +148,13 @@ class Algebra:
         return e if np.all(_is_zero(A @ e - b, tol, lambda: max_abs(self.structure))) else None
 
 
+def _twice_killing(a, b):
+    """2 tau, as the sum of g[i,j] and g[j,i]: the two sum the same terms in
+    different orders, and on floats the sum keeps tau exactly symmetric."""
+    g = np.tensordot(a, b, axes=([1, 2], [2, 1]))
+    return g + g.T
+
+
 class MetrizedAlgebra(Algebra):
     def __init__(self, structure, gram, symmetry=COMMUTATIVE, name=""):
         super().__init__(structure, symmetry, name)
@@ -150,13 +176,13 @@ def einstein_fit(alg, tol=EPS0):
 
     Returns (kappa, residual) where residual is the max-norm of tau - kappa h.
     """
-    tau = alg.killing_form().gram
-    G = alg.gram
+    K, E = alg._killing()
+    G, DG = _numerators(alg.gram)
     k = next((i for i in range(alg.dim) if not is_zero(G[i, i], tol)), None)
     if k is None:
         raise ValueError("metric vanishes on the whole diagonal")
-    kappa = tau[k, k] / G[k, k]
-    return kappa, max_abs(tau - kappa * G)
+    kappa = _fractions(K[k, k], E) / _fractions(G[k, k], DG)
+    return kappa, _fractions(*_residual(K, E, G, DG, kappa))
 
 
 def _check_same_kind(a, b):
@@ -404,8 +430,12 @@ def from_json(doc):
     if "metric" in doc and doc["metric"] is not None:
         gram = [[linalg.parse_scalar(v) for v in row]
                 for row in doc["metric"]["gram"]]
-        return MetrizedAlgebra(s, as_backend(gram, backend), symmetry,
-                               name=doc.get("name", ""))
+        alg = MetrizedAlgebra(s, as_backend(gram, backend), symmetry,
+                              name=doc.get("name", ""))
+        G, _ = _numerators(alg.gram)
+        if not np.all(_is_zero(G - G.T, EPS0, lambda: max_abs(G))):
+            raise ValueError("Gram matrix is not symmetric")
+        return alg
     return Algebra(s, symmetry, name=doc.get("name", ""))
 
 

@@ -6,6 +6,12 @@ read the kind from their input; only builders that start from nothing
 (zeros, eye, the target of as_backend) are told it.  Everything in this
 module is deterministic: echelon pivots are the first nonzero entry, with
 the largest-magnitude entry chosen on floats.
+
+Exact contractions do not multiply Fractions.  They run on integer
+numerators N over one common denominator D (_numerators), in a dtype that
+rules out overflow before they start (_contract), and only their results
+become Fractions (_fractions).  A float array is its own numerator over
+D = 1, so the same code serves both kinds.
 """
 import math
 from fractions import Fraction
@@ -58,11 +64,12 @@ def _is_zero(x, tol=EPS0, scale=None):
     """Entrywise zero test of a scalar or an array: the one rule behind
     every verdict, pivot and read-off in the package.
 
-    Exact data is zero when it equals 0.  Float data is zero when
-    abs(x) <= tol * max(1, scale()); scale is called only on float data,
-    so no exact array is ever scanned for a tolerance.
+    Exact data (Fractions or integer numerators) is zero when it equals 0.
+    Float data is zero when abs(x) <= tol * max(1, scale()); scale is
+    called only on float data, so no exact array is ever scanned for a
+    tolerance.
     """
-    if isinstance(x, Fraction) or getattr(x, "dtype", None) == object:
+    if np.asarray(x).dtype.kind in "Oiu":       # Fractions or integers
         return x == 0
     return np.abs(x) <= tol * max(1.0, scale() if scale else 1.0)
 
@@ -75,6 +82,79 @@ def is_zero(x, tol=EPS0):
 def max_abs(a):
     a = np.asarray(a)
     return np.max(np.abs(a)) if a.size else 0
+
+
+# numpy int64 arithmetic wraps silently; a contraction whose bound reaches
+# this runs on Python ints instead
+_INT64_LIMIT = 2 ** 62
+
+
+def _numerators(a):
+    """(N, D) with a == N / D entrywise.
+
+    Exact data: D is the lcm of the denominators and N holds integer
+    numerators, int64 where they fit and Python ints otherwise.  Float data
+    is (a, 1).  A scalar gives a Python number N.
+    """
+    a = np.asarray(a)
+    if a.dtype.kind == "f":
+        N, D = a, 1
+    else:
+        flat = a.ravel().tolist()
+        D = math.lcm(*{x.denominator for x in flat})
+        nums = [x.numerator * (D // x.denominator) for x in flat]
+        try:
+            N = np.array(nums, dtype=np.int64).reshape(a.shape)
+        except OverflowError:
+            N = np.array(nums, dtype=object).reshape(a.shape)
+    return (N.item() if N.ndim == 0 else N), D
+
+
+def _fractions(N, D):
+    """N / D: Fractions for integer N (an object array, or one Fraction
+    for a scalar), floats for float N."""
+    N = np.asarray(N)
+    if N.dtype.kind == "f":
+        return N / D
+    if N.ndim == 0:
+        return Fraction(N.item(), D)
+    out = np.empty(N.shape, dtype=object)
+    out.reshape(-1)[:] = [Fraction(p, D) for p in N.ravel().tolist()]
+    return out
+
+
+def _contract(fn, terms, *operands):
+    """fn(*operands), with integer operands in a dtype it cannot overflow.
+
+    Every entry fn computes, and every partial sum on the way, must be a
+    sum of at most `terms` products that take at most one factor from each
+    operand (a coefficient is a scalar operand; pass an array once per
+    factor it supplies).  Its magnitude is then at most terms times the
+    product of max(1, max |operand|).  Below 2**62 the operands go in as
+    int64, otherwise as Python ints, which are exact at any size.  Float
+    operands go in as they are.  A scalar result comes back as a Python
+    number.
+    """
+    arrays = [np.asarray(op) for op in operands]
+    if any(a.dtype.kind == "f" for a in arrays):
+        out = fn(*operands)
+    else:
+        bound = terms
+        for a in arrays:
+            bound *= max(1, int(max_abs(a)))
+        dtype = np.int64 if bound < _INT64_LIMIT else object
+        out = fn(*(a.astype(dtype, copy=False) for a in arrays))
+    return np.asarray(out).item() if np.ndim(out) == 0 else out
+
+
+def _residual(X, DX, Y, DY, c=1):
+    """(e, L) with e / L = max |X / DX - c Y / DY| over the entries of
+    integer numerators X, Y and a scalar c."""
+    p, q = _numerators(c)
+    L = math.lcm(DX, q * DY)
+    e = _contract(lambda x, y, cx, cy: max_abs(cx * x - cy * y), 2,
+                  X, Y, L // DX, p * (L // (q * DY)))
+    return e, L
 
 
 def parse_scalar(s):
@@ -190,12 +270,6 @@ class SymBilinearForm:
 
     def is_nondegenerate(self, tol=EPS_RANK):
         return self.rank(tol) == self.dim
-
-
-def symmetric_eigen(M):
-    """Eigenvalues (ascending) and orthonormal eigenvectors; float only."""
-    w, V = np.linalg.eigh(to_float(M))
-    return w, V
 
 
 def general_real_eigenvalues(M, tol=EPS0):

@@ -161,6 +161,8 @@ MALFORMED = {
                                   "structure": [[0, 0, 0, "1"]]}),
     "gram-wrong-dim": json.dumps({"dim": 1, "structure": [[0, 0, 0, "1"]],
                                   "metric": {"gram": [["1", "0"], ["0", "1"]]}}),
+    "gram-asymmetric": json.dumps({"dim": 2, "structure": [[0, 0, 0, "1"], [1, 1, 1, "1"]],
+                                   "metric": {"gram": [["1", "2"], ["0", "1"]]}}),
 }
 
 COMMANDS = {

@@ -6,15 +6,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tracealg as ta
 from tracealg.analysis import (conformal_tensor, constant_sect_check,
+                               is_conformally_associative,
                                is_projectively_associative)
 from tracealg.core import (Algebra, MetrizedAlgebra, deunitalization,
                            direct_sum, einstein_fit, from_json, griess_einstein,
                            intrinsic_unitalization, retraction, tensor_product,
                            to_json, unitalization, verify_homomorphism, voa_kappa)
-from tracealg.linalg import (FLOAT, RATIONAL, SymBilinearForm, Subspace, inv,
+from tracealg.linalg import (FLOAT, RATIONAL, SymBilinearForm, Subspace, eye, inv,
                              inertia, max_abs, rational_eigenvalues, solve,
                              to_float, zeros)
 
@@ -612,3 +614,174 @@ def test_float_contractions_match_basis_loops():
         s, M = ref_retraction(Af, Bf)
         assert close(R.structure, s) and close(R.gram, M)
         assert close(R.structure, retraction(A, B).structure)
+
+
+# -- differential test: integer numerators against Fraction contractions --
+#
+# The references below are the whole-tensor contractions as the library ran
+# them on Fraction object arrays, before it computed on integer numerators
+# over one common denominator.  Exact results must agree as Fractions, on
+# int64 numerators and on the Python-int path that large ones take.
+
+def frac_killing(A):
+    m = A.structure
+    g = np.tensordot(m, m, axes=([1, 2], [2, 1]))
+    return (g + g.T) / 2
+
+
+def frac_ricci(A):
+    m = A.structure
+    return np.tensordot(m, np.trace(m, axis1=1, axis2=2), axes=(2, 0)) - frac_killing(A)
+
+
+def frac_associator(A):
+    m = A.structure
+    left = np.tensordot(m, m, axes=(2, 0))
+    right = np.tensordot(m, m, axes=(2, 1))
+    return left - np.transpose(right, (2, 0, 1, 3))
+
+
+def frac_invariance(A, G):
+    T = np.tensordot(A.structure, G, axes=(2, 0))
+    return max_abs(T - np.transpose(T, (2, 0, 1)))
+
+
+def frac_einstein(A):
+    tau, G = frac_killing(A), A.gram
+    k = next(i for i in range(A.dim) if G[i, i] != 0)
+    kappa = tau[k, k] / G[k, k]
+    return kappa, max_abs(tau - kappa * G)
+
+
+def frac_const_sect(A):
+    n, H = A.dim, A.gram
+    k = next(i for i in range(n) if H[i, i] != 0)
+    kappa = frac_ricci(A)[k, k] / ((n - 1) * H[k, k])
+    I = eye(n)
+    rhs = kappa * (np.einsum("ij,kl->ijkl", H, I) - np.einsum("jk,il->ijkl", H, I))
+    return kappa, max_abs(frac_associator(A) - rhs)
+
+
+def frac_proj_assoc(A):
+    n = A.dim
+    C = -frac_ricci(A) / (n - 1)
+    I = eye(n)
+    rhs = np.einsum("jk,il->ijkl", C, I) - np.einsum("ij,kl->ijkl", C, I)
+    err = max_abs(frac_associator(A) - rhs)
+    L = np.transpose(A.structure, (0, 2, 1))
+    LL = np.tensordot(L, L, axes=(2, 1))
+    Comm = np.transpose(LL, (0, 2, 1, 3)) - np.transpose(LL, (2, 0, 1, 3))
+    for i in range(n):
+        T = np.tensordot(Comm[i], L, axes=(2, 1))
+        M = (np.transpose(T, (0, 2, 1, 3)) - np.transpose(T, (2, 0, 1, 3))
+             + np.tensordot(Comm, L[i], axes=(3, 0)))
+        err = max(err, max_abs(M))
+    return err
+
+
+def frac_conformal(A):
+    n = A.dim
+    m, H = A.structure, A.gram
+    R = frac_ricci(A)
+    scal = np.trace(inv(H) @ R)
+    hp = np.tensordot(np.tensordot(m, H, axes=(2, 0)), m, axes=(2, 2))
+    c2 = scal / ((n - 1) * (n - 2))
+    return (np.einsum("jkil->ijkl", hp) - np.einsum("kilj->ijkl", hp)
+            + (np.einsum("ik,jl->ijkl", R, H) - np.einsum("jk,il->ijkl", R, H)
+               - np.einsum("il,jk->ijkl", R, H) + np.einsum("jl,ik->ijkl", R, H)) / (n - 2)
+            + c2 * (np.einsum("il,jk->ijkl", H, H) - np.einsum("jl,ik->ijkl", H, H)))
+
+
+def all_fractions(*values):
+    return all(isinstance(v, F) for x in values for v in np.asarray(x, dtype=object).flat)
+
+
+def assert_equals_fraction_kernel(A):
+    n = A.dim
+    tau, ric = A.killing_form().gram, A.ricci_form().gram
+    assert np.array_equal(tau, frac_killing(A)) and np.array_equal(ric, frac_ricci(A))
+    t = A.trace_linear()
+    assert np.array_equal(t, np.trace(A.structure, axis1=1, axis2=2))
+    assert A.is_exact() == all(t == 0)
+    for G in (tau, ric, A.gram):
+        ok, err = A.is_invariant(SymBilinearForm(G))
+        assert err == frac_invariance(A, G) and ok == (err == 0)
+    assert np.array_equal(A.associator_tensor(), frac_associator(A))
+    ok, err = is_projectively_associative(A)
+    assert err == frac_proj_assoc(A) and ok == (err == 0)
+    residuals = [err]
+    if any(A.gram.diagonal() != 0):
+        kappa, err = einstein_fit(A)
+        assert (kappa, err) == frac_einstein(A)
+        ok, kappa, err2 = constant_sect_check(A)
+        assert (kappa, err2) == frac_const_sect(A) and ok == (err2 == 0)
+        residuals += [kappa, err, err2]
+    if n >= 3:
+        w = conformal_tensor(A)
+        assert np.array_equal(w, frac_conformal(A))
+        ok, err = is_conformally_associative(A)
+        assert err == max_abs(w)
+        residuals += [w, err]
+    assert all_fractions(tau, ric, t, A.associator_tensor(), *residuals)
+
+
+# numerators near 2**40 over a large denominator: the Killing form's bound
+# 2 n^2 max|N|^2 passes 2**62, so the Python-int path runs
+BIG = F(2 ** 40 + 15, 1000003 * 999983)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(2, 4), seed=st.integers(0, 2 ** 32), big=st.booleans())
+def test_integer_contractions_equal_fraction_contractions(n, seed, big):
+    A = random_metrized(random.Random(seed), n)
+    if big:
+        A = MetrizedAlgebra(A.structure * BIG, A.gram)
+    assert_equals_fraction_kernel(A)
+
+
+def big_coprime_algebra():
+    """Dim 3; structure numerators near 2**40 over the coprime denominators
+    1000003 and 999983, and a Gram matrix over four more large primes."""
+    rng = random.Random(5)
+    primes = (1000003, 999983)
+    m = zeros((3, 3, 3))
+    for i, j, k in itertools.product(range(3), repeat=3):
+        if i <= j:
+            m[i, j, k] = m[j, i, k] = F(2 ** 20 + rng.randint(0, 999), primes[(i + j + k) % 2])
+    G = np.array([[F(5, 1000033), F(1, 999979), F(0)],
+                  [F(1, 999979), F(-7, 1000037), F(0)],
+                  [F(0), F(0), F(2, 1000039)]], dtype=object)
+    return MetrizedAlgebra(m, G)
+
+
+def test_python_int_path_equals_fraction_contractions():
+    A = big_coprime_algebra()
+    # the numerators fit in int64, but a product of two does not
+    assert A._N.dtype == np.int64 and int(np.max(np.abs(A._N))) ** 2 > 2 ** 70
+    assert_equals_fraction_kernel(A)
+
+
+@pytest.mark.parametrize("make", [lambda: random_metrized(random.Random(3), 4),
+                                  big_coprime_algebra], ids=["int64", "python-int"])
+def test_exact_contractions_run_without_fraction_arithmetic(make, monkeypatch):
+    """The trace forms, invariance, associator and the projective check
+    create Fractions for their results only; no Fraction operator runs."""
+    A = make()
+    G = A.gram.copy()
+
+    def forbidden(*args):
+        raise AssertionError("Fraction arithmetic inside an exact contraction")
+    for op in ("add", "sub", "mul", "truediv", "pow"):
+        for name in ("__%s__" % op, "__r%s__" % op):
+            monkeypatch.setattr(F, name, forbidden)
+    for name in ("__neg__", "__abs__", "__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(F, name, forbidden)
+    A = MetrizedAlgebra(A.structure, G)      # the numerators and symmetry check too
+    tau = A.killing_form()
+    A.ricci_form()
+    A.is_exact()
+    A.is_invariant(tau)
+    A.is_invariant(A.form)
+    A.associator_tensor()
+    is_projectively_associative(A)
+    constant_sect_check(A, kappa=F(1, 3))
