@@ -17,7 +17,7 @@ from .analysis import (complexified_special_elements_sect, constant_sect_check,
                        conformal_tensor, deunit_sect_shift_check,
                        group_spectrum, is_conformally_associative,
                        is_projectively_associative, isect, newton_idempotents,
-                       norton_minimum, orth_spectrum, sect, sect_extremize,
+                       orth_spectrum, sect, sect_extremize,
                        simplicial_idempotents, square_zero_rays,
                        talg_idempotents, triple_sect_relations_check)
 from .inequalities import (bw_lie_estimate, bw_reduction_check, bw_residual,

@@ -61,6 +61,7 @@ def _conformal(alg):
                 + c_rh * (np.einsum("ik,jl->ijkl", r, h1) - np.einsum("jk,il->ijkl", r, h1)
                           - np.einsum("il,jk->ijkl", r, h1) + np.einsum("jl,ik->ijkl", r, h1))
                 + c_hh * (np.einsum("il,jk->ijkl", h1, h2) - np.einsum("jl,ik->ijkl", h1, h2)))
+    # the hp difference sums 2 n^2 products, the R (x) H terms 4, the H (x) H terms 2
     W = _contract(w, 2 * n * n + 6, alg._N, H, alg._N, R, H,
                   E // (alg._D ** 2 * DH), E // (DR * DH * (n - 2)), p * (E // (q * DH ** 2)))
     return W, E
@@ -88,6 +89,7 @@ def _pair_times_identity(X):
     """T[i,j,k,l] = X[i,j] [k == l] - X[j,k] [i == l], the basis triples of
     X(x, y) z - X(y, z) x, for integer (or float) X."""
     I = np.eye(len(X), dtype=int)
+    # two products per entry
     return _contract(lambda x, i: np.einsum("ij,kl->ijkl", x, i) - np.einsum("jk,il->ijkl", x, i),
                      2, X, I)
 
@@ -113,6 +115,7 @@ def is_projectively_associative(alg, tol=EPS0):
                  + np.tensordot(Comm, Lc[i], axes=(3, 0)))
             err = max(err, max_abs(M))
         return err
+    # Comm sums 2 n products; each of M's three terms sums n Comm entries: 3 x 2 n^2
     S = _contract(cyclic, 6 * n * n, alg._N, alg._N, alg._N)
     # the larger of P / Q and S / D^3, over one denominator
     err = _fractions(max(P * alg._D ** 3, S * Q), Q * alg._D ** 3)
@@ -136,14 +139,14 @@ def constant_sect_check(alg, kappa=None, tol=EPS0):
     return bool(_is_zero(err, tol, lambda: max_abs(H))), kappa, err
 
 
-def norton_minimum(alg, seed, samples=500):
+def norton_minimum(alg, seed):
     """Smallest h([x, x, y], y) / (|x|^2 |y|^2) over seeded standard normal
     samples (x, y); Norton's inequality says it is >= 0."""
     rng = np.random.default_rng(seed)
     mf = linalg.to_float(alg.structure)
     Gf = linalg.to_float(alg.gram)
     worst = np.inf
-    for _ in range(samples):
+    for _ in range(500):
         x = rng.standard_normal(alg.dim)
         y = rng.standard_normal(alg.dim)
         tx = np.tensordot(x, mf, axes=(0, 0))

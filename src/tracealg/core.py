@@ -58,13 +58,16 @@ class Algebra:
 
     def trace_linear(self):
         """Vector t with tr L(x) = t . x."""
-        return _fractions(np.trace(self._N, axis1=1, axis2=2), self._D)
+        # t[i] sums n entries m[i,j,j]
+        return _fractions(_contract(lambda a: np.trace(a, axis1=1, axis2=2), self.dim, self._N),
+                          self._D)
 
     def is_exact(self, tol=EPS0):
         return is_zero(self.trace_linear(), tol)
 
     def _killing(self):
         """(K, E) with tau = K / E, K integer on exact algebras."""
+        # g[i,j] sums n^2 products; g + g.T doubles that
         K = _contract(_twice_killing, 2 * self.dim ** 2, self._N, self._N)
         return K, 2 * self._D ** 2
 
@@ -77,6 +80,7 @@ class Algebra:
         def twice_ricci(a, b):
             return (2 * np.tensordot(a, np.trace(b, axis1=1, axis2=2), axes=(2, 0))
                     - _twice_killing(a, b))
+        # 2 (a . tr b) sums 2 n^2 products, twice Killing 2 n^2 more
         return _contract(twice_ricci, 4 * self.dim ** 2, self._N, self._N), 2 * self._D ** 2
 
     def ricci_form(self):
@@ -93,6 +97,7 @@ class Algebra:
             left = np.tensordot(a, b, axes=(2, 0))                 # [i,j,k,l]
             right = np.tensordot(a, b, axes=(2, 1))                # [j,k,i,l]
             return left - np.transpose(right, (2, 0, 1, 3))
+        # left and right sum n products each
         return _contract(associator, 2 * self.dim, self._N, self._N), self._D ** 2
 
     def associator_tensor(self):
@@ -106,6 +111,7 @@ class Algebra:
         def violation(m, g):
             A = np.tensordot(m, g, axes=(2, 0))                    # h(e_i e_j, e_k)
             return max_abs(A - np.transpose(A, (2, 0, 1)))
+        # A sums n products; A minus its transpose doubles that
         err = _fractions(_contract(violation, 2 * self.dim, self._N, G), self._D * DG)
         ok = _is_zero(err, tol, lambda: max(max_abs(G), max_abs(self.structure)))
         return bool(ok), err

@@ -81,11 +81,16 @@ def is_zero(x, tol=EPS0):
 
 def max_abs(a):
     a = np.asarray(a)
-    return np.max(np.abs(a)) if a.size else 0
+    if not a.size:
+        return 0
+    if a.dtype.kind in "iu":            # abs of the int64 minimum wraps
+        return max(int(a.max()), -int(a.min()))
+    return np.max(np.abs(a))
 
 
-# numpy int64 arithmetic wraps silently; a contraction whose bound reaches
-# this runs on Python ints instead
+# numpy int64 arithmetic wraps silently; numerators and contraction bounds
+# that reach this are Python ints instead, so the sum or difference of two
+# int64 numerators still fits
 _INT64_LIMIT = 2 ** 62
 
 
@@ -93,8 +98,8 @@ def _numerators(a):
     """(N, D) with a == N / D entrywise.
 
     Exact data: D is the lcm of the denominators and N holds integer
-    numerators, int64 where they fit and Python ints otherwise.  Float data
-    is (a, 1).  A scalar gives a Python number N.
+    numerators, int64 when every |N| < 2**62 and Python ints otherwise.
+    Float data is (a, 1).  A scalar gives a Python number N.
     """
     a = np.asarray(a)
     if a.dtype.kind == "f":
@@ -103,10 +108,8 @@ def _numerators(a):
         flat = a.ravel().tolist()
         D = math.lcm(*{x.denominator for x in flat})
         nums = [x.numerator * (D // x.denominator) for x in flat]
-        try:
-            N = np.array(nums, dtype=np.int64).reshape(a.shape)
-        except OverflowError:
-            N = np.array(nums, dtype=object).reshape(a.shape)
+        small = max(map(abs, nums), default=0) < _INT64_LIMIT
+        N = np.array(nums, dtype=np.int64 if small else object).reshape(a.shape)
     return (N.item() if N.ndim == 0 else N), D
 
 
@@ -152,6 +155,7 @@ def _residual(X, DX, Y, DY, c=1):
     integer numerators X, Y and a scalar c."""
     p, q = _numerators(c)
     L = math.lcm(DX, q * DY)
+    # two products per entry
     e = _contract(lambda x, y, cx, cy: max_abs(cx * x - cy * y), 2,
                   X, Y, L // DX, p * (L // (q * DY)))
     return e, L

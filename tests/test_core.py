@@ -785,3 +785,56 @@ def test_exact_contractions_run_without_fraction_arithmetic(make, monkeypatch):
     A.associator_tensor()
     is_projectively_associative(A)
     constant_sect_check(A, kappa=F(1, 3))
+
+
+def wrapping_trace_algebra():
+    """Dim 3 over D0 = (2**64 - 1) / 3: the numerators D0, D0 and D0 + 1 of
+    m000, m011 and m022 sum to t_0 = 2**64, which int64 wraps to 0."""
+    D0 = (2 ** 64 - 1) // 3
+    m = zeros((3, 3, 3))
+    m[0, 0, 0] = m[0, 1, 1] = m[1, 0, 1] = F(1)
+    m[0, 2, 2] = m[2, 0, 2] = F(D0 + 1, D0)
+    return MetrizedAlgebra(m, eye(3))
+
+
+def test_numerators_near_the_int64_limit_do_not_wrap():
+    A = wrapping_trace_algebra()
+    assert A.trace_linear()[0] == 3 + F(1, (2 ** 64 - 1) // 3) and not A.is_exact()
+    assert_equals_fraction_kernel(A)
+    # numerators just below 2**62 stay int64; their trace and sums do not
+    N = 2 ** 62 - 1
+    m = zeros((3, 3, 3))
+    for i in range(3):
+        m[i, i, i] = F(N)
+    m[0, 1, 1] = m[1, 0, 1] = F(-N)
+    A = MetrizedAlgebra(m, eye(3))
+    assert A._N.dtype == np.int64
+    assert list(A.trace_linear()) == [0, N, N]
+    assert max_abs(np.array([-2 ** 63], dtype=np.int64)) == 2 ** 63
+    assert_equals_fraction_kernel(A)
+    # -2**63 fits in int64, and -2**63 + -2**63 wraps to 0
+    m = zeros((3, 3, 3))
+    m[0, 1, 2] = m[1, 0, 2] = F(-2 ** 63)
+    with pytest.raises(ValueError):
+        Algebra(m, "anticommutative")
+
+
+@pytest.mark.parametrize("signs", ["positive", "mixed"])
+def test_contraction_bounds_at_the_int64_switch(signs):
+    """Every contraction, on numerators of every magnitude from 2**8 to 2**62:
+    each crosses from int64 to Python ints somewhere in the sweep, and an
+    undercounted bound wraps on inputs just below its switch.  All-positive
+    entries make the sums of products as large as they can be."""
+    rng = random.Random(11)
+    C = zeros((3, 3, 3))
+    for i, j, k in itertools.combinations_with_replacement(range(3), 3):
+        s = 1 if signs == "positive" else rng.choice((-1, 1))
+        for p in set(itertools.permutations((i, j, k))):
+            C[p] = F(s)
+    H = np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) + zeros((3, 3))
+    if signs == "mixed":
+        H = np.array([[1, -1, 0], [-1, -1, 1], [0, 1, 1]]) + zeros((3, 3))
+    for e in range(8, 63):
+        for M in (2 ** e - 1, 2 ** e - 2 ** (e // 2)):
+            A = MetrizedAlgebra(C * M, H * M)
+            assert_equals_fraction_kernel(A)
