@@ -38,7 +38,7 @@ def isect(alg, x, y, tau=None):
 def _ric_scal(alg):
     H = alg.gram
     R = alg.ricci_form().gram
-    scal = np.trace(linalg.inv(H) @ R)
+    scal = np.sum(linalg.inv(H) * R.T)          # tr(H^-1 R), n^2 products
     return R, scal
 
 

@@ -120,22 +120,21 @@ class Algebra:
         """P(x) with 6 P(x) = h(x x, x)."""
         return form.apply(self.multiply(x, x), x) / 6
 
-    def _products_outside(self, S, tol):
-        """The products e_i s_j (s_j outer, e_i inner) not in S, lazily."""
-        P = np.tensordot(self.structure, S.basis, axes=(1, 0))    # [i,k,j]
-        products = np.transpose(P, (2, 0, 1)).reshape(-1, self.dim)
-        return (p for p in products if not S.contains(p, tol))
+    def _products(self, S):
+        """The products e_i s_j (s_j outer, e_i inner) with the rows of S, as rows."""
+        P = np.tensordot(self.structure, S.rows, axes=(1, 1))      # [i,k,j]
+        return np.transpose(P, (2, 0, 1)).reshape(-1, self.dim)
 
     def is_ideal(self, S, tol=EPS0):
-        return next(self._products_outside(S, tol), None) is None
+        return S.contains(self._products(S), tol)
 
     def ideal_closure(self, generators, tol=EPS0):
         S = Subspace.from_spanning(generators, tol)
         while True:
-            outside = list(self._products_outside(S, tol))
-            if not outside:
+            outside = S._outside(self._products(S), tol)
+            if not len(outside):
                 return S
-            S = Subspace.from_spanning(list(S.basis.T) + outside, tol)
+            S = Subspace(np.vstack([S.rows, outside]).T, tol)
 
     def find_unit(self, tol=EPS0):
         """Solve L(e) = Id if possible, else return None.
@@ -362,7 +361,7 @@ def _certified_split(alg, commutant, tol):
             S = Subspace(linalg.nullspace(T - lam * I, tol), tol)
             if not 0 < S.dim < n:
                 continue
-            if not SymBilinearForm(S.basis.T @ alg.gram @ S.basis).is_nondegenerate():
+            if not SymBilinearForm(S.rows @ alg.gram @ S.basis).is_nondegenerate():
                 continue
             comp = linalg.orthogonal_complement(S, alg.form, tol)
             if alg.is_ideal(S, tol) and alg.is_ideal(comp, tol):

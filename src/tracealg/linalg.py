@@ -7,6 +7,10 @@ read the kind from their input; only builders that start from nothing
 module is deterministic: echelon pivots are the first nonzero entry, with
 the largest-magnitude entry chosen on floats.
 
+There is one elimination routine, _reduce_rows.  Solves, nullspaces and
+subspaces all go through it, and a Subspace is stored in the reduced row
+echelon form it returns, which is canonical for exact subspaces.
+
 Exact contractions do not multiply Fractions.  They run on integer
 numerators N over one common denominator D (_numerators), in a dtype that
 rules out overflow before they start (_contract), and only their results
@@ -316,59 +320,28 @@ def _divisors(k):
     return set(small) | {k // d for d in small}
 
 
-def column_echelon(cols, tol=EPS0):
-    """Reduce the columns of an n x k matrix to a deterministic echelon basis.
-
-    Pivot row: first row with a nonzero entry among remaining columns;
-    pivot column within that row: first (exact), largest magnitude (float).
-    Returns an n x r matrix whose columns have leading 1 pivots.
-    """
-    A = np.array(cols, copy=True)
-    if A.ndim == 1:
-        A = A.reshape(-1, 1)
-    n, k = A.shape
-    exact = backend_of(A) == RATIONAL
-    bound = 0 if exact else tol * max(1.0, max_abs(A))
-    out = []
-    used = np.zeros(k, dtype=bool)
-    for row in range(n):
-        live = np.flatnonzero(~used & ~_is_zero(A[row], bound))
-        if not live.size:
-            continue
-        best = live[0] if exact else live[np.argmax(np.abs(A[row, live]))]
-        used[best] = True
-        col = A[:, best] / A[row, best]
-        for j in live[live != best]:
-            A[:, j] = A[:, j] - A[row, j] * col
-        for prev_row, prev in out:
-            if not _is_zero(col[prev_row], bound):
-                col = col - col[prev_row] * prev
-        out.append((row, col))
-        if len(out) == min(n, k):
-            break
-    if not out:
-        return A[:, :0]
-    return np.stack([c for _, c in out], axis=1)
-
-
 def _reduce_rows(M, tol=EPS0):
     """Reduced row echelon form of M: (the nonzero rows, their pivot columns).
 
-    Each pivot column holds a leading 1 in its row and 0 in every other row.
-    Exact pivots are the first nonzero entry of a column; float pivots the
-    largest one above tol times the largest |entry| of M.
+    Each pivot column holds a leading 1 in its row and exactly 0 in every
+    other row.  Exact pivots are the first nonzero entry of a column; float
+    pivots the largest one above tol times the largest |entry| of M.  The
+    tolerance only chooses pivots: every row with a nonzero entry in a pivot
+    column is eliminated, since the normalised pivot rows no longer share
+    the scale of M.
     """
-    M = np.array(M, copy=True)
-    m, n = M.shape
     exact = backend_of(M) == RATIONAL
+    M = np.array(M, dtype=object if exact else float)     # a copy; integers reduce as floats
+    m, n = M.shape
     bound = 0 if exact else tol * max(1.0, max_abs(M))
     pivots = []
     for col in range(n):
         row = len(pivots)
         if row == m:
             break
-        nonzero = ~_is_zero(M[:, col], bound)
+        nonzero = M[:, col] != 0                   # the rows to eliminate
         live = row + np.flatnonzero(nonzero[row:])
+        live = live[~_is_zero(M[live, col], bound)]
         if not live.size:
             continue
         piv = live[0] if exact else live[np.argmax(np.abs(M[live, col]))]
@@ -404,44 +377,66 @@ def nullspace(M, tol=EPS0):
 
 
 class Subspace:
-    """A linear subspace stored via a deterministic echelon basis."""
+    """A linear subspace, stored as the reduced row echelon form of its
+    spanning vectors: rows R (dim x ambient_dim) with pivot columns p.
+
+    R[:, p] is the identity, so v lies in the subspace exactly when its
+    residual v - v[p] @ R is zero.  An exact subspace is canonical: every
+    spanning set of it gives the same R and p.
+    """
 
     def __init__(self, basis, tol=EPS0):
+        """basis: spanning vectors as columns (a 1-D array is one vector)."""
+        B = np.asarray(basis)
         self.tol = tol
-        self.basis = column_echelon(basis, tol)
+        self.rows, self.pivots = _reduce_rows((B[:, None] if B.ndim == 1 else B).T, tol)
+        self.rows.setflags(write=False)
 
     @classmethod
     def from_spanning(cls, vectors, tol=EPS0):
         return cls(np.stack([np.asarray(v) for v in vectors], axis=1), tol)
 
     @property
+    def basis(self):
+        """The rows as columns, read-only."""
+        return self.rows.T
+
+    @property
     def backend(self):
-        return backend_of(self.basis)
+        return backend_of(self.rows)
 
     @property
     def ambient_dim(self):
-        return self.basis.shape[0]
+        return self.rows.shape[1]
 
     @property
     def dim(self):
-        return self.basis.shape[1]
+        return self.rows.shape[0]
 
-    def contains(self, v, tol=None):
-        tol = self.tol if tol is None else tol
-        r = np.array(v, copy=True)
-        for col in self.basis.T:
-            lead = np.flatnonzero(~_is_zero(col, 1e-12))[0]
-            r = r - r[lead] * col
-        return bool(np.all(_is_zero(r, tol, lambda: max_abs(v))))
+    def _outside(self, V, tol):
+        """The nonzero residuals v - v[p] @ R of the rows v of V, one for
+        each row outside the subspace.  Floats are zero-tested at the scale
+        of the largest entry of V."""
+        r = V - V[:, self.pivots] @ self.rows
+        return r[~np.all(_is_zero(r, tol, lambda: max_abs(V)), axis=1)]
+
+    def contains(self, V, tol=None):
+        """True when the vector V, or every row of the stack V, lies in the
+        subspace.  A float stack is zero-tested at the scale of its largest
+        entry, not row by row."""
+        V = np.atleast_2d(np.asarray(V))
+        return not len(self._outside(V, self.tol if tol is None else tol))
 
     def equals(self, other):
-        return (self.dim == other.dim
-                and all(other.contains(self.basis[:, j]) for j in range(self.dim)))
+        """Same subspace: equal pivots and rows, exactly or within tol."""
+        return (self.pivots == other.pivots
+                and bool(np.all(_is_zero(self.rows - other.rows, self.tol,
+                                         lambda: max_abs(self.rows)))))
 
 
 def orthogonal_complement(S, form, tol=EPS0):
     """Orthogonal complement of a subspace w.r.t. a nondegenerate form."""
-    comp = Subspace(nullspace(S.basis.T @ form.gram, tol), tol)
+    comp = Subspace(nullspace(S.rows @ form.gram, tol), tol)
     if comp.dim != S.ambient_dim - S.dim:
         raise ValueError("form degenerate on this configuration")
     return comp

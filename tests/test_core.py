@@ -172,6 +172,14 @@ def test_direct_sum():
     assert D.is_ideal(left)
 
 
+@pytest.mark.parametrize("backend", [RATIONAL, FLOAT])
+def test_zero_subspace_is_ideal(backend):
+    A = ta.simplicial(3, backend)
+    zero = Subspace(zeros((A.dim, 0), backend))
+    assert zero.dim == 0 and A.is_ideal(zero)
+    assert A.ideal_closure([zeros(A.dim, backend)]).dim == 0
+
+
 def test_tensor_product_killing_is_product():
     A = ta.simplicial(2)
     B = ta.simplicial(3)

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tracealg.linalg import (FLOAT, RATIONAL, Subspace, SymBilinearForm,
-                             column_echelon, inertia, inv, nullspace,
+                             as_backend, inertia, inv, nullspace,
                              orthogonal_complement, parse_scalar, solve,
-                             to_float)
+                             to_float, zeros)
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -86,14 +86,19 @@ def test_subspace_echelon_and_contains():
     assert S.contains(3 * v1 - v2)
     assert not S.contains(np.array([Fraction(0), Fraction(0), Fraction(1)],
                                    dtype=object))
+    # an integer array is reduced as floats, not truncated in place
+    assert Subspace(np.array([[2], [1]])).contains(np.array([1.0, 0.5]))
 
 
 def test_subspace_equals():
-    v1 = np.array([Fraction(1), Fraction(0)], dtype=object)
-    v2 = np.array([Fraction(1), Fraction(1)], dtype=object)
-    A = Subspace.from_spanning([v1, v2])
-    B = Subspace.from_spanning([v2, v1 - v2])
-    assert A.equals(B)
+    for backend in (RATIONAL, FLOAT):
+        v1 = as_backend([1, 0, Fraction(1, 3)], backend)
+        v2 = as_backend([1, 1, Fraction(-2, 7)], backend)
+        A = Subspace.from_spanning([v1, v2])
+        B = Subspace.from_spanning([v2, v1 - v2, 3 * v1 + v2])
+        assert A.equals(B) and B.equals(A)
+        assert not A.equals(Subspace.from_spanning([v1, v2 + as_backend([0, 0, 1], backend)]))
+        assert not A.equals(Subspace.from_spanning([v1]))
 
 
 def test_nullspace():
@@ -101,6 +106,8 @@ def test_nullspace():
     N = nullspace(A)
     assert N.shape[1] == 2
     assert np.all(A @ N == 0)
+    N = nullspace(np.array([[2, 1]]))
+    assert np.allclose(N[:, 0], [-0.5, 1])
 
 
 def test_orthogonal_complement():
@@ -122,8 +129,54 @@ def test_sym_bilinear_form():
     assert f.rank() == 2
 
 
-def test_column_echelon_deterministic():
-    M = frac_matrix([[0, 1], [1, 1]])
-    E1 = column_echelon(M)
-    E2 = column_echelon(M.copy())
-    assert np.all(E1 == E2)
+def test_subspace_canonical_form():
+    """Two spanning sets of one exact subspace, B and B X with X invertible
+    (and B X with a dependent column appended), give equal rows and pivots."""
+    B = frac_matrix([[1, 2, 0], [Fraction(1, 2), 1, 3], [0, 0, 1], [2, 4, -1], [1, -1, 0]])
+    X = frac_matrix([[2, 1, 0], [0, Fraction(1, 3), 1], [1, 0, -1]])
+    assert inertia(X.T @ X)[2] == 0                         # X is invertible
+    S, T = Subspace(B), Subspace(B @ X)
+    U = Subspace(np.column_stack([B @ X, B[:, 0] - B[:, 2]]))
+    assert S.dim == 3 and S.pivots == T.pivots == U.pivots
+    assert np.array_equal(S.rows, T.rows) and np.array_equal(S.rows, U.rows)
+    assert np.array_equal(S.basis, S.rows.T) and not S.basis.flags.writeable
+    # reduced: the pivot columns hold the identity
+    assert np.array_equal(S.rows[:, S.pivots], np.eye(3, dtype=int))
+
+
+def test_float_reduction_at_large_scale():
+    """Float elimination clears every row of a pivot column, also where the
+    normalised pivot rows hold entries below tol times the matrix scale."""
+    M = np.array([[1e8, 2e7, 3e8], [2e8, 3e7, 1e8]])
+    N = nullspace(M)
+    assert N.shape == (3, 1)
+    assert np.allclose(N[:, 0] / N[2, 0], [7, -50, 1], rtol=1e-12)
+    assert np.allclose(M @ N, 0, atol=1e-9 * 1e8)
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        A = rng.standard_normal((3, 5)) * 1e8
+        assert np.allclose(A @ nullspace(A), 0, atol=1e-6 * 1e8)
+        S = Subspace(A.T)
+        assert S.dim == 3
+        assert S.contains(rng.standard_normal((4, 3)) @ A)
+
+
+def test_zero_subspace():
+    for backend in (RATIONAL, FLOAT):
+        S = Subspace(zeros((3, 0), backend))
+        assert S.dim == 0 and S.ambient_dim == 3 and S.basis.shape == (3, 0)
+        assert S.contains(zeros(3, backend)) and S.contains(zeros((2, 3), backend))
+        assert not S.contains(as_backend([0, 1, 0], backend))
+        assert S.equals(Subspace.from_spanning([zeros(3, backend)]))
+
+
+def test_contains_stack_with_one_vector_outside():
+    B = frac_matrix([[1, 0], [2, 1], [0, 1], [1, 1]])
+    S = Subspace(B)
+    inside = (B @ frac_matrix([[1, 2, 0], [-1, 1, 3]])).T       # three rows in S
+    outside = np.array([Fraction(0), Fraction(0), Fraction(1), Fraction(0)], dtype=object)
+    assert S.contains(inside)
+    assert not S.contains(np.vstack([inside[:2], outside, inside[2:]]))
+    Sf = Subspace(to_float(B))
+    assert Sf.contains(to_float(inside))
+    assert not Sf.contains(to_float(np.vstack([inside, outside])))
