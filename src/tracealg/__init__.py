@@ -20,8 +20,7 @@ from .analysis import (complexified_special_elements_sect, constant_sect_check,
                        orth_spectrum, sect, sect_extremize,
                        simplicial_idempotents, square_zero_rays,
                        talg_idempotents, triple_sect_relations_check)
-from .inequalities import (bw_lie_estimate, bw_reduction_check, bw_residual,
-                           cdk_residual)
+from .inequalities import bw_lie_estimate, bw_reduction_check, cdk_residual
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -3,7 +3,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy import optimize
 
 from . import linalg
 from .core import MetrizedAlgebra
@@ -312,6 +311,7 @@ def sect_extremize(alg, seed, n_starts=40, maxiter=4000):
     Random multistart polished by derivative-free descent; finite
     precision, no global guarantee.  Returns a BoundEstimate dict.
     """
+    from scipy import optimize       # imported here: the exact commands never need it
     n = alg.dim
     mf = linalg.to_float(alg.structure)
     Gf = linalg.to_float(alg.gram)

@@ -7,8 +7,8 @@ import numpy as np
 from . import hurwitz
 from .core import (ANTICOMMUTATIVE, COMMUTATIVE, Algebra, MetrizedAlgebra,
                    tensor_product, unitalization)
-from .hurwitz import hmat_jordan, hmat_mul, hmat_re_tr
-from .linalg import FLOAT, RATIONAL, as_backend, eye, zeros
+from .hurwitz import hmat_re_tr
+from .linalg import FLOAT, RATIONAL, _fractions, as_backend, eye, zeros
 
 
 def _one(backend):
@@ -96,34 +96,54 @@ def tensor_witnesses(n, backend=RATIONAL):
 
 
 def _herm_basis(n, level, traceless=False):
-    """Basis matrices: diagonal ones first, then off-diagonal u e_ij + conj(u) e_ji."""
-    mats = []
+    """Integer basis matrices stacked as (k, n, n, level): diagonal ones
+    first, then off-diagonal u e_ij + conj(u) e_ji for i < j and each unit u."""
     ndiag = n - 1 if traceless else n
-    for i in range(ndiag):
-        m = hurwitz.hmat(n, level)
-        m[i, i, 0] = Fraction(1)
-        if traceless:
-            m[n - 1, n - 1, 0] = Fraction(-1)
-        mats.append(m)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for a in range(level):
-                m = hurwitz.hmat(n, level)
-                m[i, j, a] = Fraction(1)
-                m[j, i, a] = Fraction(1) if a == 0 else Fraction(-1)
-                mats.append(m)
-    return mats
+    iu, ju = np.triu_indices(n, 1)
+    d = np.arange(ndiag)
+    B = np.zeros((ndiag + len(iu) * level, n, n, level), dtype=np.int64)
+    B[d, d, d, 0] = 1
+    if traceless:
+        B[d, n - 1, n - 1, 0] = -1
+    p = np.arange(len(iu) * level)
+    pair, a = np.divmod(p, level)
+    B[ndiag + p, iu[pair], ju[pair], a] = 1
+    B[ndiag + p, ju[pair], iu[pair], a] = np.where(a == 0, 1, -1)
+    return B
 
 
 def _herm_coords(M, n, level, traceless=False):
-    """Coordinates of a (traceless) Hermitian matrix in the _herm_basis order."""
-    coords = []
-    for i in range(n - 1 if traceless else n):
-        coords.append(M[i, i, 0])
-    for i in range(n):
-        for j in range(i + 1, n):
-            coords.extend(M[i, j, a] for a in range(level))
-    return np.array(coords, dtype=object)
+    """Coordinates of a (traceless) Hermitian matrix, or of a stack of them
+    (..., n, n, level), in the _herm_basis order."""
+    M = np.asarray(M)
+    d = np.arange(n - 1 if traceless else n)
+    iu, ju = np.triu_indices(n, 1)
+    off = M[..., iu, ju, :].reshape(M.shape[:-3] + (len(iu) * level,))
+    return np.concatenate([M[..., d, d, 0], off], axis=-1)
+
+
+def _jordan_table(B, level):
+    """(J, t): numerators over 2 of all Jordan products B_p o B_q of an
+    integer basis stack, and of their real traces.  t is also re tr(B_p B_q)
+    times 2, as re(ab) = re(ba) in every Cayley-Dickson algebra."""
+    P = hurwitz._mul(B[:, None], B[None], level)     # all k^2 products at once
+    J = P + np.swapaxes(P, 0, 1)
+    return J, hmat_re_tr(J)
+
+
+def _traceless_jordan(B, n, level):
+    """Numerators over 2n of the structure tensor and Gram matrix of
+    x y = x o y - re tr(x o y) I / n, h(x, y) = re tr(xy) / n on B."""
+    J, t = _jordan_table(B, level)
+    s = n * _herm_coords(J, n, level, traceless=True)
+    s[..., :n - 1] -= t[..., None]
+    return s, t
+
+
+def _matrix_algebra(s, g, symmetry, name, mats):
+    out = MetrizedAlgebra(s, g, symmetry, name=name)
+    out.matrices = _fractions(mats, 1)
+    return out
 
 
 def herm_jordan(n, level):
@@ -131,23 +151,10 @@ def herm_jordan(n, level):
     h(x, y) = re tr(xy) / n; exact rational."""
     if level == 8 and n != 3:
         raise ValueError("octonionic Hermitian matrices only at size 3")
-    mats = _herm_basis(n, level)
-    k = len(mats)
-    s = zeros((k, k, k), RATIONAL)
-    g = zeros((k, k), RATIONAL)
-    for p in range(k):
-        for q in range(p + 1):
-            prod = hmat_jordan(mats[p], mats[q], level)
-            coords = _herm_coords(prod, n, level)
-            s[p, q, :] = coords
-            s[q, p, :] = coords
-            # re tr(XY) = re tr(X o Y), as re(ab) = re(ba) in every
-            # Cayley-Dickson algebra
-            v = Fraction(hmat_re_tr(prod), n)
-            g[p, q] = v
-            g[q, p] = v
-    out = MetrizedAlgebra(s, g, COMMUTATIVE, name="herm(%d,%d)" % (n, level))
-    out.matrices = mats
+    B = _herm_basis(n, level)
+    J, t = _jordan_table(B, level)
+    out = _matrix_algebra(_fractions(_herm_coords(J, n, level), 2), _fractions(t, 2 * n),
+                          COMMUTATIVE, "herm(%d,%d)" % (n, level), B)
     out.msize = n
     out.level = level
     return out
@@ -158,24 +165,10 @@ def herm0(n, level):
     h(x, y) = re tr(xy) / n; exact rational."""
     if level == 8 and n != 3:
         raise ValueError("octonionic Hermitian matrices only at size 3")
-    mats = _herm_basis(n, level, traceless=True)
-    k = len(mats)
-    s = zeros((k, k, k), RATIONAL)
-    g = zeros((k, k), RATIONAL)
-    for p in range(k):
-        for q in range(p + 1):
-            prod = hmat_jordan(mats[p], mats[q], level)
-            tr = sum(prod[i, i, 0] for i in range(n))
-            for i in range(n):
-                prod[i, i, 0] -= Fraction(tr, n)
-            coords = _herm_coords(prod, n, level, traceless=True)
-            s[p, q, :] = coords
-            s[q, p, :] = coords
-            v = Fraction(tr, n)                      # re tr(XY) = re tr(X o Y)
-            g[p, q] = v
-            g[q, p] = v
-    out = MetrizedAlgebra(s, g, COMMUTATIVE, name="herm0(%d,%d)" % (n, level))
-    out.matrices = mats
+    B = _herm_basis(n, level, traceless=True)
+    s, g = _traceless_jordan(B, n, level)
+    out = _matrix_algebra(_fractions(s, 2 * n), _fractions(g, 2 * n), COMMUTATIVE,
+                          "herm0(%d,%d)" % (n, level), B)
     out.msize = n
     out.level = level
     return out
@@ -199,25 +192,17 @@ def diagonal_generators(n, level):
     return out
 
 
-def algebra_from_matrix_basis(mats, product, coords, gram=None, symmetry=ANTICOMMUTATIVE,
-                              name=""):
-    """Structure tensor of a matrix algebra given basis, product and a
-    coordinate read-off; metric defaults to the Killing form."""
-    k = len(mats)
-    s = zeros((k, k, k), RATIONAL)
-    sign = 1 if symmetry == COMMUTATIVE else -1
-    for p in range(k):
-        for q in range(p + 1):
-            if symmetry == ANTICOMMUTATIVE and p == q:
-                continue
-            c = coords(product(mats[p], mats[q]))
-            s[p, q, :] = c
-            s[q, p, :] = sign * c
-    base = Algebra(s, symmetry, name=name)
-    g = gram if gram is not None else base.killing_form().gram
-    out = MetrizedAlgebra(s, g, symmetry, name=name)
-    out.matrices = mats
-    return out
+def algebra_from_matrix_basis(mats, mul, coords, name=""):
+    """Lie algebra of an integer basis stack (k, ...) under the commutator
+    of `mul`, with its Killing form as the metric.
+
+    mul(X, Y) forms all products of two broadcast stacks at once, and
+    coords reads the integer coordinates off a stack of matrices.
+    """
+    P = mul(mats[:, None], mats[None])
+    s = _fractions(coords(P - np.swapaxes(P, 0, 1)), 1)
+    g = Algebra(s, ANTICOMMUTATIVE, name=name).killing_form().gram
+    return _matrix_algebra(s, g, ANTICOMMUTATIVE, name, mats)
 
 
 def lie_so(n):
@@ -225,30 +210,21 @@ def lie_so(n):
     if n < 3:
         raise ValueError("lie-so needs n >= 3")
     if n == 3:
-        mats = []
-        for k in range(3):
-            m = zeros((3, 3), RATIONAL)
-            for i in range(3):
-                for j in range(3):
-                    m[i, j] = Fraction(-_eps(k, i, j))
-            mats.append(m)
+        mats = -np.array([[[_eps(k, i, j) for j in range(3)] for i in range(3)]
+                          for k in range(3)], dtype=np.int64)
 
         def coords(M):
-            return np.array([-M[1, 2], M[0, 2], -M[0, 1]], dtype=object)
+            return np.stack([-M[..., 1, 2], M[..., 0, 2], -M[..., 0, 1]], axis=-1)
     else:
-        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-        mats = []
-        for a, b in pairs:
-            m = zeros((n, n), RATIONAL)
-            m[a, b] = Fraction(1)
-            m[b, a] = Fraction(-1)
-            mats.append(m)
+        a, b = np.triu_indices(n, 1)
+        mats = np.zeros((len(a), n, n), dtype=np.int64)
+        mats[np.arange(len(a)), a, b] = 1
+        mats[np.arange(len(a)), b, a] = -1
 
         def coords(M):
-            return np.array([M[a, b] for a, b in pairs], dtype=object)
+            return M[..., a, b]
 
-    return algebra_from_matrix_basis(mats, lambda x, y: x @ y - y @ x, coords,
-                                     name="lie-so(%d)" % n)
+    return algebra_from_matrix_basis(mats, np.matmul, coords, name="lie-so(%d)" % n)
 
 
 def _eps(i, j, k):
@@ -259,43 +235,27 @@ def _eps(i, j, k):
     return 0
 
 
+def _times_j(M):
+    """x -> jx on complex entries (a, b) -> (b, -a), broadcast over stacks."""
+    return np.stack([M[..., 1], -M[..., 0]], axis=-1)
+
+
 def _su_basis(n):
-    """Skew-Hermitian traceless basis aligned with herm0(n, 2) via x -> jx."""
-    h0 = _herm_basis(n, 2, traceless=True)
-    mats = []
-    for H in h0:
-        S = hurwitz.hmat(n, 2)
-        for i in range(n):
-            for j in range(n):
-                a, b = H[i, j]
-                S[i, j, 0] = b
-                S[i, j, 1] = -a
-        mats.append(S)
-    return mats
+    """Skew-Hermitian traceless integer basis aligned with herm0(n, 2) via x -> jx."""
+    return _times_j(_herm_basis(n, 2, traceless=True))
 
 
 def _su_coords(M, n):
     """Coordinates via the isomorphism x -> jx onto herm0(n, 2)."""
-    H = hurwitz.hmat(n, 2)
-    for i in range(n):
-        for j in range(n):
-            a, b = M[i, j]
-            H[i, j, 0] = -b
-            H[i, j, 1] = a
-    return _herm_coords(H, n, 2, traceless=True)
+    return _herm_coords(-_times_j(M), n, 2, traceless=True)
 
 
 def lie_su(n):
     """su(n) with the commutator bracket, aligned with the herm0(n,2) basis."""
     if n < 2:
         raise ValueError("lie-su needs n >= 2")
-    mats = _su_basis(n)
-
-    def prod(x, y):
-        return hmat_mul(x, y, 2) - hmat_mul(y, x, 2)
-
-    return algebra_from_matrix_basis(mats, prod, lambda M: _su_coords(M, n),
-                                     name="lie-su(%d)" % n)
+    return algebra_from_matrix_basis(_su_basis(n), lambda x, y: hurwitz._mul(x, y, 2),
+                                     lambda M: _su_coords(M, n), name="lie-su(%d)" % n)
 
 
 def su_circle(n):
@@ -304,30 +264,11 @@ def su_circle(n):
     if n < 2:
         raise ValueError("su-circle needs n >= 2")
     mats = _su_basis(n)
-    k = len(mats)
-    s = zeros((k, k, k), RATIONAL)
-    g = zeros((k, k), RATIONAL)
-    for p in range(k):
-        for q in range(p + 1):
-            sym = hmat_jordan(mats[p], mats[q], 2)
-            tr = sum(sym[i, i, 0] for i in range(n))  # trace is real here
-            for i in range(n):
-                sym[i, i, 0] -= Fraction(tr, n)
-            prod = hurwitz.hmat(n, 2)
-            for i in range(n):
-                for j in range(n):
-                    a, b = sym[i, j]
-                    prod[i, j, 0] = -b
-                    prod[i, j, 1] = a
-            c = _su_coords(prod, n)
-            s[p, q, :] = c
-            s[q, p, :] = c
-            v = -Fraction(tr, n)                     # re tr(XY) = re tr(X o Y)
-            g[p, q] = v
-            g[q, p] = v
-    out = MetrizedAlgebra(s, g, COMMUTATIVE, name="su-circle(%d)" % n)
-    out.matrices = mats
-    return out
+    # the traceless Jordan product of two skew-Hermitian basis matrices is
+    # Hermitian; j/2 of it has the su coordinates -(its herm0 coordinates)
+    s, g = _traceless_jordan(mats, n, 2)
+    return _matrix_algebra(_fractions(-s, 2 * n), _fractions(-g, 2 * n), COMMUTATIVE,
+                           "su-circle(%d)" % n, mats)
 
 
 def triple(alg, name=""):

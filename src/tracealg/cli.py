@@ -116,7 +116,7 @@ def run_suite(alg, suite, seed=0, tol=linalg.EPS0):
                                     verdict != "undetermined", 0,
                                     witnesses=[verdict] + [S.dim for S, _ in parts],
                                     seed=seed)
-    raise SystemExit(2)
+    raise ValueError("unknown suite: %s" % suite)
 
 
 def cmd_report(args):
@@ -210,8 +210,6 @@ def main(argv=None):
     args = p.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit as exc:
-        raise
     except FileNotFoundError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -2,14 +2,20 @@
 
 Levels 1, 2, 4, 8 are the reals, complexes, quaternions and octonions.
 Scalars are coordinate vectors of length d = level; matrices over a
-composition algebra are (n, n, d) arrays.
+composition algebra are (n, n, d) arrays, and stacks of them (..., n, n, d).
+
+unit_tensor(level) is the one multiplication table: every product is one
+contraction of integer numerators with it (_mul), over the product of the
+operands' common denominators, and only the result becomes Fractions.  A
+float array is its own numerator over D = 1, so floats run the same code.
 """
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .linalg import EPS0, RATIONAL, _is_zero, backend_of, max_abs, zeros
+from .linalg import (EPS0, RATIONAL, _contract, _fractions, _is_zero,
+                     _numerators, max_abs, zeros)
 
 LEVELS = (1, 2, 4, 8)
 LEVEL_OF_LETTER = {"r": 1, "c": 2, "h": 4, "o": 8}
@@ -34,28 +40,44 @@ def _mul_units(a, b, level):
 
 @lru_cache(maxsize=None)
 def unit_tensor(level):
-    """Structure tensor M[a,b,c] in {-1,0,1} with u_a u_b = sum_c M[a,b,c] u_c."""
-    M = np.zeros((level, level, level), dtype=int)
+    """Structure tensor M[a,b,c] in {-1,0,1} with u_a u_b = sum_c M[a,b,c] u_c
+    (read-only: every caller shares the cached array)."""
+    M = np.zeros((level, level, level), dtype=np.int64)
     for a in range(level):
         for b in range(level):
             s, c = _mul_units(a, b, level)
             M[a, b, c] = s
+    M.flags.writeable = False
     return M
 
 
+def _mul(X, Y, level):
+    """Matrix products X Y of integer or float numerator stacks
+    (..., n, m, d) and (..., m, l, d), broadcast over the leading axes.
+
+    Each pair of units (a, b) has exactly one unit c with M[a,b,c] != 0,
+    and each (b, c) exactly one a, so an entry of X M is one product and
+    an entry of (X M) Y a sum of m * level products.  Contracting M first
+    is what makes this fast: one three-operand einsum runs the full
+    i, j, k, a, b, c loop, at about eight times the cost.
+    """
+    def mul(x, y, u):
+        return np.einsum("...ijbc,...jkb->...ikc", np.einsum("...ija,abc->...ijbc", x, u), y)
+    return _contract(mul, X.shape[-2] * level, X, Y, unit_tensor(level))
+
+
+def _products(X, Y, level):
+    """(XY, YX, D): numerators of both products over one denominator D."""
+    NX, DX = _numerators(X)
+    NY, DY = _numerators(Y)
+    return _mul(NX, NY, level), _mul(NY, NX, level), DX * DY
+
+
 def hmul(x, y, level):
-    """Product of two scalars given as coordinate vectors."""
-    backend = backend_of(x)
-    out = zeros(level, backend)
-    for a in range(level):
-        if x[a] == 0:
-            continue
-        for b in range(level):
-            if y[b] == 0:
-                continue
-            s, c = _mul_units(a, b, level)
-            out[c] = out[c] + s * x[a] * y[b]
-    return out
+    """Product of two scalars given as coordinate vectors: the 1 x 1 case of
+    hmat_mul, broadcast over leading axes."""
+    one = (Ellipsis, None, None, slice(None))
+    return hmat_mul(np.asarray(x)[one], np.asarray(y)[one], level)[..., 0, 0, :]
 
 
 def hconj(x):
@@ -79,16 +101,11 @@ def hmat(n, level, backend=RATIONAL):
 
 
 def hmat_mul(X, Y, level):
-    n = X.shape[0]
-    backend = backend_of(X)
-    out = zeros((n, Y.shape[1], level), backend)
-    for i in range(n):
-        for k in range(Y.shape[1]):
-            acc = zeros(level, backend)
-            for j in range(X.shape[1]):
-                acc = acc + hmul(X[i, j], Y[j, k], level)
-            out[i, k] = acc
-    return out
+    """Matrix product X Y, broadcast over leading axes; exact on Fractions
+    (and Python or numpy integers), float on floats."""
+    NX, DX = _numerators(X)
+    NY, DY = _numerators(Y)
+    return _fractions(_mul(NX, NY, level), DX * DY)
 
 
 def hmat_conj_t(X):
@@ -98,21 +115,26 @@ def hmat_conj_t(X):
 
 
 def hmat_re_tr(X):
-    return sum(X[i, i, 0] for i in range(X.shape[0]))
+    """Real part of the trace, broadcast over leading axes."""
+    return np.trace(np.asarray(X)[..., 0], axis1=-2, axis2=-1)
 
 
 def hmat_jordan(X, Y, level):
     """Symmetrized product (XY + YX) / 2."""
-    return (hmat_mul(X, Y, level) + hmat_mul(Y, X, level)) / 2
+    XY, YX, D = _products(X, Y, level)
+    return _fractions(XY + YX, 2 * D)      # each below 2**62, so the sum fits
 
 
 def hmat_commutator(X, Y, level):
-    return hmat_mul(X, Y, level) - hmat_mul(Y, X, level)
+    XY, YX, D = _products(X, Y, level)
+    return _fractions(XY - YX, D)
 
 
 def frobenius(X, Y):
     """Real Frobenius pairing f(X, Y) = re tr(conj(X)^t Y)."""
-    return sum(x * y for x, y in zip(np.asarray(X).flat, np.asarray(Y).flat))
+    NX, DX = _numerators(X)
+    NY, DY = _numerators(Y)
+    return _fractions(_contract(lambda x, y: np.sum(x * y), NX.size, NX, NY), DX * DY)
 
 
 def is_hermitian(X):

@@ -1,8 +1,7 @@
 """Commutator norm inequalities for matrix algebras and Lie algebras."""
 import numpy as np
-from scipy import optimize
 
-from . import hurwitz, linalg
+from . import linalg
 from .hurwitz import frobenius, hmat_commutator
 
 
@@ -12,9 +11,6 @@ def cdk_residual(X, Y, level):
     C = hmat_commutator(X, Y, level)
     return (2 * (frobenius(X, X) * frobenius(Y, Y) - frobenius(X, Y) ** 2)
             - frobenius(C, C))
-
-
-bw_residual = cdk_residual
 
 
 def bw_reduction_check(X, Y, level):
@@ -37,6 +33,7 @@ def bw_lie_estimate(lie_alg, samples=2000, ascent=200, seed=0):
 
     Random sampling followed by local ascent; returns a BoundEstimate
     dict {"value", "witness", "seed"}."""
+    from scipy import optimize       # imported here: the exact commands never need it
     B = lie_alg.killing_form()
     p, m, z = B.inertia()
     if p or z:

@@ -411,6 +411,135 @@ def test_su_circle_isomorphic_to_herm0_complex():
         assert verify_isometric(I, A, B) == 0
 
 
+# ------------------------------------------------ loop builds (reference)
+# The catalogue forms all k^2 basis products in one contraction and reads
+# coordinates off by index; these build one basis pair at a time.
+
+
+def loop_herm_basis(n, level, traceless=False):
+    mats = []
+    for i in range(n - 1 if traceless else n):
+        m = ta.hurwitz.hmat(n, level)
+        m[i, i, 0] = F(1)
+        if traceless:
+            m[n - 1, n - 1, 0] = F(-1)
+        mats.append(m)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for a in range(level):
+                m = ta.hurwitz.hmat(n, level)
+                m[i, j, a] = F(1)
+                m[j, i, a] = F(1) if a == 0 else F(-1)
+                mats.append(m)
+    return mats
+
+
+def loop_herm_coords(M, n, level, traceless=False):
+    coords = [M[i, i, 0] for i in range(n - 1 if traceless else n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            coords.extend(M[i, j, a] for a in range(level))
+    return np.array(coords, dtype=object)
+
+
+def loop_times_j(M, sign=1):
+    """x -> jx (sign 1) or x -> -jx (sign -1) on complex entries."""
+    out = ta.hurwitz.hmat(M.shape[0], 2)
+    for i in range(M.shape[0]):
+        for j in range(M.shape[0]):
+            a, b = M[i, j]
+            out[i, j] = (sign * b, -sign * a)
+    return out
+
+
+def loop_jordan_build(mats, n, level, traceless, su=False):
+    """(structure, Gram) of herm / herm0 (or su-circle) one pair at a time."""
+    k = len(mats)
+    s = np.zeros((k, k, k), dtype=object)
+    g = np.zeros((k, k), dtype=object)
+    for p in range(k):
+        for q in range(p + 1):
+            prod = ta.hurwitz.hmat_jordan(mats[p], mats[q], level)
+            tr = sum(prod[i, i, 0] for i in range(n))
+            if traceless:
+                for i in range(n):
+                    prod[i, i, 0] -= F(tr, n)
+            if su:       # x o y = (j/2)(xy + yx - 2 tr(xy) I / n), read as su(n)
+                s[p, q] = s[q, p] = loop_su_coords(loop_times_j(prod, -1), n)
+                g[p, q] = g[q, p] = -F(tr, n)
+            else:
+                s[p, q] = s[q, p] = loop_herm_coords(prod, n, level, traceless)
+                g[p, q] = g[q, p] = F(tr, n)
+    return s, g
+
+
+def loop_lie_build(mats, bracket, coords):
+    k = len(mats)
+    s = np.zeros((k, k, k), dtype=object) + F(0)
+    for p in range(k):
+        for q in range(p):
+            c = coords(bracket(mats[p], mats[q]))
+            s[p, q], s[q, p] = c, -c
+    return s
+
+
+def loop_su_coords(M, n):
+    return loop_herm_coords(loop_times_j(M, -1), n, 2, traceless=True)
+
+
+def assert_same_build(A, mats, s, g=None):
+    assert np.array_equal(A.matrices, np.array(mats, dtype=object))
+    assert np.array_equal(A.structure, s) and all(isinstance(v, F) for v in A.structure.flat)
+    if g is not None:
+        assert np.array_equal(A.gram, g) and all(isinstance(v, F) for v in A.gram.flat)
+
+
+@pytest.mark.parametrize("level", [1, 2, 4, 8])
+def test_herm_jordan_matches_loop_build(level):
+    mats = loop_herm_basis(3, level)
+    assert_same_build(ta.herm_jordan(3, level), mats,
+                      *loop_jordan_build(mats, 3, level, traceless=False))
+
+
+@pytest.mark.parametrize("n, level", [(3, 1), (3, 2), (3, 4), (3, 8), (4, 1), (4, 2),
+                                      (4, 4)])
+def test_herm0_matches_loop_build(n, level):
+    mats = loop_herm_basis(n, level, traceless=True)
+    assert_same_build(ta.herm0(n, level), mats,
+                      *loop_jordan_build(mats, n, level, traceless=True))
+    for m in mats:
+        assert np.array_equal(ta.herm0_coords(m, n, level),
+                              loop_herm_coords(m, n, level, traceless=True))
+
+
+def test_su_circle_matches_loop_build():
+    mats = [loop_times_j(m) for m in loop_herm_basis(3, 2, traceless=True)]
+    assert_same_build(ta.su_circle(3), mats,
+                      *loop_jordan_build(mats, 3, 2, traceless=True, su=True))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_lie_su_matches_loop_build(n):
+    mats = [loop_times_j(m) for m in loop_herm_basis(n, 2, traceless=True)]
+    L = ta.lie_su(n)
+    assert_same_build(L, mats, loop_lie_build(
+        mats, lambda x, y: ta.hurwitz.hmat_commutator(x, y, 2),
+        lambda M: loop_su_coords(M, n)))
+    assert np.array_equal(L.gram, ta.Algebra(L.structure, "anticommutative").killing_form().gram)
+
+
+def test_lie_so_matches_loop_build():
+    pairs = list(itertools.combinations(range(4), 2))
+    mats = []
+    for a, b in pairs:
+        m = np.zeros((4, 4), dtype=object) + F(0)
+        m[a, b], m[b, a] = F(1), F(-1)
+        mats.append(m)
+    assert_same_build(ta.lie_so(4), mats, loop_lie_build(
+        mats, lambda x, y: x @ y - y @ x,
+        lambda M: np.array([M[a, b] for a, b in pairs], dtype=object)))
+
+
 # -------------------------------------------------------------- lie
 
 

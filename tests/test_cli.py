@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import tracealg
-from tracealg.cli import main
+from tracealg.cli import main, run_suite
 
 
 def run(capsys, *argv):
@@ -217,3 +217,25 @@ def test_construct_validation_survives_optimized_python():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and "octonionic" in proc.stderr
+
+
+def test_run_suite_rejects_an_unknown_suite():
+    with pytest.raises(ValueError, match="unknown suite: no-such-suite"):
+        run_suite(tracealg.simplicial(3), "no-such-suite")
+
+
+def test_exact_commands_do_not_import_scipy(tmp_path):
+    """scipy.optimize serves only the numeric searches; importing the
+    package and running an exact report leave it unloaded."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tracealg.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    alg, rep = str(tmp_path / "a.json"), str(tmp_path / "r.json")
+    code = ("import sys, tracealg\n"
+            "from tracealg.cli import main\n"
+            "assert main(['construct', 'herm0', '--n', '3', '--level', 'c', '-o', %r]) == 0\n"
+            "assert main(['report', '--in', %r, '--suite', 'einstein', '-o', %r]) == 0\n"
+            "assert 'scipy.optimize' not in sys.modules\n" % (alg, alg, rep))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.load(open(rep))["verdict"] is True

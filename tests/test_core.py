@@ -2,6 +2,7 @@
 from fractions import Fraction
 import itertools
 import json
+import math
 import random
 
 import numpy as np
@@ -16,6 +17,7 @@ from tracealg.core import (Algebra, MetrizedAlgebra, deunitalization,
                            direct_sum, einstein_fit, from_json, griess_einstein,
                            intrinsic_unitalization, retraction, tensor_product,
                            to_json, unitalization, verify_homomorphism, voa_kappa)
+from tracealg.hurwitz import LEVELS, hmat_commutator, hmat_jordan, hmat_mul
 from tracealg.linalg import (FLOAT, RATIONAL, SymBilinearForm, Subspace, eye, inv,
                              inertia, max_abs, rational_eigenvalues, solve,
                              to_float, zeros)
@@ -846,3 +848,26 @@ def test_contraction_bounds_at_the_int64_switch(signs):
         for M in (2 ** e - 1, 2 ** e - 2 ** (e // 2)):
             A = MetrizedAlgebra(C * M, H * M)
             assert_equals_fraction_kernel(A)
+    # hmat_mul bounds an entry by n * level products: sweep every magnitude
+    # and the integers next to each level's switch, where XY + YX of the
+    # Jordan product is largest
+    for level in LEVELS:
+        X, Y = hermitian_extremes(rng, signs, level)
+        XY, YX = hmat_mul(X, Y, level), hmat_mul(Y, X, level)
+        switch = math.isqrt(2 ** 62 // (3 * level))
+        for M in [2 ** e - 1 for e in range(8, 63)] + [switch - 1, switch, switch + 1]:
+            assert np.array_equal(hmat_mul(X * M, Y * M, level), XY * M * M)
+            assert np.array_equal(hmat_jordan(X * M, Y * M, level), (XY + YX) * M * M / 2)
+            assert np.array_equal(hmat_commutator(X * M, Y * M, level), (XY - YX) * M * M)
+
+
+def hermitian_extremes(rng, signs, level):
+    """3 x 3 matrices with entries +-1 whose product XY reaches the bound
+    3 * level in every real part: Y's imaginary parts cancel the -1 of
+    u_a u_a (positive), or random signs (mixed)."""
+    X = zeros((3, 3, level)) + 1
+    Y = zeros((3, 3, level)) + 1
+    Y[..., 1:] = -1
+    if signs == "mixed":
+        X = X * np.array([rng.choice((-1, 1)) for _ in range(X.size)]).reshape(X.shape)
+    return X, Y

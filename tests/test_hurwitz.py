@@ -5,8 +5,10 @@ import random
 
 import numpy as np
 
-from tracealg.hurwitz import (LEVEL_OF_LETTER, frobenius, hconj,
-                              hmat_commutator, hmat_conj_t, hmat_jordan,
+import pytest
+
+from tracealg.hurwitz import (LEVEL_OF_LETTER, LEVELS, _mul_units, frobenius,
+                              hconj, hmat_commutator, hmat_conj_t, hmat_jordan,
                               hmat_mul, hmat_re_tr, hmul, hre, is_hermitian,
                               unit_tensor)
 
@@ -114,3 +116,100 @@ def test_commutator_skew():
     C = hmat_commutator(X, Y, 2)
     assert np.all(C == -hmat_commutator(Y, X, 2))
     assert hre(np.array([hmat_re_tr(C)], dtype=object)) == 0 or hmat_re_tr(C) == 0
+
+
+# ------------------------------------------- per-scalar loop (reference)
+
+
+def loop_hmul(x, y, level):
+    out = np.zeros(level, dtype=object)
+    for a in range(level):
+        for b in range(level):
+            s, c = _mul_units(a, b, level)
+            out[c] = out[c] + s * x[a] * y[b]
+    return out
+
+
+def loop_hmat_mul(X, Y, level):
+    """Product of single matrices (n, m, d) x (m, l, d), one scalar at a time."""
+    out = np.zeros((X.shape[0], Y.shape[1], level), dtype=object)
+    for i in range(X.shape[0]):
+        for k in range(Y.shape[1]):
+            for j in range(X.shape[1]):
+                out[i, k] = out[i, k] + loop_hmul(X[i, j], Y[j, k], level)
+    return out
+
+
+def loop_stack(fn, X, Y, level):
+    """fn on single matrices, broadcast over the leading axes of X and Y."""
+    lead = np.broadcast_shapes(X.shape[:-3], Y.shape[:-3])
+    X = np.broadcast_to(X, lead + X.shape[-3:])
+    Y = np.broadcast_to(Y, lead + Y.shape[-3:])
+    first = fn(X[(0,) * len(lead)], Y[(0,) * len(lead)], level)
+    out = np.empty(lead + first.shape, dtype=object)
+    for idx in np.ndindex(*lead):
+        out[idx] = fn(X[idx], Y[idx], level)
+    return out
+
+
+def loop_jordan(X, Y, level):
+    half = Fraction(1, 2) if X.dtype == object else 0.5
+    return (loop_hmat_mul(X, Y, level) + loop_hmat_mul(Y, X, level)) * half
+
+
+def loop_commutator(X, Y, level):
+    return loop_hmat_mul(X, Y, level) - loop_hmat_mul(Y, X, level)
+
+
+def random_entries(rng, shape, kind):
+    """Fractions, floats, or Python ints above 2**62 in magnitude."""
+    if kind == "float":
+        return np.array([rng.uniform(-2, 2) for _ in range(int(np.prod(shape)))]).reshape(shape)
+    draw = {"fraction": lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+            "bigint": lambda: rng.choice((-1, 1)) * rng.randint(2 ** 62, 2 ** 64)}[kind]
+    out = np.empty(shape, dtype=object)
+    for idx in np.ndindex(*shape):
+        out[idx] = draw()
+    return out
+
+
+def assert_matches(got, want, kind, scale):
+    assert got.shape == want.shape
+    if kind == "float":
+        assert got.dtype == float
+        # a different summation order: a few roundings of terms up to scale
+        assert np.max(np.abs(got - want.astype(float)), initial=0) <= 64 * np.finfo(float).eps * scale
+    else:
+        assert all(isinstance(v, Fraction) for v in got.flat)
+        assert np.array_equal(got, want)
+
+
+# (leading shape of X, of Y, matrix sizes n, m, l): single matrices, stacks,
+# broadcast stacks and a non-square product
+SHAPES = [((), (), 3, 3, 3), ((2,), (2,), 3, 3, 3), ((3, 1), (1, 2), 2, 2, 2),
+          ((2,), (), 3, 3, 3), ((), (), 2, 3, 1)]
+
+
+@pytest.mark.parametrize("kind", ["fraction", "float", "bigint"])
+@pytest.mark.parametrize("level", LEVELS)
+def test_products_match_the_per_scalar_loop(kind, level):
+    rng = random.Random(level)
+    for lx, ly, n, m, l in SHAPES:
+        X = random_entries(rng, lx + (n, m, level), kind)
+        Y = random_entries(rng, ly + (m, l, level), kind)
+        scale = m * level * float(np.max(np.abs(X))) * float(np.max(np.abs(Y)))
+        assert_matches(hmat_mul(X, Y, level), loop_stack(loop_hmat_mul, X, Y, level),
+                       kind, scale)
+        if n == m == l:
+            for fn, ref in ((hmat_jordan, loop_jordan), (hmat_commutator, loop_commutator)):
+                assert_matches(fn(X, Y, level), loop_stack(ref, X, Y, level), kind, scale)
+        x, y = np.broadcast_arrays(X[..., 0, 0, :], Y[..., 0, 0, :])   # scalar stacks
+        want = np.empty(x.shape, dtype=object)
+        for idx in np.ndindex(*x.shape[:-1]):
+            want[idx] = loop_hmul(x[idx], y[idx], level)
+        assert_matches(hmul(X[..., 0, 0, :], Y[..., 0, 0, :], level), want, kind, scale)
+        if X.shape == Y.shape:
+            f = frobenius(X, Y)
+            want = sum(p * q for p, q in zip(X.flat, Y.flat))
+            assert (abs(f - want) <= 64 * np.finfo(float).eps * scale if kind == "float"
+                    else f == want and isinstance(f, Fraction))
