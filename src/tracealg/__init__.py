@@ -2,11 +2,11 @@
 from .linalg import (FLOAT, RATIONAL, SymBilinearForm, Subspace, inertia,
                      nullspace, orthogonal_complement,
                      general_real_eigenvalues)
-from .core import (Algebra, MetrizedAlgebra, decompose_ideals, deunitalization,
-                   direct_sum, einstein_fit, from_json, griess_einstein,
-                   intrinsic_unitalization, load_json, dump_json, retraction,
-                   tensor_product, to_json, unitalization, verify_homomorphism,
-                   verify_isometric, voa_kappa)
+from .core import (Algebra, MetrizedAlgebra, as_float, decompose_ideals,
+                   deunitalization, direct_sum, einstein_fit, from_json,
+                   griess_einstein, intrinsic_unitalization, load_json, dump_json,
+                   retraction, tensor_product, to_json, unitalization,
+                   verify_homomorphism, verify_isometric, voa_kappa)
 from .catalog import (build_by_name, conformal_extension,
                       confext_idempotent_data, cyclic3, diagonal_generators,
                       gamma_vectors, herm0, herm0_coords, herm_jordan, lie_so,

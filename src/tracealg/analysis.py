@@ -7,7 +7,7 @@ import numpy as np
 from . import linalg
 from .core import MetrizedAlgebra
 from .catalog import gamma_vectors, triple_embeddings
-from .linalg import (EPS0, EPS_DEDUP, FLOAT, RATIONAL, _contract, _fractions, _is_zero,
+from .linalg import (EPS0, EPS_DEDUP, RATIONAL, _contract, _fractions, _is_zero,
                      _numerators, _residual, is_zero, max_abs, zeros)
 
 
@@ -403,7 +403,7 @@ def complexified_special_elements_sect(alg, seed, trials=200, tol=1e-10):
     return out
 
 
-def deunit_sect_shift_check(unital_alg, seed, trials=50, tol=EPS0):
+def deunit_sect_shift_check(unital_alg, seed, trials=50):
     """Check g(e,e) sect_B(x,y) = sect_A(x,y) + 1 for planes in the
     deunitalization A of a unital metrized algebra B; returns max residual."""
     from .core import deunitalization
@@ -437,7 +437,7 @@ def triple_sect_relations_check(base_alg, seed, trials=30):
     tau = base_alg.killing_form()
     T = triple(MetrizedAlgebra(base_alg.structure, tau.gram, base_alg.symmetry))
     n = base_alg.dim
-    emb = triple_embeddings(n, FLOAT)
+    emb = triple_embeddings(n)
     tauT = T.killing_form()
     mT = linalg.to_float(T.structure)
     GT = linalg.to_float(tauT.gram)

@@ -8,75 +8,62 @@ from . import hurwitz
 from .core import (ANTICOMMUTATIVE, COMMUTATIVE, Algebra, MetrizedAlgebra,
                    tensor_product, unitalization)
 from .hurwitz import hmat_re_tr
-from .linalg import FLOAT, RATIONAL, _fractions, as_backend, eye, zeros
+from .linalg import _fractions, eye, to_float, zeros
 
 
-def _one(backend):
-    return Fraction(1) if backend == RATIONAL else 1.0
-
-
-def talg(n, alpha, backend=RATIONAL):
+def talg(n, alpha):
     """Permutation-invariant family: e_i e_i = e_i, e_i e_j = alpha (e_i + e_j)."""
-    alpha = Fraction(alpha) if backend == RATIONAL else float(alpha)
-    s = zeros((n, n, n), backend)
-    for i in range(n):
-        s[i, i, i] = _one(backend)
-        for j in range(n):
-            if j != i:
-                s[i, j, i] = alpha
-                s[i, j, j] = alpha
+    s = zeros((n, n, n))
+    i, j = np.nonzero(1 - np.eye(n, dtype=int))
+    s[i, j, i] = s[i, j, j] = Fraction(alpha)
+    s[range(n), range(n), range(n)] = Fraction(1)
     return Algebra(s, COMMUTATIVE, name="talg(%d)" % n)
 
 
-def simplicial(n, backend=RATIONAL):
+def simplicial(n):
     """Exact simple algebra on n generators gamma_1..gamma_n with
     gamma_i^2 = gamma_i and gamma_i gamma_j = -(gamma_i + gamma_j)/(n-1);
     metric is the Killing form."""
-    base = talg(n, Fraction(-1, n - 1), backend)
+    if n < 2:
+        raise ValueError("ealg needs n >= 2")
+    base = talg(n, Fraction(-1, n - 1))
     return MetrizedAlgebra(base.structure, base.killing_form().gram, COMMUTATIVE,
                            name="ealg(%d)" % n)
 
 
-def gamma_vectors(n, backend=RATIONAL):
+def gamma_vectors(n):
     """gamma_0, ..., gamma_n of the simplicial algebra (gamma_0 = -sum)."""
-    gs = [None] * (n + 1)
-    for i in range(1, n + 1):
-        v = zeros(n, backend)
-        v[i - 1] = _one(backend)
-        gs[i] = v
-    gs[0] = -sum(gs[1:])
-    return gs
+    I = eye(n)
+    return [-I.sum(axis=0)] + list(I)
 
 
-def cyclic3(c=1, backend=RATIONAL):
+def cyclic3(c=1):
     """3-dim algebra e_i e_i = 0, e_1 e_2 = c e_3 (cyclically); metric Killing."""
-    c = Fraction(c) if backend == RATIONAL else float(c)
-    s = zeros((3, 3, 3), backend)
+    s = zeros((3, 3, 3))
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        s[i, j, k] = c
-        s[j, i, k] = c
+        s[i, j, k] = s[j, i, k] = Fraction(c)
     base = Algebra(s, COMMUTATIVE)
     return MetrizedAlgebra(s, base.killing_form().gram, COMMUTATIVE, name="cyclic3")
 
 
-def simplicial_reflection(n, i, j, backend=RATIONAL):
+def simplicial_reflection(n, i, j):
     """Reflection matrix fl_ij(x) = x - <r,x> r for r = gamma_i - gamma_j."""
-    alg = simplicial(n, backend)
-    gs = gamma_vectors(n, backend)
+    alg = simplicial(n)
+    gs = gamma_vectors(n)
     r = gs[i] - gs[j]
     rr = alg.h(r, r)
     gr = alg.gram @ r
-    return eye(n, backend) - (2 / rr) * np.outer(r, gr)
+    return eye(n) - (2 / rr) * np.outer(r, gr)
 
 
-def tensor_witnesses(n, backend=RATIONAL):
+def tensor_witnesses(n):
     """Distinguished elements of ealg(2) (x) ealg(n).
 
     Returns a dict with 'e' (e[i][alpha] vectors), 'a' (a[(al,be,ga)]),
     and 'b' or (n = 5) 'z' keyed by (i, al, be, ga).
     """
-    g2 = gamma_vectors(2, backend)
-    gn = gamma_vectors(n, backend)
+    g2 = gamma_vectors(2)
+    gn = gamma_vectors(n)
     e = [[np.kron(g2[i], gn[al]) for al in range(n + 1)] for i in range(3)]
     out = {"e": e, "a": {}, "b": {}, "z": {}}
     for al in range(n + 1):
@@ -185,7 +172,7 @@ def diagonal_generators(n, level):
     alg_dim = (n - 1) + (n * (n - 1) // 2) * level
     out = []
     for i in range(1, n + 1):
-        v = zeros(alg_dim, RATIONAL)
+        v = zeros(alg_dim)
         for j in range(1, n):
             v[j - 1] = Fraction(n - 1, n - 2) if j == i else Fraction(-1, n - 2)
         out.append(v)
@@ -304,10 +291,10 @@ def nahm(lie_alg):
     return triple(lie_alg, name="nahm(%s)" % lie_alg.name)
 
 
-def triple_embeddings(n, backend=RATIONAL):
+def triple_embeddings(n):
     """Distinguished linear maps into the triple construction (3n x n)."""
-    I = eye(n, backend)
-    Z = zeros((n, n), backend)
+    I = eye(n)
+    Z = zeros((n, n))
 
     def stack(a, b, c):
         return np.concatenate([a, b, c], axis=0)
@@ -321,11 +308,11 @@ def triple_embeddings(n, backend=RATIONAL):
             "diag": gamma[0]}
 
 
-def s4_transposition_matrices(n, backend=RATIONAL):
+def s4_transposition_matrices(n):
     """The six transpositions of the S4 symmetry of the triple construction,
     as 3n x 3n matrices, keyed by the transposed pair."""
-    I = eye(n, backend)
-    Z = zeros((n, n), backend)
+    I = eye(n)
+    Z = zeros((n, n))
 
     def block(rows):
         return np.concatenate([np.concatenate(r, axis=1) for r in rows], axis=0)
@@ -340,43 +327,27 @@ def s4_transposition_matrices(n, backend=RATIONAL):
     }
 
 
-def _sqrt_scalar(x, backend):
-    if backend == FLOAT:
-        return math.sqrt(float(x))
-    x = Fraction(x)
-    p = math.isqrt(x.numerator)
-    q = math.isqrt(x.denominator)
-    if p * p != x.numerator or q * q != x.denominator:
-        raise ValueError("square root not rational; use the float backend")
-    return Fraction(p, q)
-
-
-def conformal_extension(alg, backend=FLOAT):
+def conformal_extension(alg):
     """One dimension up: (x,r)(y,s) = c ( a x y - s x - r y, n r s - tau(x,y) )
     with c = 1/sqrt(n(n+1)), a = sqrt((n+2)(n-1)); metric blockdiag(tau, 1).
 
-    Input must be exact with Killing metric; output is exact with Killing
-    metric again.  Carries `.canonical_idempotent`.
+    Input must carry its Killing metric; output is float, since c is
+    irrational for every n >= 1, with Killing metric again.  Carries
+    `.canonical_idempotent`.
     """
     n = alg.dim
-    G = as_backend(alg.gram, backend)
-    m = as_backend(alg.structure, backend)
-    cn = 1 / _sqrt_scalar(n * (n + 1), backend)
-    a = _sqrt_scalar((n + 2) * (n - 1), backend)
-    s = zeros((n + 1, n + 1, n + 1), backend)
-    s[:n, :n, :n] = cn * a * m
+    G = to_float(alg.gram)
+    cn = 1 / math.sqrt(n * (n + 1))
+    s = np.zeros((n + 1, n + 1, n + 1))
+    s[:n, :n, :n] = cn * math.sqrt((n + 2) * (n - 1)) * to_float(alg.structure)
     s[:n, :n, n] = -cn * G
-    for i in range(n):
-        s[i, n, i] = -cn
-        s[n, i, i] = -cn
+    s[range(n), n, range(n)] = s[n, range(n), range(n)] = -cn
     s[n, n, n] = n * cn
-    g = zeros((n + 1, n + 1), backend)
+    g = np.eye(n + 1)
     g[:n, :n] = G
-    g[n, n] = _one(backend)
     out = MetrizedAlgebra(s, g, COMMUTATIVE, name="confext(%s)" % alg.name)
-    e = zeros(n + 1, backend)
-    e[n] = _sqrt_scalar(Fraction(n + 1, n), backend)
-    out.canonical_idempotent = e
+    out.canonical_idempotent = np.zeros(n + 1)
+    out.canonical_idempotent[n] = math.sqrt((n + 1) / n)
     return out
 
 
@@ -400,9 +371,9 @@ def confext_idempotent_data(n, e_norm2):
 def build_by_name(name, **kw):
     """CLI-facing dispatch over the catalogue names."""
     if name == "talg":
-        return talg(kw["n"], kw["alpha"], kw.get("backend", RATIONAL))
+        return talg(kw["n"], kw["alpha"])
     if name == "ealg":
-        return simplicial(kw["n"], kw.get("backend", RATIONAL))
+        return simplicial(kw["n"])
     if name == "herm":
         return herm_jordan(kw["n"], kw["level"])
     if name == "herm0":
@@ -428,5 +399,5 @@ def build_by_name(name, **kw):
         from .core import deunitalization
         return deunitalization(kw["base"])
     if name == "confext":
-        return conformal_extension(kw["base"], kw.get("backend", FLOAT))
+        return conformal_extension(kw["base"])
     raise ValueError("unknown construction: %s" % name)

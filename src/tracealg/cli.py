@@ -50,18 +50,20 @@ def cmd_construct(args):
     kw = {}
     if args.n is not None:
         kw["n"] = args.n
-    if args.alpha is not None:
-        kw["alpha"] = linalg.parse_scalar(args.alpha)
     if args.level is not None:
         kw["level"] = LEVEL_OF_LETTER[args.level]
-    if args.scalar is not None:
-        kw["backend"] = args.scalar
     if args.base:
         kw["base"] = _load(args.base)
     if args.base2:
         kw["base2"] = _load(args.base2)
     try:
+        if args.alpha is not None:
+            kw["alpha"] = linalg.parse_scalar(args.alpha)
         alg = catalog.build_by_name(args.family, **kw)
+        if args.scalar == FLOAT:
+            alg = core.as_float(alg)
+        elif args.scalar and alg.backend != args.scalar:
+            raise ValueError("%s builds a float algebra; it has no exact form" % args.family)
     except (KeyError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

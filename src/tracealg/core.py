@@ -176,6 +176,14 @@ class MetrizedAlgebra(Algebra):
         return self.form.apply(x, y)
 
 
+def as_float(alg):
+    """A float64 copy of an algebra, and of its metric if it has one."""
+    s = linalg.to_float(alg.structure)
+    if isinstance(alg, MetrizedAlgebra):
+        return MetrizedAlgebra(s, linalg.to_float(alg.gram), alg.symmetry, alg.name)
+    return Algebra(s, alg.symmetry, alg.name)
+
+
 def einstein_fit(alg, tol=EPS0):
     """Fit tau = kappa h; kappa from the first basis vector with h(e,e) != 0.
 
@@ -424,17 +432,20 @@ def from_json(doc):
     symmetry = doc.get("symmetry", COMMUTATIVE)
     s = zeros((n, n, n), backend)
     sign = 1 if symmetry == COMMUTATIVE else -1
+    scalar = linalg.parse_scalar
+    if backend == FLOAT:        # JSON floats as they are; the float array rounds the rest
+        def scalar(v):
+            return v if isinstance(v, float) else linalg.parse_scalar(v)
     for i, j, k, v in doc["structure"]:
         if not 0 <= min(i, j, k) <= max(i, j, k) < n:
             raise IndexError("structure index (%s, %s, %s) out of range for dim %d"
                              % (i, j, k, n))
-        val = linalg.parse_scalar(v)                 # a float array rounds it
+        val = scalar(v)
         s[i, j, k] = val
         if i != j:
             s[j, i, k] = sign * val
     if "metric" in doc and doc["metric"] is not None:
-        gram = [[linalg.parse_scalar(v) for v in row]
-                for row in doc["metric"]["gram"]]
+        gram = [[scalar(v) for v in row] for row in doc["metric"]["gram"]]
         alg = MetrizedAlgebra(s, as_backend(gram, backend), symmetry,
                               name=doc.get("name", ""))
         G, _ = _numerators(alg.gram)

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import (EPS0, RATIONAL, _contract, _fractions, _is_zero,
+from .linalg import (EPS0, _contract, _fractions, _is_zero,
                      _numerators, max_abs, zeros)
 
 LEVELS = (1, 2, 4, 8)
@@ -90,14 +90,14 @@ def hre(x):
     return x[0]
 
 
-def hscalar(value, level, backend=RATIONAL):
-    out = zeros(level, backend)
-    out[0] = Fraction(value) if backend == RATIONAL else float(value)
+def hscalar(value, level):
+    out = zeros(level)
+    out[0] = Fraction(value)
     return out
 
 
-def hmat(n, level, backend=RATIONAL):
-    return zeros((n, n, level), backend)
+def hmat(n, level):
+    return zeros((n, n, level))
 
 
 def hmat_mul(X, Y, level):

@@ -166,15 +166,24 @@ def _residual(X, DX, Y, DY, c=1):
 
 
 def parse_scalar(s):
-    """Parse "p/q" strings, ints and floats into backend scalars."""
+    """The exact Fraction of a string ("p/q", an integer, a decimal) or an
+    int.  A float, which JSON reads as a binary expansion, and a zero
+    denominator raise ValueError."""
     if isinstance(s, str):
-        if "/" in s:
+        try:
+            # int() reads the integers and "p/q" that files hold faster than
+            # Fraction's parser, which reads decimals as well
+            if "/" not in s:
+                return Fraction(int(s))
             p, q = s.split("/")
             return Fraction(int(p), int(q))
-        return Fraction(int(s))
-    if isinstance(s, (int, Fraction)):
-        return Fraction(s)
-    return float(s)
+        except ValueError:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in %r" % (s,)) from None
+    if isinstance(s, float):
+        raise ValueError("float %r where an exact value is needed" % (s,))
+    return Fraction(s)
 
 
 def scalar_to_json(x):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import tracealg
@@ -163,6 +164,9 @@ MALFORMED = {
                                   "metric": {"gram": [["1", "0"], ["0", "1"]]}}),
     "gram-asymmetric": json.dumps({"dim": 2, "structure": [[0, 0, 0, "1"], [1, 1, 1, "1"]],
                                    "metric": {"gram": [["1", "2"], ["0", "1"]]}}),
+    "zero-denominator": json.dumps({"dim": 1, "structure": [[0, 0, 0, "1/0"]]}),
+    "float-in-rational": json.dumps({"dim": 1, "scalar": "rational",
+                                     "structure": [[0, 0, 0, 0.1]]}),
 }
 
 COMMANDS = {
@@ -205,6 +209,62 @@ def test_exit_codes(tmp_path, capsys, cmd, source, code):
         assert err.count("\n") == 1 and err.startswith("error: ")
     else:
         assert err == ""
+
+
+# construct arguments: --alpha is read exactly ("0.5" is 1/2), and a bad
+# value or size is a usage error
+CONSTRUCT_ARGS = {
+    "alpha-decimal": (["talg", "--n", "3", "--alpha", "0.5"], 0),
+    "alpha-zero-denominator": (["talg", "--n", "3", "--alpha", "1/0"], 2),
+    "ealg-n1": (["ealg", "--n", "1"], 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSTRUCT_ARGS))
+def test_construct_exit_codes(tmp_path, capsys, case):
+    argv, code = CONSTRUCT_ARGS[case]
+    out = str(tmp_path / "out.json")
+    assert exit_code(["construct"] + argv + ["-o", out]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert not os.path.exists(out)
+    else:
+        assert err == ""
+
+
+def test_confext_is_float_and_refuses_scalar_rational(tmp_path, capsys):
+    """The conformal extension scales by 1/sqrt(n(n+1)), irrational for
+    every n >= 1: it is built on floats, and asking for it exact is a usage
+    error that names the construction."""
+    base, out = str(tmp_path / "e3.json"), str(tmp_path / "c.json")
+    main(["construct", "ealg", "--n", "3", "-o", base])
+    assert main(["construct", "confext", "--base", base, "-o", out]) == 0
+    assert json.load(open(out))["scalar"] == "float"
+    capsys.readouterr()
+    assert main(["construct", "confext", "--base", base, "--scalar", "rational"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "confext" in captured.err and "float" in captured.err
+
+
+def test_alpha_decimal_is_exact(tmp_path, capsys):
+    half, dec = str(tmp_path / "half.json"), str(tmp_path / "dec.json")
+    assert main(["construct", "talg", "--n", "3", "--alpha", "1/2", "-o", half]) == 0
+    assert main(["construct", "talg", "--n", "3", "--alpha", "0.5", "-o", dec]) == 0
+    assert open(half).read() == open(dec).read()
+
+
+def test_scalar_float_converts_any_construction(tmp_path, capsys):
+    """--scalar float is the float copy of the exact build, for every family."""
+    exact, flt = str(tmp_path / "exact.json"), str(tmp_path / "float.json")
+    argv = ["construct", "herm0", "--n", "3", "--level", "c"]
+    assert main(argv + ["-o", exact]) == 0
+    assert main(argv + ["--scalar", "float", "-o", flt]) == 0
+    a, b = tracealg.load_json(exact), tracealg.load_json(flt)
+    assert json.load(open(flt))["scalar"] == "float" and b.backend == "float"
+    assert np.array_equal(b.structure, a.structure.astype(float))
+    assert np.array_equal(b.gram, a.gram.astype(float))
 
 
 def test_construct_validation_survives_optimized_python():

@@ -176,7 +176,9 @@ def test_direct_sum():
 
 @pytest.mark.parametrize("backend", [RATIONAL, FLOAT])
 def test_zero_subspace_is_ideal(backend):
-    A = ta.simplicial(3, backend)
+    A = ta.simplicial(3)
+    if backend == FLOAT:
+        A = ta.as_float(A)
     zero = Subspace(zeros((A.dim, 0), backend))
     assert zero.dim == 0 and A.is_ideal(zero)
     assert A.ideal_closure([zeros(A.dim, backend)]).dim == 0
@@ -322,23 +324,23 @@ def test_decompose_ideals_simple_case():
 
 
 DECOMPOSITIONS = {
-    "lie_so(4)": (lambda b: ta.lie_so(4), "decomposed", [3, 3]),
-    "ealg(2)(x)ealg(2)": (lambda b: tensor_product(ta.simplicial(2, b), ta.simplicial(2, b)),
+    "lie_so(4)": (lambda: ta.lie_so(4), "decomposed", [3, 3]),
+    "ealg(2)(x)ealg(2)": (lambda: tensor_product(ta.simplicial(2), ta.simplicial(2)),
                           "decomposed", [2, 2]),
-    "ealg(3)(+)ealg(3)": (lambda b: direct_sum(ta.simplicial(3, b), ta.simplicial(3, b)),
+    "ealg(3)(+)ealg(3)": (lambda: direct_sum(ta.simplicial(3), ta.simplicial(3)),
                           "decomposed", [3, 3]),
-    "herm0(3,1)(+)ealg(2)": (lambda b: direct_sum(ta.herm0(3, 1), ta.simplicial(2, b)),
+    "herm0(3,1)(+)ealg(2)": (lambda: direct_sum(ta.herm0(3, 1), ta.simplicial(2)),
                              "decomposed", [2, 5]),
-    "ealg(2)(x)ealg(3)": (lambda b: tensor_product(ta.simplicial(2, b), ta.simplicial(3, b)),
+    "ealg(2)(x)ealg(3)": (lambda: tensor_product(ta.simplicial(2), ta.simplicial(3)),
                           "indecomposable", [6]),
-    "ealg(3)": (lambda b: ta.simplicial(3, b), "indecomposable", [3]),
+    "ealg(3)": (lambda: ta.simplicial(3), "indecomposable", [3]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(DECOMPOSITIONS))
 def test_decompose_ideals_verdicts(name):
     build, expected, dims = DECOMPOSITIONS[name]
-    alg = build(RATIONAL)
+    alg = build()
     parts, verdict = ta.decompose_ideals(alg)
     assert verdict == expected
     assert sorted(S.dim for S, _ in parts) == dims
@@ -352,13 +354,13 @@ def test_decompose_ideals_float_path():
     """ealg(3) (+) ealg(3) on floats splits into the same ideals as on
     rationals; the ideal check on each part is exact."""
     build = DECOMPOSITIONS["ealg(3)(+)ealg(3)"][0]
-    exact_parts, _ = ta.decompose_ideals(build(RATIONAL))
-    parts, verdict = ta.decompose_ideals(build(FLOAT))
+    exact_parts, _ = ta.decompose_ideals(build())
+    parts, verdict = ta.decompose_ideals(ta.as_float(build()))
     assert verdict == "decomposed"
     assert [S.dim for S, _ in parts] == [S.dim for S, _ in exact_parts] == [3, 3]
     for (S, _), (X, _) in zip(parts, exact_parts):
         assert np.allclose(S.basis, to_float(X.basis), atol=1e-12)
-        assert build(RATIONAL).is_ideal(X)
+        assert build().is_ideal(X)
 
 
 def test_decompose_ideals_undetermined_without_rational_eigenvalues():
@@ -378,7 +380,7 @@ def test_decompose_ideals_undetermined_without_rational_eigenvalues():
 @pytest.mark.parametrize("name, dim", [("lie_so(4)", 2), ("ealg(3)(+)ealg(3)", 2),
                                        ("ealg(2)(x)ealg(3)", 1)])
 def test_commutant_commutes_with_left_multiplications(name, dim):
-    alg = DECOMPOSITIONS[name][0](RATIONAL)
+    alg = DECOMPOSITIONS[name][0]()
     C = ta.core._commutant(alg, 0)
     assert len(C) == dim
     for T in C:
@@ -399,12 +401,12 @@ def full_commutant_system(alg):
 
 @pytest.mark.parametrize("build", [DECOMPOSITIONS["ealg(3)(+)ealg(3)"][0],
                                    DECOMPOSITIONS["lie_so(4)"][0],
-                                   lambda b: ta.herm0(3, 2)],
+                                   lambda: ta.herm0(3, 2)],
                          ids=["ealg(3)(+)ealg(3)", "lie_so(4)", "herm0(3,2)"])
 def test_commutant_equals_full_system_nullspace(build):
     """Reducing one L(e_i) block at a time gives the exact basis of the
     nullspace of the whole system, entry for entry."""
-    alg = build(RATIONAL)
+    alg = build()
     n = alg.dim
     N = ta.nullspace(full_commutant_system(alg))
     C = ta.core._commutant(alg, 0)
