@@ -6,13 +6,15 @@ import numpy as np
 
 from . import hurwitz
 from .core import (ANTICOMMUTATIVE, COMMUTATIVE, Algebra, MetrizedAlgebra,
-                   tensor_product, unitalization)
+                   deunitalization, direct_sum, tensor_product, unitalization)
 from .hurwitz import hmat_re_tr
 from .linalg import _fractions, eye, to_float, zeros
 
 
 def talg(n, alpha):
     """Permutation-invariant family: e_i e_i = e_i, e_i e_j = alpha (e_i + e_j)."""
+    if n < 1:
+        raise ValueError("talg needs n >= 1")
     s = zeros((n, n, n))
     i, j = np.nonzero(1 - np.eye(n, dtype=int))
     s[i, j, i] = s[i, j, j] = Fraction(alpha)
@@ -127,8 +129,10 @@ def _traceless_jordan(B, n, level):
     return s, t
 
 
-def _matrix_algebra(s, g, symmetry, name, mats):
-    out = MetrizedAlgebra(s, g, symmetry, name=name)
+def _matrix_algebra(N, D, g, symmetry, name, mats):
+    """The metrized algebra of structure N / D and Gram matrix g on the
+    integer basis stack mats."""
+    out = MetrizedAlgebra._from_numerators(N, D, g, symmetry, name=name)
     out.matrices = _fractions(mats, 1)
     return out
 
@@ -136,11 +140,13 @@ def _matrix_algebra(s, g, symmetry, name, mats):
 def herm_jordan(n, level):
     """Hermitian matrix Jordan algebra x * y = (xy + yx)/2 with
     h(x, y) = re tr(xy) / n; exact rational."""
+    if n < 1:
+        raise ValueError("herm needs n >= 1")
     if level == 8 and n != 3:
         raise ValueError("octonionic Hermitian matrices only at size 3")
     B = _herm_basis(n, level)
     J, t = _jordan_table(B, level)
-    out = _matrix_algebra(_fractions(_herm_coords(J, n, level), 2), _fractions(t, 2 * n),
+    out = _matrix_algebra(_herm_coords(J, n, level), 2, _fractions(t, 2 * n),
                           COMMUTATIVE, "herm(%d,%d)" % (n, level), B)
     out.msize = n
     out.level = level
@@ -150,11 +156,13 @@ def herm_jordan(n, level):
 def herm0(n, level):
     """Traceless Hermitian matrices, x y = x * y - tr(x * y) I / n,
     h(x, y) = re tr(xy) / n; exact rational."""
+    if n < 2:
+        raise ValueError("herm0 needs n >= 2")
     if level == 8 and n != 3:
         raise ValueError("octonionic Hermitian matrices only at size 3")
     B = _herm_basis(n, level, traceless=True)
     s, g = _traceless_jordan(B, n, level)
-    out = _matrix_algebra(_fractions(s, 2 * n), _fractions(g, 2 * n), COMMUTATIVE,
+    out = _matrix_algebra(s, 2 * n, _fractions(g, 2 * n), COMMUTATIVE,
                           "herm0(%d,%d)" % (n, level), B)
     out.msize = n
     out.level = level
@@ -187,9 +195,9 @@ def algebra_from_matrix_basis(mats, mul, coords, name=""):
     coords reads the integer coordinates off a stack of matrices.
     """
     P = mul(mats[:, None], mats[None])
-    s = _fractions(coords(P - np.swapaxes(P, 0, 1)), 1)
-    g = Algebra(s, ANTICOMMUTATIVE, name=name).killing_form().gram
-    return _matrix_algebra(s, g, ANTICOMMUTATIVE, name, mats)
+    s = coords(P - np.swapaxes(P, 0, 1))
+    g = Algebra._from_numerators(s, 1, ANTICOMMUTATIVE).killing_form().gram
+    return _matrix_algebra(s, 1, g, ANTICOMMUTATIVE, name, mats)
 
 
 def lie_so(n):
@@ -254,7 +262,7 @@ def su_circle(n):
     # the traceless Jordan product of two skew-Hermitian basis matrices is
     # Hermitian; j/2 of it has the su coordinates -(its herm0 coordinates)
     s, g = _traceless_jordan(mats, n, 2)
-    return _matrix_algebra(_fractions(-s, 2 * n), _fractions(-g, 2 * n), COMMUTATIVE,
+    return _matrix_algebra(-s, 2 * n, _fractions(-g, 2 * n), COMMUTATIVE,
                            "su-circle(%d)" % n, mats)
 
 
@@ -368,36 +376,33 @@ def confext_idempotent_data(n, e_norm2):
     return s_minus, s_plus, phi(s_minus), phi(s_plus)
 
 
+# family: (builder, the options it needs, in argument order); builders are
+# looked up by name at call time, so a wrapper installed over one is seen
+FAMILIES = {
+    "talg": ("talg", ("n", "alpha")),
+    "ealg": ("simplicial", ("n",)),
+    "herm": ("herm_jordan", ("n", "level")),
+    "herm0": ("herm0", ("n", "level")),
+    "su-circle": ("su_circle", ("n",)),
+    "lie-so": ("lie_so", ("n",)),
+    "lie-su": ("lie_su", ("n",)),
+    "triple": ("triple", ("base",)),
+    "nahm": ("nahm", ("base",)),
+    "tensor": ("tensor_product", ("base", "base2")),
+    "dsum": ("direct_sum", ("base", "base2")),
+    "unitalize": ("unitalization", ("base",)),
+    "deunitalize": ("deunitalization", ("base",)),
+    "confext": ("conformal_extension", ("base",)),
+}
+
+
 def build_by_name(name, **kw):
-    """CLI-facing dispatch over the catalogue names."""
-    if name == "talg":
-        return talg(kw["n"], kw["alpha"])
-    if name == "ealg":
-        return simplicial(kw["n"])
-    if name == "herm":
-        return herm_jordan(kw["n"], kw["level"])
-    if name == "herm0":
-        return herm0(kw["n"], kw["level"])
-    if name == "su-circle":
-        return su_circle(kw["n"])
-    if name == "lie-so":
-        return lie_so(kw["n"])
-    if name == "lie-su":
-        return lie_su(kw["n"])
-    if name == "triple":
-        return triple(kw["base"])
-    if name == "nahm":
-        return nahm(kw["base"])
-    if name == "tensor":
-        return tensor_product(kw["base"], kw["base2"])
-    if name == "dsum":
-        from .core import direct_sum
-        return direct_sum(kw["base"], kw["base2"])
-    if name == "unitalize":
-        return unitalization(kw["base"])
-    if name == "deunitalize":
-        from .core import deunitalization
-        return deunitalization(kw["base"])
-    if name == "confext":
-        return conformal_extension(kw["base"])
-    raise ValueError("unknown construction: %s" % name)
+    """CLI-facing dispatch over the catalogue names; a missing option
+    raises ValueError naming it."""
+    if name not in FAMILIES:
+        raise ValueError("unknown construction: %s" % name)
+    builder, options = FAMILIES[name]
+    missing = ["--" + o for o in options if kw.get(o) is None]
+    if missing:
+        raise ValueError("%s needs %s" % (name, " and ".join(missing)))
+    return globals()[builder](*(kw[o] for o in options))

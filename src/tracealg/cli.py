@@ -3,6 +3,7 @@
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 """
 import argparse
+import functools
 import json
 import sys
 
@@ -64,7 +65,7 @@ def cmd_construct(args):
             alg = core.as_float(alg)
         elif args.scalar and alg.backend != args.scalar:
             raise ValueError("%s builds a float algebra; it has no exact form" % args.family)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     doc = core.to_json(alg)
@@ -165,7 +166,11 @@ def cmd_check(args):
     return 0 if all(rep["verdict"] for rep in reports.values()) else 1
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built once.  It names each command, and main
+    looks up the module's cmd_<name> at call time, so a wrapper installed
+    over a command function is the one that runs."""
     p = argparse.ArgumentParser(prog="tracealg")
     sub = p.add_subparsers(dest="cmd", required=True)
 
@@ -178,27 +183,21 @@ def main(argv=None):
     pc.add_argument("--base")
     pc.add_argument("--base2")
     pc.add_argument("-o", "--out")
-    pc.set_defaults(func=cmd_construct)
 
     pr = sub.add_parser("report", help="run a verification suite")
     pr.add_argument("--in", dest="infile", required=True)
     pr.add_argument("--suite", choices=SUITES, required=True)
-    pr.set_defaults(func=cmd_report)
 
     pi = sub.add_parser("idempotents", help="numeric idempotent search")
-    pi.set_defaults(func=cmd_idempotents)
     pi.add_argument("--in", dest="infile", required=True)
 
     ps = sub.add_parser("sect", help="estimate sectional value range")
-    ps.set_defaults(func=cmd_sect)
     ps.add_argument("--in", dest="infile", required=True)
 
     pd = sub.add_parser("decompose", help="certified ideal decomposition")
-    pd.set_defaults(func=cmd_decompose)
     pd.add_argument("--in", dest="infile", required=True)
 
     pk = sub.add_parser("check", help="basic verification battery")
-    pk.set_defaults(func=cmd_check)
     pk.add_argument("--in", dest="infile", required=True)
 
     for q in (pr, pi, ps, pd, pk):
@@ -208,10 +207,13 @@ def main(argv=None):
     # report and check run no search; decompose ignores --trials but accepts it
     for q in (pi, ps, pd):
         q.add_argument("--trials", type=int, default=200)
+    return p
 
-    args = p.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.cmd](args)
     except FileNotFoundError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

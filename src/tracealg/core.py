@@ -14,27 +14,43 @@ import numpy as np
 
 from . import linalg
 from .linalg import (EPS0, FLOAT, RATIONAL, SymBilinearForm, Subspace, _contract,
-                     _fractions, _is_zero, _numerators, _residual, as_backend,
-                     backend_of, is_zero, max_abs, zeros)
+                     _fractions, _is_zero, _lowest_terms, _matmul, _numerators,
+                     _residual, as_backend, backend_of, is_zero, max_abs, zeros)
 
 COMMUTATIVE = "commutative"
 ANTICOMMUTATIVE = "anticommutative"
 
 
+class _Numerators(tuple):
+    """(N, D), standing in Algebra.__init__ for the structure tensor N / D."""
+
+
 class Algebra:
     def __init__(self, structure, symmetry=COMMUTATIVE, name=""):
-        self.structure = m = as_backend(structure, backend_of(structure))
+        if isinstance(structure, _Numerators):
+            self._N, self._D = _lowest_terms(*structure)            # m == N / D
+            m = _fractions(self._N, self._D)
+        else:
+            m = as_backend(structure, backend_of(structure))
+            self._N, self._D = _numerators(m)
+        self.structure = m
         self.symmetry = symmetry
         self.name = name
         if m.ndim != 3 or not m.shape[0] == m.shape[1] == m.shape[2]:
             raise ValueError("structure tensor of shape %s is not n x n x n" % (m.shape,))
         if symmetry not in (COMMUTATIVE, ANTICOMMUTATIVE):
             raise ValueError("unknown symmetry %r" % (symmetry,))
-        self._N, self._D = _numerators(m)                        # m == N / D
         N = self._N
         sign = 1 if symmetry == COMMUTATIVE else -1
         if not np.all(_is_zero(N - sign * np.swapaxes(N, 0, 1), EPS0, lambda: max_abs(N))):
             raise ValueError("structure tensor is not %s" % symmetry)
+
+    @classmethod
+    def _from_numerators(cls, N, D, *args, **kwargs):
+        """cls(N / D, *args, **kwargs) for a structure tensor of integer
+        numerators N over D, without making Fractions of N / D only to read
+        their numerators back; the symmetry check still runs on N."""
+        return cls(_Numerators((N, D)), *args, **kwargs)
 
     @property
     def backend(self):
@@ -121,8 +137,13 @@ class Algebra:
         return form.apply(self.multiply(x, x), x) / 6
 
     def _products(self, S):
-        """The products e_i s_j (s_j outer, e_i inner) with the rows of S, as rows."""
-        P = np.tensordot(self.structure, S.rows, axes=(1, 1))      # [i,k,j]
+        """The products e_i s_j (s_j outer, e_i inner) with the rows of S, as
+        rows: integer numerators over one common denominator on an exact
+        algebra, which is all a containment test needs."""
+        R, _ = _numerators(S.rows)
+        # each entry sums n products
+        P = _contract(lambda m, r: np.tensordot(m, r, axes=(1, 1)),
+                      self.dim, self._N, R)                        # [i,k,j]
         return np.transpose(P, (2, 0, 1)).reshape(-1, self.dim)
 
     def is_ideal(self, S, tol=EPS0):
@@ -134,7 +155,7 @@ class Algebra:
             outside = S._outside(self._products(S), tol)
             if not len(outside):
                 return S
-            S = Subspace(np.vstack([S.rows, outside]).T, tol)
+            S = Subspace(np.vstack([S.rows, _fractions(outside, 1)]).T, tol)
 
     def find_unit(self, tol=EPS0):
         """Solve L(e) = Id if possible, else return None.
@@ -260,17 +281,25 @@ def retraction(alg, basis, scale=None):
 
     Products: pi(x) pi(y) projected back; metric: restricted Gram, times
     scale if given.  Returns a MetrizedAlgebra in the basis coordinates.
+    Exact algebras compute it on integer numerators.
     """
     B = as_backend(basis, alg.backend)
     n, k = B.shape
-    G = alg.gram if scale is None else scale * alg.gram
-    BG = B.T @ G
-    M = BG @ B
-    P = np.tensordot(B, np.tensordot(B, alg.structure, axes=(0, 1)), axes=(0, 1))
-    # P[i,j] = B[:,i] B[:,j]; one multi-column solve gives all coordinates
-    coords = linalg.solve(M, BG @ P.reshape(k * k, n).T)
-    s = coords.T.reshape(k, k, k)
-    out = MetrizedAlgebra(s, M, alg.symmetry)
+    X, DB = _numerators(B)
+    G, DG = _numerators(alg.gram if scale is None else scale * alg.gram)
+    # B^T G and (B^T G) B sum n products per entry
+    BG = _contract(lambda b, g: b.T @ g, n, X, G)                  # over DB DG
+    M = _contract(np.matmul, n, BG, X)                             # over DB^2 DG
+    # P[i,j] = B[:,i] B[:,j] sums n^2 products, BG P n products of BG and P
+    P = _contract(lambda b, c, m: np.tensordot(b, np.tensordot(c, m, axes=(0, 1)),
+                                               axes=(0, 1)),
+                  n * n, X, X, alg._N)                             # over DB^2 D
+    rhs = _contract(lambda bg, p: bg @ p.reshape(k * k, n).T, n, BG, P)
+    # one multi-column solve gives all coordinates: with M^-1 rhs = C / E,
+    # they are C / (E DB D), as rhs lies over DB D times M's denominator
+    C, E = linalg._solve_numerators(M, rhs)
+    out = MetrizedAlgebra._from_numerators(C.T.reshape(k, k, k), E * DB * alg._D,
+                                           _fractions(M, DB ** 2 * DG), alg.symmetry)
     out.embedding = B
     return out
 
@@ -326,29 +355,45 @@ def voa_kappa(c, n):
     return (-5 * c ** 2 + 88 * (n - 2) - 2 * c * (n + 20)) / (4 * (5 * c + 22))
 
 
+# new rows per elimination pass of _commutant: one sweep over the columns
+# serves several blocks; at dim 26 a pass takes six, 26 MB of int64 rows
+_COMMUTANT_ROWS = 4096
+
+
 def _commutant(alg, tol):
     """Basis of {T : T L(e_i) = L(e_i) T for all i}, as n x n matrices.
 
     This is the centroid (Schafer, An Introduction to Nonassociative
     Algebras, ch. II): its idempotents are the projections of the
-    direct-sum decompositions into ideals.
+    direct-sum decompositions into ideals.  Exact algebras build the
+    equations from the numerators N of m; all of them share the one
+    denominator, so the kernel is the same.
     """
     n = alg.dim
-    L = alg.structure.transpose(0, 2, 1)                           # L[i] = L(e_i)
+    N = alg._N
+    exact = alg.backend == RATIONAL
+    L = N.transpose(0, 2, 1)                                       # L[i] = D L(e_i)
     d = np.arange(n)
-    R = zeros((0, n * n), alg.backend)
-    for i in range(n):
-        # M[a,c,p,q] is the coefficient of T[p,q] in (T L_i - L_i T)[a,c],
+    # reducing a few blocks at a time keeps at most n^2 independent rows plus
+    # about _COMMUTANT_ROWS new ones, not the whole n^3 x n^2 system; each
+    # pass is one sweep over the columns.  Exact rows stay integers throughout.
+    step = max(1, _COMMUTANT_ROWS // (n * n))
+    R, pivots = np.zeros((0, n * n), N.dtype), []
+    for start in range(0, n, step):
+        block = range(start, min(start + step, n))
+        rows = np.zeros((len(R) + len(block) * n * n, n * n), np.result_type(R, N))
+        rows[:len(R)] = R
+        M = rows[len(R):].reshape(len(block), n, n, n, n)
+        # M[i,a,c,p,q] is the coefficient of T[p,q] in (T L_i - L_i T)[a,c],
         # that is [p == a] L_i[q,c] - L_i[a,p] [q == c]; the two identity
         # factors become index-diagonal assignments, not n^4 multiplications
-        M = zeros((n,) * 4, alg.backend)
-        M[d, :, d, :] = alg.structure[i]                           # [a,c,q]
-        M[:, d, :, d] -= L[i]                                      # [c,a,p]
-        # reducing one block at a time keeps at most n^2 independent rows,
-        # not the whole n^3 x n^2 system
-        R, pivots = linalg._reduce_rows(np.vstack([R, M.reshape(n * n, n * n)]), tol)
-    N = linalg._kernel(R, pivots)
-    return [N[:, j].reshape(n, n) for j in range(N.shape[1])]
+        M[:, d, :, d, :] = N[block]                                # [a,i,c,q]
+        M[:, :, d, :, d] -= L[block]                               # [c,i,a,p]
+        R, pivots = (linalg._reduce_integer_rows(rows) if exact
+                     else linalg._reduce_rows(rows, tol))
+        R = R.copy()                    # not a view holding on to all the rows
+    K = linalg._kernel(linalg._rref(R, pivots) if exact else R, pivots)
+    return [K[:, j].reshape(n, n) for j in range(K.shape[1])]
 
 
 def _certified_split(alg, commutant, tol):
@@ -369,7 +414,8 @@ def _certified_split(alg, commutant, tol):
             S = Subspace(linalg.nullspace(T - lam * I, tol), tol)
             if not 0 < S.dim < n:
                 continue
-            if not SymBilinearForm(S.rows @ alg.gram @ S.basis).is_nondegenerate():
+            restricted = _matmul(_matmul(S.rows, alg.gram), S.basis)
+            if not SymBilinearForm(restricted).is_nondegenerate():
                 continue
             comp = linalg.orthogonal_complement(S, alg.form, tol)
             if alg.is_ideal(S, tol) and alg.is_ideal(comp, tol):
@@ -392,7 +438,8 @@ def decompose_ideals(alg, tol=EPS0):
         if pieces is None:
             return [(Subspace(embed, tol), sub_alg)], len(C)
         parts = [part for piece in pieces
-                 for part in recurse(retraction(sub_alg, piece.basis), embed @ piece.basis)[0]]
+                 for part in recurse(retraction(sub_alg, piece.basis),
+                                     _matmul(embed, piece.basis))[0]]
         return parts, len(C)
 
     parts, commutant_dim = recurse(alg, linalg.eye(alg.dim, alg.backend))
@@ -407,7 +454,7 @@ def to_json(alg, name=None):
     n = alg.dim
     # rows i <= j (i < j when anticommutative) of the nonzero entries
     upper = np.triu(np.ones((n, n), dtype=bool), int(alg.symmetry == ANTICOMMUTATIVE))
-    rows = np.argwhere(upper[:, :, None] & ~_is_zero(alg.structure, 0)).tolist()
+    rows = np.argwhere(upper[:, :, None] & (alg._N != 0)).tolist()
     doc = {
         "name": name if name is not None else alg.name,
         "dim": n,

@@ -7,9 +7,11 @@ read the kind from their input; only builders that start from nothing
 module is deterministic: echelon pivots are the first nonzero entry, with
 the largest-magnitude entry chosen on floats.
 
-There is one elimination routine, _reduce_rows.  Solves, nullspaces and
-subspaces all go through it, and a Subspace is stored in the reduced row
-echelon form it returns, which is canonical for exact subspaces.
+There is one elimination routine for each kind of scalar: exact rows are
+reduced fraction-free, as integers (_reduce_integer_rows), float rows by
+_reduce_rows.  Solves, nullspaces and subspaces all go through them, and a
+Subspace is stored in the reduced row echelon form _reduce_rows returns,
+which is canonical for exact subspaces.
 
 Exact contractions do not multiply Fractions.  They run on integer
 numerators N over one common denominator D (_numerators), in a dtype that
@@ -28,6 +30,8 @@ FLOAT = "float"
 EPS0 = 1e-9      # default zero test
 EPS_RANK = 1e-8  # default rank / inertia threshold
 EPS_DEDUP = 1e-6  # default deduplication radius for numeric searches
+
+_ZERO = Fraction(0)
 
 
 def zeros(shape, backend=RATIONAL):
@@ -111,10 +115,28 @@ def _numerators(a):
     else:
         flat = a.ravel().tolist()
         D = math.lcm(*{x.denominator for x in flat})
-        nums = [x.numerator * (D // x.denominator) for x in flat]
-        small = max(map(abs, nums), default=0) < _INT64_LIMIT
-        N = np.array(nums, dtype=np.int64 if small else object).reshape(a.shape)
+        N = _integers([x.numerator * (D // x.denominator) for x in flat], a.shape)
     return (N.item() if N.ndim == 0 else N), D
+
+
+def _integers(nums, shape):
+    """The Python ints nums as an array of the given shape: int64 when
+    every |x| < 2**62, an object array otherwise."""
+    small = max(map(abs, nums), default=0) < _INT64_LIMIT
+    return np.array(nums, dtype=np.int64 if small else object).reshape(shape)
+
+
+def _lowest_terms(N, D):
+    """(N / g, D / g) for g the gcd of D and every entry of integer N, N in
+    the dtype _numerators gives it.  Of integer numerators over any common
+    denominator, this makes the pair _numerators returns for N / D.  Float
+    N comes back as it is."""
+    N = np.asarray(N)
+    if N.dtype.kind == "f":
+        return N, D
+    g = math.gcd(D, int(np.gcd.reduce(N, axis=None)))
+    N = N // g
+    return N.astype(np.int64 if max_abs(N) < _INT64_LIMIT else object), D // g
 
 
 def _fractions(N, D):
@@ -126,7 +148,7 @@ def _fractions(N, D):
     if N.ndim == 0:
         return Fraction(N.item(), D)
     out = np.empty(N.shape, dtype=object)
-    out.reshape(-1)[:] = [Fraction(p, D) for p in N.ravel().tolist()]
+    out.reshape(-1)[:] = [_ZERO if p == 0 else Fraction(p, D) for p in N.ravel().tolist()]
     return out
 
 
@@ -152,6 +174,14 @@ def _contract(fn, terms, *operands):
         dtype = np.int64 if bound < _INT64_LIMIT else object
         out = fn(*(a.astype(dtype, copy=False) for a in arrays))
     return np.asarray(out).item() if np.ndim(out) == 0 else out
+
+
+def _matmul(A, B):
+    """A @ B, of exact matrices as one contraction of integer numerators:
+    only the product's entries become Fractions."""
+    (X, DA), (Y, DB) = _numerators(A), _numerators(B)
+    # each entry sums A.shape[-1] products
+    return _fractions(_contract(np.matmul, A.shape[-1], X, Y), DA * DB)
 
 
 def _residual(X, DX, Y, DY, c=1):
@@ -203,11 +233,29 @@ def solve(A, b):
     if backend_of(A) == FLOAT:
         return np.linalg.solve(to_float(A), to_float(b))
     n = len(A)
+    if np.shape(A) != (n, n):
+        raise np.linalg.LinAlgError("A of shape %s is not square" % (np.shape(A),))
     b = np.asarray(b)
-    R, pivots = _reduce_rows(as_backend(np.column_stack([A, b]), RATIONAL))
+    S = _row_numerators(as_backend(np.column_stack([A, b]), RATIONAL))
+    X = _fractions(*_solve_numerators(S[:, :n], S[:, n:]))
+    return X[:, 0] if b.ndim == 1 else X
+
+
+def _solve_numerators(A, B):
+    """(X, E) with A X = E B: the solution X / E of a square system of
+    integer numerators, reduced once as [A | B]; float A and B are solved
+    by numpy, with E = 1.  A singular A raises LinAlgError."""
+    if A.dtype.kind == "f":
+        return np.linalg.solve(A, B), 1
+    n = len(A)
+    R, pivots = _reduce_integer_rows(np.hstack([A, B]))
     if pivots[:n] != list(range(n)):
         raise np.linalg.LinAlgError("singular rational system")
-    return R[:, n] if b.ndim == 1 else R[:, n:]
+    p = [int(x) for x in R[range(n), range(n)]]
+    E = math.lcm(*p)
+    # one product per entry
+    return _contract(lambda r, c: r * c[:, None], 1, R[:, n:],
+                     _integers([E // x for x in p], (n,))), E
 
 
 def inv(A):
@@ -333,16 +381,21 @@ def _reduce_rows(M, tol=EPS0):
     """Reduced row echelon form of M: (the nonzero rows, their pivot columns).
 
     Each pivot column holds a leading 1 in its row and exactly 0 in every
-    other row.  Exact pivots are the first nonzero entry of a column; float
-    pivots the largest one above tol times the largest |entry| of M.  The
-    tolerance only chooses pivots: every row with a nonzero entry in a pivot
-    column is eliminated, since the normalised pivot rows no longer share
-    the scale of M.
+    other row.  Exact M is reduced without Fractions: each row is scaled to
+    integers by the lcm of its denominators, which leaves the reduced form
+    as it is, then _reduce_integer_rows runs, and the rows become Fractions
+    once, at the end (_rref).  Float pivots are the largest entry above tol
+    times the largest |entry| of M.  The tolerance only chooses pivots:
+    every row with a nonzero entry in a pivot column is eliminated, since
+    the normalised pivot rows no longer share the scale of M.  Integer M is
+    reduced as floats.
     """
-    exact = backend_of(M) == RATIONAL
-    M = np.array(M, dtype=object if exact else float)     # a copy; integers reduce as floats
+    if backend_of(M) == RATIONAL:
+        R, pivots = _reduce_integer_rows(_row_numerators(np.asarray(M)))
+        return _rref(R, pivots), pivots
+    M = np.array(M, dtype=float)                      # a copy
     m, n = M.shape
-    bound = 0 if exact else tol * max(1.0, max_abs(M))
+    bound = tol * max(1.0, max_abs(M))
     pivots = []
     for col in range(n):
         row = len(pivots)
@@ -353,7 +406,7 @@ def _reduce_rows(M, tol=EPS0):
         live = live[~_is_zero(M[live, col], bound)]
         if not live.size:
             continue
-        piv = live[0] if exact else live[np.argmax(np.abs(M[live, col]))]
+        piv = live[np.argmax(np.abs(M[live, col]))]
         if piv != row:
             M[[row, piv]] = M[[piv, row]]
             nonzero[[row, piv]] = nonzero[[piv, row]]
@@ -366,6 +419,82 @@ def _reduce_rows(M, tol=EPS0):
                 M[i, support] = M[i, support] - M[i, col] * M[row, support]
         pivots.append(col)
     return M[:len(pivots)], pivots
+
+
+def _row_numerators(M):
+    """Each row of an exact matrix times the lcm of its denominators, as
+    integers (int64 or Python ints, as _integers decides)."""
+    nums = []
+    for row in M.tolist():
+        D = math.lcm(*(x.denominator for x in row))
+        nums += [x.numerator * (D // x.denominator) for x in row]
+    return _integers(nums, M.shape)
+
+
+def _reduce_integer_rows(M):
+    """Fraction-free Gauss-Jordan elimination of an integer matrix, int64 or
+    an object array of Python ints, which it overwrites: (rows, pivots),
+    the integer rows spanning the row space of M.
+
+    Each pivot column is nonzero in its own row only, and row i divided by
+    its entry in column pivots[i] is row i of the reduced row echelon form
+    (_rref).  Pivots are the first nonzero entry of a column.  A pivot row
+    is divided by its content (the gcd of its entries); every other row
+    with c != 0 in the pivot column becomes p * row - c * (pivot row), with
+    p the pivot, divided by its content, so entries stay small (Bareiss,
+    Math. Comp. 22, 1968, divides by the previous pivot instead).  A step
+    runs on int64 when its bound |p| max|rows| + max|c| max|pivot row| is
+    below 2**62, on Python ints otherwise.  Zero rows sink and are dropped.
+    """
+    m, n = M.shape
+    pivots = []
+    for col in range(n):
+        row = len(pivots)
+        if row == m:
+            break
+        nonzero = np.flatnonzero(M[:, col] != 0)
+        live = nonzero[nonzero >= row]
+        if not live.size:
+            continue
+        piv = live[0]
+        others = nonzero[nonzero != piv]
+        if piv != row:                  # row has a 0 in col: it is not in others
+            M[[row, piv]] = M[[piv, row]]
+        P = M[row] // np.gcd.reduce(M[row])
+        M[row] = P
+        if others.size:
+            # only the pivot row's nonzeros change the other rows; sparse
+            # systems such as the commutant equations stay cheap
+            support = np.flatnonzero(P)
+            P = P[support]
+            C, c = M[others], M[others, col]
+            p = int(P[support.searchsorted(col)])
+            # int64 entries here are below 2**63 in magnitude (inputs below
+            # 2**62, or differences of two such), so np.abs cannot wrap
+            bound = (abs(p) * int(np.abs(C).max())
+                     + int(np.abs(c).max()) * int(np.abs(P).max()))
+            dtype = np.int64 if bound < _INT64_LIMIT else object
+            if dtype is object and M.dtype != object:
+                M = M.astype(object)
+            C = C.astype(dtype, copy=False)
+            C *= p
+            C[:, support] -= c.astype(dtype)[:, None] * P.astype(dtype)
+            g = np.gcd.reduce(C, axis=1)
+            g[g == 0] = 1
+            C //= g[:, None]
+            M[others] = C
+        pivots.append(col)
+    return M[:len(pivots)], pivots
+
+
+def _rref(R, pivots):
+    """The reduced row echelon form, as Fractions, of the integer rows and
+    pivots of _reduce_integer_rows: row i divided by R[i, pivots[i]]."""
+    out = np.empty(R.shape, dtype=object)
+    for i, (row, p) in enumerate(zip(R.tolist(), pivots)):
+        d = row[p]
+        out[i] = [_ZERO if x == 0 else Fraction(x, d) for x in row]
+    return out
 
 
 def _kernel(R, pivots):
@@ -423,11 +552,20 @@ class Subspace:
         return self.rows.shape[0]
 
     def _outside(self, V, tol):
-        """The nonzero residuals v - v[p] @ R of the rows v of V, one for
-        each row outside the subspace.  Floats are zero-tested at the scale
-        of the largest entry of V."""
-        r = V - V[:, self.pivots] @ self.rows
-        return r[~np.all(_is_zero(r, tol, lambda: max_abs(V)), axis=1)]
+        """The residuals v - v[p] @ R of the rows v of V that lie outside
+        the subspace, each up to a positive factor.  Exact rows (Fractions,
+        or integer numerators over any common denominator) are tested on
+        integers; floats are zero-tested at the scale of the largest entry
+        of V."""
+        if self.backend == FLOAT or V.dtype.kind == "f":
+            r = V - V[:, self.pivots] @ self.rows
+            return r[~np.all(_is_zero(r, tol, lambda: max_abs(V)), axis=1)]
+        X = V if V.dtype.kind in "iu" else _numerators(V)[0]
+        R, DR = _numerators(self.rows)
+        # an entry sums dim products of X and R, and one of X and DR
+        r = _contract(lambda x, rows, d: d * x - x[:, self.pivots] @ rows,
+                      self.dim + 1, X, R, DR)
+        return r[np.any(r != 0, axis=1)]
 
     def contains(self, V, tol=None):
         """True when the vector V, or every row of the stack V, lies in the
@@ -445,7 +583,7 @@ class Subspace:
 
 def orthogonal_complement(S, form, tol=EPS0):
     """Orthogonal complement of a subspace w.r.t. a nondegenerate form."""
-    comp = Subspace(nullspace(S.rows @ form.gram, tol), tol)
+    comp = Subspace(nullspace(_matmul(S.rows, form.gram), tol), tol)
     if comp.dim != S.ambient_dim - S.dim:
         raise ValueError("form degenerate on this configuration")
     return comp

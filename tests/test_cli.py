@@ -217,6 +217,13 @@ CONSTRUCT_ARGS = {
     "alpha-decimal": (["talg", "--n", "3", "--alpha", "0.5"], 0),
     "alpha-zero-denominator": (["talg", "--n", "3", "--alpha", "1/0"], 2),
     "ealg-n1": (["ealg", "--n", "1"], 2),
+    # no 0-dimensional algebras: herm0 needs n >= 2, herm and talg n >= 1
+    "herm0-n1": (["herm0", "--n", "1", "--level", "r"], 2),
+    "herm0-n2": (["herm0", "--n", "2", "--level", "r"], 0),
+    "herm-n0": (["herm", "--n", "0", "--level", "c"], 2),
+    "herm-n1": (["herm", "--n", "1", "--level", "c"], 0),
+    "talg-n0": (["talg", "--n", "0", "--alpha", "1"], 2),
+    "talg-n1": (["talg", "--n", "1", "--alpha", "1"], 0),
 }
 
 
@@ -231,6 +238,41 @@ def test_construct_exit_codes(tmp_path, capsys, case):
         assert not os.path.exists(out)
     else:
         assert err == ""
+
+
+# each family run without an option it needs, and the option to name
+MISSING_OPTIONS = [
+    (["talg", "--n", "3"], "--alpha"), (["talg", "--alpha", "1"], "--n"),
+    (["ealg"], "--n"), (["herm", "--level", "c"], "--n"), (["herm", "--n", "3"], "--level"),
+    (["herm0", "--level", "r"], "--n"), (["herm0", "--n", "3"], "--level"),
+    (["su-circle"], "--n"), (["lie-so"], "--n"), (["lie-su"], "--n"),
+    (["triple"], "--base"), (["nahm"], "--base"), (["unitalize"], "--base"),
+    (["deunitalize"], "--base"), (["confext"], "--base"),
+    (["dsum"], "--base and --base2"), (["tensor"], "--base and --base2"),
+    (["dsum", "--base", "@e2"], "--base2"), (["tensor", "--base", "@e2"], "--base2"),
+]
+
+
+@pytest.mark.parametrize("argv, option", MISSING_OPTIONS,
+                         ids=["%s-%s" % (a[0], o.replace(" and ", "").replace("--", "-")[1:])
+                              for a, o in MISSING_OPTIONS])
+def test_construct_names_the_missing_option(tmp_path, capsys, argv, option):
+    base = str(tmp_path / "e2.json")
+    main(["construct", "ealg", "--n", "2", "-o", base])
+    capsys.readouterr()
+    argv = [base if a == "@e2" else a for a in argv]
+    assert exit_code(["construct"] + argv + ["-o", str(tmp_path / "out.json")]) == 2
+    assert capsys.readouterr().err == "error: %s needs %s\n" % (argv[0], option)
+
+
+def test_main_dispatches_through_the_module_at_call_time(tmp_path, capsys, monkeypatch):
+    """The parser is built once; a command function replaced after that
+    (as a tracer does) is the one main runs."""
+    main(["construct", "ealg", "--n", "2", "-o", str(tmp_path / "e2.json")])
+    calls = []
+    monkeypatch.setattr(tracealg.cli, "cmd_construct", lambda args: calls.append(args) or 0)
+    assert main(["construct", "ealg", "--n", "2"]) == 0
+    assert [a.family for a in calls] == ["ealg"]
 
 
 def test_confext_is_float_and_refuses_scalar_rational(tmp_path, capsys):

@@ -18,9 +18,10 @@ from tracealg.core import (Algebra, MetrizedAlgebra, deunitalization,
                            intrinsic_unitalization, retraction, tensor_product,
                            to_json, unitalization, verify_homomorphism, voa_kappa)
 from tracealg.hurwitz import LEVELS, hmat_commutator, hmat_jordan, hmat_mul
-from tracealg.linalg import (FLOAT, RATIONAL, SymBilinearForm, Subspace, eye, inv,
-                             inertia, max_abs, rational_eigenvalues, solve,
+from tracealg.linalg import (FLOAT, RATIONAL, SymBilinearForm, Subspace, _reduce_rows,
+                             eye, inv, inertia, max_abs, rational_eigenvalues, solve,
                              to_float, zeros)
+from test_linalg import ref_nullspace, ref_reduce_rows
 
 F = Fraction
 
@@ -404,11 +405,12 @@ def full_commutant_system(alg):
                                    lambda: ta.herm0(3, 2)],
                          ids=["ealg(3)(+)ealg(3)", "lie_so(4)", "herm0(3,2)"])
 def test_commutant_equals_full_system_nullspace(build):
-    """Reducing one L(e_i) block at a time gives the exact basis of the
-    nullspace of the whole system, entry for entry."""
+    """Reducing a few L(e_i) blocks at a time, on integers, gives the exact
+    basis of the nullspace of the whole system, as Gauss-Jordan on its
+    Fractions finds it, entry for entry."""
     alg = build()
     n = alg.dim
-    N = ta.nullspace(full_commutant_system(alg))
+    N = ref_nullspace(full_commutant_system(alg))
     C = ta.core._commutant(alg, 0)
     assert len(C) == N.shape[1] >= 1
     for j, T in enumerate(C):
@@ -771,15 +773,22 @@ def test_python_int_path_equals_fraction_contractions():
     # the numerators fit in int64, but a product of two does not
     assert A._N.dtype == np.int64 and int(np.max(np.abs(A._N))) ** 2 > 2 ** 70
     assert_equals_fraction_kernel(A)
+    # retraction's contractions and elimination take the Python-int path too
+    for B in retraction_bases(random.Random(2), A):
+        R = retraction(A, B)
+        s, M = ref_retraction(A, B)
+        assert np.array_equal(R.structure, s) and np.array_equal(R.gram, M)
 
 
 @pytest.mark.parametrize("make", [lambda: random_metrized(random.Random(3), 4),
                                   big_coprime_algebra], ids=["int64", "python-int"])
 def test_exact_contractions_run_without_fraction_arithmetic(make, monkeypatch):
-    """The trace forms, invariance, associator and the projective check
-    create Fractions for their results only; no Fraction operator runs."""
+    """The trace forms, invariance, associator, the projective check, exact
+    elimination, the ideal tests and retraction create Fractions for their
+    results only; no Fraction operator runs."""
     A = make()
     G = A.gram.copy()
+    B = retraction_bases(random.Random(1), A)[1]
 
     def forbidden(*args):
         raise AssertionError("Fraction arithmetic inside an exact contraction")
@@ -797,6 +806,12 @@ def test_exact_contractions_run_without_fraction_arithmetic(make, monkeypatch):
     A.associator_tensor()
     is_projectively_associative(A)
     constant_sect_check(A, kappa=F(1, 3))
+    # exact elimination, ideal tests and retraction run on integers too
+    _reduce_rows(A.structure.reshape(A.dim, -1))
+    solve(A.gram, A.structure[0])
+    S = A.ideal_closure([A.structure[0, 0]])
+    A.is_ideal(S)
+    retraction(A, B)
 
 
 def wrapping_trace_algebra():
@@ -861,6 +876,28 @@ def test_contraction_bounds_at_the_int64_switch(signs):
             assert np.array_equal(hmat_mul(X * M, Y * M, level), XY * M * M)
             assert np.array_equal(hmat_jordan(X * M, Y * M, level), (XY + YX) * M * M / 2)
             assert np.array_equal(hmat_commutator(X * M, Y * M, level), (XY - YX) * M * M)
+
+
+def test_elimination_bounds_at_the_int64_switch():
+    """Exact elimination on rows of every magnitude from 2**8 to 2**62 and
+    next to the switch, against Gauss-Jordan on Fractions.  The first step
+    of [[X, -(X-1)], [X-1, X]] makes X**2 + (X-1)**2 from the bound
+    2 X**2 - X: it crosses 2**62 in the sweep, and a step run on int64 past
+    2**63 wraps.  In the last matrix the first step runs on Python ints once
+    X is near 2**60 and leaves small rows, so the later steps run on int64
+    again while the rows are Python ints."""
+    switch = math.isqrt(2 ** 61)
+    for X in [2 ** e - 1 for e in range(8, 63)] + [switch - 1, switch, switch + 1]:
+        for M in ([[X, -(X - 1)], [X - 1, X]],
+                  [[X, -(X - 1), 1], [X - 1, X, 2], [1, 2, 3]],
+                  [[1, 2, 3], [0, 1, 4], [X, 2 * X + 1, 3 * X + 5]]):
+            M = np.array(M, dtype=object) + F(0)
+            R, pivots = _reduce_rows(M)
+            ref, ref_pivots = ref_reduce_rows(M)
+            assert pivots == ref_pivots and np.array_equal(R, ref)
+            if len(M) == 3:
+                x = solve(M[-2:, :2], M[-2:, 2])
+                assert np.array_equal(x, ref_reduce_rows(M[-2:])[0][:, 2])
 
 
 def hermitian_extremes(rng, signs, level):

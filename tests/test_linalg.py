@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tracealg.linalg import (FLOAT, RATIONAL, Subspace, SymBilinearForm,
-                             as_backend, inertia, inv, nullspace,
+from tracealg.linalg import (FLOAT, RATIONAL, Subspace, SymBilinearForm, _kernel,
+                             _reduce_rows, as_backend, inertia, inv, nullspace,
                              orthogonal_complement, parse_scalar, solve,
                              to_float, zeros)
 
@@ -34,6 +34,15 @@ def test_inv_exact_roundtrip():
     A = frac_matrix([[1, 2, 0], [0, 1, 4], [1, 0, 1]])
     Ai = inv(A)
     assert np.all(A @ Ai == np.eye(3, dtype=object) + Fraction(0))
+
+
+def test_solve_rejects_a_matrix_that_is_not_square():
+    """As numpy does for floats: a wide exact A is not solved as its
+    leading square block with the next column taken for the right side."""
+    for A in (frac_matrix([[1, 0, 1], [0, 1, 1]]), frac_matrix([[1, 0], [0, 1], [1, 1]])):
+        for M in (A, to_float(A)):
+            with pytest.raises(np.linalg.LinAlgError):
+                solve(M, M[:, 0])
 
 
 def test_inv_singular_raises():
@@ -180,3 +189,101 @@ def test_contains_stack_with_one_vector_outside():
     Sf = Subspace(to_float(B))
     assert Sf.contains(to_float(inside))
     assert not Sf.contains(to_float(np.vstack([inside, outside])))
+
+
+# -- differential test: fraction-free elimination against Fraction Gauss-Jordan --
+
+def ref_reduce_rows(M):
+    """Reduced row echelon form by Gauss-Jordan on Fractions: the exact
+    path of _reduce_rows before it ran on integer rows.  (rows, pivots)."""
+    M = np.array(M, dtype=object)
+    m, n = M.shape
+    pivots = []
+    for col in range(n):
+        row = len(pivots)
+        if row == m:
+            break
+        nonzero = M[:, col] != 0
+        live = row + np.flatnonzero(nonzero[row:])
+        if not live.size:
+            continue
+        piv = live[0]
+        if piv != row:
+            M[[row, piv]] = M[[piv, row]]
+            nonzero[[row, piv]] = nonzero[[piv, row]]
+        support = np.flatnonzero(M[row] != 0)
+        M[row, support] = M[row, support] / M[row, col]
+        for i in np.flatnonzero(nonzero):
+            if i != row:
+                M[i, support] = M[i, support] - M[i, col] * M[row, support]
+        pivots.append(col)
+    return M[:len(pivots)], pivots
+
+
+def ref_nullspace(M):
+    return _kernel(*ref_reduce_rows(M))
+
+
+def assert_reduces_like_fractions(M):
+    R, pivots = _reduce_rows(M)
+    ref, ref_pivots = ref_reduce_rows(M)
+    assert pivots == ref_pivots and R.shape == ref.shape
+    assert all(isinstance(x, Fraction) for x in R.flat)
+    assert np.array_equal(R, ref)
+    assert np.array_equal(nullspace(M), ref_nullspace(M))
+
+
+# far above 2**62, so that even the scaled rows are Python ints
+HUGE = Fraction(2 ** 70 + 1, 3 ** 41)
+
+
+@st.composite
+def exact_matrices(draw):
+    """Matrices of up to 6 x 7 Fractions: dense or of a chosen lower rank,
+    with zero rows and columns, duplicated (scaled) rows, and numerators
+    above 2**62 in some rows or in all."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+
+    def block(rows, cols):
+        return frac_matrix(draw(st.lists(st.lists(fracs, min_size=cols, max_size=cols),
+                                         min_size=rows, max_size=rows)))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, min(m, n)))
+        M = block(m, k) @ block(k, n) if k else frac_matrix([[0] * n] * m)
+    else:
+        M = block(m, n)
+    for i in draw(st.lists(st.integers(0, m - 1), max_size=2)):
+        M[i] = 0 * M[i]
+    for j in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        M[:, j] = 0 * M[:, j]
+    if m > 1 and draw(st.booleans()):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        M[j] = M[i] * draw(st.sampled_from([Fraction(1), Fraction(-3, 2)]))
+    scale = draw(st.sampled_from(["none", "rows", "all"]))
+    if scale == "all":
+        M = M * HUGE
+    elif scale == "rows":
+        for i in draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m)):
+            M[i] = M[i] * HUGE
+    return M
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_matrices())
+def test_integer_elimination_equals_fraction_gauss_jordan(M):
+    assert_reduces_like_fractions(M)
+
+
+def test_elimination_edge_cases():
+    zero = frac_matrix([[0, 0, 0], [0, 0, 0]])
+    R, pivots = _reduce_rows(zero)
+    assert R.shape == (0, 3) and pivots == []
+    assert_reduces_like_fractions(zero)
+    assert_reduces_like_fractions(frac_matrix([[0, 2, 4], [0, 1, 2], [0, 3, 7]]))
+    assert_reduces_like_fractions(frac_matrix([[Fraction(1, 3), 1], [Fraction(1, 3), 1]]))
+    assert_reduces_like_fractions(frac_matrix([[2 ** 80, 3], [5, 2 ** 90 + 1]]))
+    # the first step runs on Python ints and leaves small rows, whose later
+    # steps run on int64 again
+    X = 2 ** 70
+    assert_reduces_like_fractions(frac_matrix([[1, 2, 3], [0, 1, 4],
+                                               [X, 2 * X + 1, 3 * X + 5]]))
