@@ -118,7 +118,7 @@ def is_projectively_associative(alg, tol=EPS0):
     S = _contract(cyclic, 6 * n * n, alg._N, alg._N, alg._N)
     # the larger of P / Q and S / D^3, over one denominator
     err = _fractions(max(P * alg._D ** 3, S * Q), Q * alg._D ** 3)
-    return bool(_is_zero(err, tol, lambda: max_abs(alg.structure) ** 3)), err
+    return bool(_is_zero(err, tol, lambda: max_abs(alg._N) ** 3)), err
 
 
 def constant_sect_check(alg, kappa=None, tol=EPS0):
@@ -435,7 +435,8 @@ def triple_sect_relations_check(base_alg, seed, trials=30):
     (with its Killing form) and its triple construction; returns max residual."""
     from .catalog import triple
     tau = base_alg.killing_form()
-    T = triple(MetrizedAlgebra(base_alg.structure, tau.gram, base_alg.symmetry))
+    T = triple(MetrizedAlgebra._from_numerators(base_alg._N, base_alg._D, tau,
+                                                base_alg.symmetry))
     n = base_alg.dim
     emb = triple_embeddings(n)
     tauT = T.killing_form()

@@ -5,21 +5,25 @@ from fractions import Fraction
 import numpy as np
 
 from . import hurwitz
-from .core import (ANTICOMMUTATIVE, COMMUTATIVE, Algebra, MetrizedAlgebra,
+from .core import (ANTICOMMUTATIVE, COMMUTATIVE, Algebra, MetrizedAlgebra, _blocks,
                    deunitalization, direct_sum, tensor_product, unitalization)
 from .hurwitz import hmat_re_tr
-from .linalg import _fractions, eye, to_float, zeros
+from .linalg import SymBilinearForm, _contract, _fractions, eye, to_float, zeros
 
 
 def talg(n, alpha):
     """Permutation-invariant family: e_i e_i = e_i, e_i e_j = alpha (e_i + e_j)."""
     if n < 1:
         raise ValueError("talg needs n >= 1")
-    s = zeros((n, n, n))
+    alpha = Fraction(alpha)
+    off = np.zeros((n, n, n), dtype=np.int64)
     i, j = np.nonzero(1 - np.eye(n, dtype=int))
-    s[i, j, i] = s[i, j, j] = Fraction(alpha)
-    s[range(n), range(n), range(n)] = Fraction(1)
-    return Algebra(s, COMMUTATIVE, name="talg(%d)" % n)
+    off[i, j, i] = off[i, j, j] = 1
+    diag = np.zeros((n, n, n), dtype=np.int64)
+    diag[range(n), range(n), range(n)] = 1
+    # numerators over the denominator q of alpha = p / q; one product per entry
+    N = _contract(lambda p, q: p * off + q * diag, 1, alpha.numerator, alpha.denominator)
+    return Algebra._from_numerators(N, alpha.denominator, COMMUTATIVE, name="talg(%d)" % n)
 
 
 def simplicial(n):
@@ -29,8 +33,8 @@ def simplicial(n):
     if n < 2:
         raise ValueError("ealg needs n >= 2")
     base = talg(n, Fraction(-1, n - 1))
-    return MetrizedAlgebra(base.structure, base.killing_form().gram, COMMUTATIVE,
-                           name="ealg(%d)" % n)
+    return MetrizedAlgebra._from_numerators(base._N, base._D, base.killing_form(),
+                                            COMMUTATIVE, name="ealg(%d)" % n)
 
 
 def gamma_vectors(n):
@@ -129,10 +133,10 @@ def _traceless_jordan(B, n, level):
     return s, t
 
 
-def _matrix_algebra(N, D, g, symmetry, name, mats):
-    """The metrized algebra of structure N / D and Gram matrix g on the
+def _matrix_algebra(N, D, form, symmetry, name, mats):
+    """The metrized algebra of structure N / D and metric form on the
     integer basis stack mats."""
-    out = MetrizedAlgebra._from_numerators(N, D, g, symmetry, name=name)
+    out = MetrizedAlgebra._from_numerators(N, D, form, symmetry, name=name)
     out.matrices = _fractions(mats, 1)
     return out
 
@@ -146,7 +150,7 @@ def herm_jordan(n, level):
         raise ValueError("octonionic Hermitian matrices only at size 3")
     B = _herm_basis(n, level)
     J, t = _jordan_table(B, level)
-    out = _matrix_algebra(_herm_coords(J, n, level), 2, _fractions(t, 2 * n),
+    out = _matrix_algebra(_herm_coords(J, n, level), 2, SymBilinearForm._from_numerators(t, 2 * n),
                           COMMUTATIVE, "herm(%d,%d)" % (n, level), B)
     out.msize = n
     out.level = level
@@ -162,7 +166,7 @@ def herm0(n, level):
         raise ValueError("octonionic Hermitian matrices only at size 3")
     B = _herm_basis(n, level, traceless=True)
     s, g = _traceless_jordan(B, n, level)
-    out = _matrix_algebra(s, 2 * n, _fractions(g, 2 * n), COMMUTATIVE,
+    out = _matrix_algebra(s, 2 * n, SymBilinearForm._from_numerators(g, 2 * n), COMMUTATIVE,
                           "herm0(%d,%d)" % (n, level), B)
     out.msize = n
     out.level = level
@@ -196,8 +200,8 @@ def algebra_from_matrix_basis(mats, mul, coords, name=""):
     """
     P = mul(mats[:, None], mats[None])
     s = coords(P - np.swapaxes(P, 0, 1))
-    g = Algebra._from_numerators(s, 1, ANTICOMMUTATIVE).killing_form().gram
-    return _matrix_algebra(s, 1, g, ANTICOMMUTATIVE, name, mats)
+    tau = Algebra._from_numerators(s, 1, ANTICOMMUTATIVE).killing_form()
+    return _matrix_algebra(s, 1, tau, ANTICOMMUTATIVE, name, mats)
 
 
 def lie_so(n):
@@ -262,7 +266,7 @@ def su_circle(n):
     # the traceless Jordan product of two skew-Hermitian basis matrices is
     # Hermitian; j/2 of it has the su coordinates -(its herm0 coordinates)
     s, g = _traceless_jordan(mats, n, 2)
-    return _matrix_algebra(-s, 2 * n, _fractions(-g, 2 * n), COMMUTATIVE,
+    return _matrix_algebra(-s, 2 * n, SymBilinearForm._from_numerators(-g, 2 * n), COMMUTATIVE,
                            "su-circle(%d)" % n, mats)
 
 
@@ -274,22 +278,18 @@ def triple(alg, name=""):
     metric blockdiag(-B/2).  Output is always commutative.
     """
     n = alg.dim
-    backend = alg.backend
-    s = zeros((3 * n, 3 * n, 3 * n), backend)
-    m = alg.structure
+    N = np.zeros((3 * n,) * 3, alg._N.dtype)
+    block = [slice(k * n, (k + 1) * n) for k in range(3)]
     for i in range(3):
-        for dj in (1, 2):
-            j = (i + dj) % 3
-            k = (i + 2) % 3 if dj == 1 else (j + 2) % 3
-            for a in range(n):
-                for b in range(n):
-                    row = m[a, b] if dj == 1 else m[b, a]
-                    s[i * n + a, j * n + b, k * n:(k + 1) * n] = row / 2
+        # x_i y_{i+1} lies in copy i + 2 with the products x y, and x_i
+        # y_{i+2} in copy i + 1 with the products y x, all over 2
+        N[block[i], block[(i + 1) % 3], block[(i + 2) % 3]] = alg._N
+        N[block[i], block[(i + 2) % 3], block[(i + 1) % 3]] = np.swapaxes(alg._N, 0, 1)
     sign = 1 if alg.symmetry == COMMUTATIVE else -1
-    g = zeros((3 * n, 3 * n), backend)
-    for i in range(3):
-        g[i * n:(i + 1) * n, i * n:(i + 1) * n] = sign * alg.gram / 2
-    return MetrizedAlgebra(s, g, COMMUTATIVE, name=name or ("triple(%s)" % alg.name))
+    G = (sign * alg.form._G, 2 * alg.form._DG)
+    form = SymBilinearForm._from_numerators(*_blocks(2, G, G, G))
+    return MetrizedAlgebra._from_numerators(N, 2 * alg._D, form, COMMUTATIVE,
+                                            name=name or ("triple(%s)" % alg.name))
 
 
 def nahm(lie_alg):

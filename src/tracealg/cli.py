@@ -35,7 +35,8 @@ def _metrized(alg):
         print("error: input has no metric and its Killing form is degenerate "
               "(inertia %s)" % (inertia,), file=sys.stderr)
         raise SystemExit(2)
-    return MetrizedAlgebra(alg.structure, tau.gram, alg.symmetry, name=alg.name)
+    return MetrizedAlgebra._from_numerators(alg._N, alg._D, tau, alg.symmetry,
+                                            name=alg.name)
 
 
 def _emit(doc, out):

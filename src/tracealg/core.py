@@ -1,13 +1,16 @@
 """Finite dimensional commutative / anticommutative algebras with trace forms.
 
 An algebra is a structure tensor m[i,j,k] (e_i e_j = sum_k m[i,j,k] e_k)
-whose dtype gives the scalar kind: Fractions (exact) or floats.  An exact
-algebra also holds m once as integer numerators over one common
-denominator, on which its trace forms and associator are computed.  A
-metrized algebra additionally carries a nondegenerate invariant symmetric
-bilinear form of the same kind.
+held as numerators N over one denominator D, m = N / D: integers in lowest
+terms on an exact algebra, floats over D = 1 on a float one.  The trace
+forms, the associator, invariance, ideal tests and the commutant are
+computed on N; the tensor of Fractions, `structure`, is made only when it
+is read, and kept.  A metrized algebra additionally carries a
+nondegenerate invariant symmetric bilinear form of the same kind.
 """
+import functools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -21,44 +24,54 @@ COMMUTATIVE = "commutative"
 ANTICOMMUTATIVE = "anticommutative"
 
 
-class _Numerators(tuple):
-    """(N, D), standing in Algebra.__init__ for the structure tensor N / D."""
+def _structure_numerators(structure):
+    """(N, D) of a structure tensor given as nested lists or an array."""
+    return _numerators(as_backend(structure, backend_of(structure)))
 
 
 class Algebra:
     def __init__(self, structure, symmetry=COMMUTATIVE, name=""):
-        if isinstance(structure, _Numerators):
-            self._N, self._D = _lowest_terms(*structure)            # m == N / D
-            m = _fractions(self._N, self._D)
-        else:
-            m = as_backend(structure, backend_of(structure))
-            self._N, self._D = _numerators(m)
-        self.structure = m
+        self._init(*_structure_numerators(structure), symmetry, name)
+
+    @classmethod
+    def _from_numerators(cls, N, D, *args, **kwargs):
+        """cls(N / D, *args, **kwargs) for integer numerators N over D (or
+        float N), without making the Fractions of N / D."""
+        alg = cls.__new__(cls)
+        alg._init(N, D, *args, **kwargs)
+        return alg
+
+    def _init(self, N, D, symmetry=COMMUTATIVE, name=""):
+        """The algebra of structure tensor N / D: the one initializer."""
+        self._N, self._D = _lowest_terms(N, D)
+        self._structure = None
         self.symmetry = symmetry
         self.name = name
-        if m.ndim != 3 or not m.shape[0] == m.shape[1] == m.shape[2]:
-            raise ValueError("structure tensor of shape %s is not n x n x n" % (m.shape,))
+        N = self._N
+        if N.ndim != 3 or not N.shape[0] == N.shape[1] == N.shape[2]:
+            raise ValueError("structure tensor of shape %s is not n x n x n" % (N.shape,))
         if symmetry not in (COMMUTATIVE, ANTICOMMUTATIVE):
             raise ValueError("unknown symmetry %r" % (symmetry,))
-        N = self._N
         sign = 1 if symmetry == COMMUTATIVE else -1
         if not np.all(_is_zero(N - sign * np.swapaxes(N, 0, 1), EPS0, lambda: max_abs(N))):
             raise ValueError("structure tensor is not %s" % symmetry)
 
-    @classmethod
-    def _from_numerators(cls, N, D, *args, **kwargs):
-        """cls(N / D, *args, **kwargs) for a structure tensor of integer
-        numerators N over D, without making Fractions of N / D only to read
-        their numerators back; the symmetry check still runs on N."""
-        return cls(_Numerators((N, D)), *args, **kwargs)
+    @property
+    def structure(self):
+        """m[i,j,k] = N / D, read-only: Fractions on an exact algebra, made
+        on first use and then kept."""
+        if self._structure is None:
+            self._structure = _fractions(self._N, self._D)
+            self._structure.setflags(write=False)
+        return self._structure
 
     @property
     def backend(self):
-        return backend_of(self.structure)
+        return FLOAT if self._N.dtype.kind == "f" else RATIONAL
 
     @property
     def dim(self):
-        return self.structure.shape[0]
+        return self._N.shape[0]
 
     def basis_vector(self, i):
         v = zeros(self.dim, self.backend)
@@ -89,7 +102,7 @@ class Algebra:
 
     def killing_form(self):
         """tau(e_i, e_j) = tr L(e_i) L(e_j) = sum_ab m[i,a,b] m[j,b,a]."""
-        return SymBilinearForm(_fractions(*self._killing()))
+        return SymBilinearForm._from_numerators(*self._killing())
 
     def _ricci(self):
         """(R, E) with ric = R / E, R integer on exact algebras."""
@@ -101,7 +114,7 @@ class Algebra:
 
     def ricci_form(self):
         """ric(x, y) = tr L(x y) - tau(x, y)."""
-        return SymBilinearForm(_fractions(*self._ricci()))
+        return SymBilinearForm._from_numerators(*self._ricci())
 
     def associator(self, x, y, z):
         return (self.multiply(self.multiply(x, y), z)
@@ -122,14 +135,14 @@ class Algebra:
 
     def is_invariant(self, form, tol=EPS0):
         """Check h(xy, z) = h(x, yz) on basis triples; returns (ok, max violation)."""
-        G, DG = _numerators(form.gram)
+        G, DG = form._G, form._DG
 
         def violation(m, g):
             A = np.tensordot(m, g, axes=(2, 0))                    # h(e_i e_j, e_k)
             return max_abs(A - np.transpose(A, (2, 0, 1)))
         # A sums n products; A minus its transpose doubles that
         err = _fractions(_contract(violation, 2 * self.dim, self._N, G), self._D * DG)
-        ok = _is_zero(err, tol, lambda: max(max_abs(G), max_abs(self.structure)))
+        ok = _is_zero(err, tol, lambda: max(max_abs(G), max_abs(self._N)))
         return bool(ok), err
 
     def cubic_value(self, form, x):
@@ -161,17 +174,22 @@ class Algebra:
         """Solve L(e) = Id if possible, else return None.
 
         An exact algebra solves A e = b exactly: it has a solution iff the
-        nullspace of [A | -b] holds a vector (e, t) with t != 0.
+        nullspace of [A | -b] holds a vector (e, t) with t != 0.  With
+        A = N' / D for the numerators N' of A, that is the nullspace of the
+        integer matrix [N' | -D b], whose reduced echelon form is the same.
         """
         n = self.dim
-        A = np.transpose(self.structure, (1, 2, 0)).reshape(n * n, n)
-        b = linalg.eye(n, self.backend).reshape(n * n)
+        A = np.transpose(self._N, (1, 2, 0)).reshape(n * n, n)
+        b = np.eye(n, dtype=np.int64).reshape(n * n)
         if self.backend == RATIONAL:
-            N = linalg.nullspace(np.column_stack([A, -b]))
+            # one product per entry
+            M = _contract(lambda a, d: np.column_stack([a, -d * b]), 1, A, self._D)
+            R, pivots = linalg._reduce_integer_rows(M)
+            N = linalg._kernel(linalg._rref(R, pivots), pivots)
             v = next((v for v in N.T if v[n] != 0), None)
             return None if v is None else v[:n] / v[n]
         e, *_ = np.linalg.lstsq(A, b, rcond=None)
-        return e if np.all(_is_zero(A @ e - b, tol, lambda: max_abs(self.structure))) else None
+        return e if np.all(_is_zero(A @ e - b, tol, lambda: max_abs(A))) else None
 
 
 def _twice_killing(a, b):
@@ -183,8 +201,15 @@ def _twice_killing(a, b):
 
 class MetrizedAlgebra(Algebra):
     def __init__(self, structure, gram, symmetry=COMMUTATIVE, name=""):
-        super().__init__(structure, symmetry, name)
-        self.form = SymBilinearForm(as_backend(gram, self.backend))
+        kind = backend_of(structure)
+        # SymBilinearForm makes its own copy of a Gram matrix of the right kind
+        form = SymBilinearForm(gram if backend_of(gram) == kind else as_backend(gram, kind))
+        self._init(*_structure_numerators(structure), form, symmetry, name)
+
+    def _init(self, N, D, form, symmetry=COMMUTATIVE, name=""):
+        """The algebra N / D with the metric form, a SymBilinearForm of its kind."""
+        super()._init(N, D, symmetry, name)
+        self.form = form
         if self.form.dim != self.dim:
             raise ValueError("Gram matrix of dim %d on an algebra of dim %d"
                              % (self.form.dim, self.dim))
@@ -211,7 +236,7 @@ def einstein_fit(alg, tol=EPS0):
     Returns (kappa, residual) where residual is the max-norm of tau - kappa h.
     """
     K, E = alg._killing()
-    G, DG = _numerators(alg.gram)
+    G, DG = alg.form._G, alg.form._DG
     k = next((i for i in range(alg.dim) if not is_zero(G[i, i], tol)), None)
     if k is None:
         raise ValueError("metric vanishes on the whole diagonal")
@@ -225,27 +250,47 @@ def _check_same_kind(a, b):
                          % (a.symmetry, a.backend, b.symmetry, b.backend))
 
 
+def _over(N, D, E):
+    """The numerators over E, a multiple of D, of N / D."""
+    # one product per entry
+    return _contract(lambda x, k: x * k, 1, N, E // D)
+
+
+def _blocks(ndim, *parts):
+    """(N, D) of the block-diagonal join of the arrays N_i / D_i given as
+    pairs (N_i, D_i), each n_i x ... x n_i with ndim axes, over the lcm D
+    of the D_i."""
+    D = math.lcm(*(d for _, d in parts))
+    scaled = [_over(X, d, D) for X, d in parts]
+    N = np.zeros((sum(len(X) for X in scaled),) * ndim, np.result_type(*scaled))
+    at = 0
+    for X in scaled:
+        N[(slice(at, at + len(X)),) * ndim] = X
+        at += len(X)
+    return N, D
+
+
 def direct_sum(a, b):
     _check_same_kind(a, b)
-    n, m = a.dim, b.dim
-    s = zeros((n + m, n + m, n + m), a.backend)
-    s[:n, :n, :n] = a.structure
-    s[n:, n:, n:] = b.structure
-    g = zeros((n + m, n + m), a.backend)
-    g[:n, :n] = a.gram
-    g[n:, n:] = b.gram
-    return MetrizedAlgebra(s, g, a.symmetry, name="%s(+)%s" % (a.name, b.name))
+    return MetrizedAlgebra._from_numerators(
+        *_blocks(3, (a._N, a._D), (b._N, b._D)),
+        SymBilinearForm._from_numerators(*_blocks(2, (a.form._G, a.form._DG),
+                                                  (b.form._G, b.form._DG))),
+        a.symmetry, name="%s(+)%s" % (a.name, b.name))
 
 
 def tensor_product(a, b):
     """Tensor product algebra; basis e_i (x) f_j in row-major order."""
     _check_same_kind(a, b)
     n, m = a.dim, b.dim
-    s = np.multiply.outer(a.structure, b.structure)      # (i1,j1,k1,i2,j2,k2)
-    s = np.transpose(s, (0, 3, 1, 4, 2, 5)).reshape(n * m, n * m, n * m)
-    g = np.multiply.outer(a.gram, b.gram)
-    g = np.transpose(g, (0, 2, 1, 3)).reshape(n * m, n * m)
-    return MetrizedAlgebra(s, g, COMMUTATIVE, name="%s(x)%s" % (a.name, b.name))
+    # one product per entry
+    N = _contract(np.multiply.outer, 1, a._N, b._N)           # (i1,j1,k1,i2,j2,k2)
+    N = np.transpose(N, (0, 3, 1, 4, 2, 5)).reshape(n * m, n * m, n * m)
+    G = _contract(np.multiply.outer, 1, a.form._G, b.form._G)
+    G = np.transpose(G, (0, 2, 1, 3)).reshape(n * m, n * m)
+    return MetrizedAlgebra._from_numerators(
+        N, a._D * b._D, SymBilinearForm._from_numerators(G, a.form._DG * b.form._DG),
+        COMMUTATIVE, name="%s(x)%s" % (a.name, b.name))
 
 
 def unitalization(alg, c=None, name=""):
@@ -257,22 +302,26 @@ def unitalization(alg, c=None, name=""):
     if c is None:
         c = alg.form
     n = alg.dim
-    I = linalg.eye(n + 1, alg.backend)
-    s = zeros((n + 1, n + 1, n + 1), alg.backend)
-    s[:n, :n, :n] = alg.structure
-    s[:n, :n, n] = c.gram
-    s[n] = s[:, n] = I                  # the adjoined basis vector is the unit
-    g = I.copy()
-    g[:n, :n] = c.gram
-    return MetrizedAlgebra(s, g, COMMUTATIVE, name=name or ("unit(%s)" % alg.name))
+    C, DC = ((c._G, c._DG) if c.backend == alg.backend
+             else _numerators(as_backend(c.gram, alg.backend)))
+    D = math.lcm(alg._D, DC)
+    M, CD = _over(alg._N, alg._D, D), _over(C, DC, D)
+    unit = _over(np.eye(n + 1, dtype=np.int64), 1, D)
+    N = np.zeros((n + 1,) * 3, np.result_type(M, CD, unit))
+    N[:n, :n, :n] = M
+    N[:n, :n, n] = CD
+    N[n] = N[:, n] = unit               # the adjoined basis vector is the unit
+    form = SymBilinearForm._from_numerators(*_blocks(2, (C, DC), (np.ones((1, 1), np.int64), 1)))
+    return MetrizedAlgebra._from_numerators(N, D, form, COMMUTATIVE,
+                                            name=name or ("unit(%s)" % alg.name))
 
 
 def intrinsic_unitalization(alg):
     """Unitalization with c = -ric / (dim - 1)."""
     n = alg.dim
     c = SymBilinearForm(-alg.ricci_form().gram / (n - 1))
-    base = alg if isinstance(alg, MetrizedAlgebra) else \
-        MetrizedAlgebra(alg.structure, linalg.eye(n, alg.backend), alg.symmetry, alg.name)
+    base = alg if isinstance(alg, MetrizedAlgebra) else MetrizedAlgebra._from_numerators(
+        alg._N, alg._D, SymBilinearForm(linalg.eye(n, alg.backend)), alg.symmetry, alg.name)
     return unitalization(base, c, name="iunit(%s)" % alg.name)
 
 
@@ -286,7 +335,7 @@ def retraction(alg, basis, scale=None):
     B = as_backend(basis, alg.backend)
     n, k = B.shape
     X, DB = _numerators(B)
-    G, DG = _numerators(alg.gram if scale is None else scale * alg.gram)
+    G, DG = (alg.form._G, alg.form._DG) if scale is None else _numerators(scale * alg.gram)
     # B^T G and (B^T G) B sum n products per entry
     BG = _contract(lambda b, g: b.T @ g, n, X, G)                  # over DB DG
     M = _contract(np.matmul, n, BG, X)                             # over DB^2 DG
@@ -299,7 +348,8 @@ def retraction(alg, basis, scale=None):
     # they are C / (E DB D), as rhs lies over DB D times M's denominator
     C, E = linalg._solve_numerators(M, rhs)
     out = MetrizedAlgebra._from_numerators(C.T.reshape(k, k, k), E * DB * alg._D,
-                                           _fractions(M, DB ** 2 * DG), alg.symmetry)
+                                           SymBilinearForm._from_numerators(M, DB ** 2 * DG),
+                                           alg.symmetry)
     out.embedding = B
     return out
 
@@ -452,54 +502,96 @@ def decompose_ideals(alg, tol=EPS0):
 
 def to_json(alg, name=None):
     n = alg.dim
-    # rows i <= j (i < j when anticommutative) of the nonzero entries
+    # rows i <= j (i < j when anticommutative) of the nonzero entries, each
+    # value N / D in lowest terms
     upper = np.triu(np.ones((n, n), dtype=bool), int(alg.symmetry == ANTICOMMUTATIVE))
-    rows = np.argwhere(upper[:, :, None] & (alg._N != 0)).tolist()
+    nonzero = upper[:, :, None] & (alg._N != 0)
+    values = linalg._json_values(alg._N[nonzero], alg._D)
     doc = {
         "name": name if name is not None else alg.name,
         "dim": n,
         "symmetry": alg.symmetry,
         "scalar": alg.backend,
-        "structure": [[i, j, k, linalg.scalar_to_json(alg.structure[i, j, k])]
-                      for i, j, k in rows],
+        "structure": [[i, j, k, v] for (i, j, k), v in zip(np.argwhere(nonzero).tolist(), values)],
     }
     if isinstance(alg, MetrizedAlgebra):
-        doc["metric"] = {"gram": [[linalg.scalar_to_json(v) for v in row]
-                                  for row in alg.gram]}
+        gram = linalg._json_values(alg.form._G.ravel(), alg.form._DG)
+        doc["metric"] = {"gram": [gram[i * n:(i + 1) * n] for i in range(n)]}
     return doc
 
 
 def from_json(doc):
     """Algebra of a JSON document; malformed input raises KeyError,
-    IndexError, TypeError or ValueError."""
+    IndexError, TypeError or ValueError.
+
+    Exact entries are read as integer pairs p / q and become numerators
+    over the lcm of the q, with no Fraction made.  A later entry overwrites
+    an earlier one at each position it sets, its transpose included.
+    """
     n = doc["dim"]
     backend = doc.get("scalar", RATIONAL)
     if backend not in (RATIONAL, FLOAT):
         raise ValueError("unknown scalar kind %r" % (backend,))
     symmetry = doc.get("symmetry", COMMUTATIVE)
-    s = zeros((n, n, n), backend)
+    N = np.zeros((n, n, n), float if backend == FLOAT else np.int64)
     sign = 1 if symmetry == COMMUTATIVE else -1
-    scalar = linalg.parse_scalar
-    if backend == FLOAT:        # JSON floats as they are; the float array rounds the rest
+    if backend == FLOAT:        # JSON floats as they are; float() rounds the rest
         def scalar(v):
             return v if isinstance(v, float) else linalg.parse_scalar(v)
+
+        def negative(x):
+            return -x
+    else:                       # integer pairs (p, q)
+        scalar = linalg._parse_ratio
+
+        def negative(r):
+            return -r[0], r[1]
+    # files repeat few distinct values; typed keeps 1, 1.0 and True apart
+    scalar = functools.lru_cache(maxsize=None, typed=True)(scalar)
+    entries = {}                # flat position: value
     for i, j, k, v in doc["structure"]:
         if not 0 <= min(i, j, k) <= max(i, j, k) < n:
             raise IndexError("structure index (%s, %s, %s) out of range for dim %d"
                              % (i, j, k, n))
         val = scalar(v)
-        s[i, j, k] = val
+        if not type(i) is type(j) is type(k) is int:
+            raise IndexError("structure index (%s, %s, %s) is not an integer" % (i, j, k))
+        entries[(i * n + j) * n + k] = val
         if i != j:
-            s[j, i, k] = sign * val
-    if "metric" in doc and doc["metric"] is not None:
-        gram = [[scalar(v) for v in row] for row in doc["metric"]["gram"]]
-        alg = MetrizedAlgebra(s, as_backend(gram, backend), symmetry,
-                              name=doc.get("name", ""))
-        G, _ = _numerators(alg.gram)
-        if not np.all(_is_zero(G - G.T, EPS0, lambda: max_abs(G))):
-            raise ValueError("Gram matrix is not symmetric")
-        return alg
-    return Algebra(s, symmetry, name=doc.get("name", ""))
+            entries[(j * n + i) * n + k] = val if sign == 1 else negative(val)
+    at = np.fromiter(entries, np.intp, len(entries))
+    if backend == FLOAT:
+        D = 1
+        np.put(N, at, [float(x) for x in entries.values()])
+    else:
+        nums, D = _ratio_numerators(entries.values())
+        N = N.astype(nums.dtype, copy=False)
+        np.put(N, at, nums)
+    name = doc.get("name", "")
+    if "metric" not in doc or doc["metric"] is None:
+        return Algebra._from_numerators(N, D, symmetry, name=name)
+    gram = [[scalar(v) for v in row] for row in doc["metric"]["gram"]]
+    if backend == FLOAT:
+        form = SymBilinearForm(np.array(gram, dtype=float))
+    else:
+        if not gram or any(len(row) != len(gram) for row in gram):
+            raise ValueError("Gram matrix with rows of lengths %s is not square"
+                             % [len(row) for row in gram])
+        nums, DG = _ratio_numerators([x for row in gram for x in row])
+        form = SymBilinearForm._from_numerators(nums.reshape(len(gram), -1), DG)
+    alg = MetrizedAlgebra._from_numerators(N, D, form, symmetry, name=name)
+    G = form._G
+    if not np.all(_is_zero(G - G.T, EPS0, lambda: max_abs(G))):
+        raise ValueError("Gram matrix is not symmetric")
+    return alg
+
+
+def _ratio_numerators(ratios):
+    """(N, D): the integer pairs (p, q) as numerators N over the lcm D of
+    the q, a 1-D array in the dtype _integers gives it."""
+    ratios = list(ratios)
+    D = math.lcm(*{q for _, q in ratios})
+    return linalg._integers([p * (D // q) for p, q in ratios], (len(ratios),)), D
 
 
 def dump_json(alg, path, name=None):

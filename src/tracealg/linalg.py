@@ -130,13 +130,15 @@ def _lowest_terms(N, D):
     """(N / g, D / g) for g the gcd of D and every entry of integer N, N in
     the dtype _numerators gives it.  Of integer numerators over any common
     denominator, this makes the pair _numerators returns for N / D.  Float
-    N comes back as it is."""
+    N comes back divided by D, over 1."""
     N = np.asarray(N)
     if N.dtype.kind == "f":
-        return N, D
-    g = math.gcd(D, int(np.gcd.reduce(N, axis=None)))
-    N = N // g
-    return N.astype(np.int64 if max_abs(N) < _INT64_LIMIT else object), D // g
+        return N / D, 1
+    nonzero = N[N != 0]                 # a zero is a multiple of anything
+    g = math.gcd(D, int(np.gcd.reduce(nonzero)))
+    if g != 1:
+        N, nonzero = N // g, nonzero // g
+    return N.astype(np.int64 if max_abs(nonzero) < _INT64_LIMIT else object), D // g
 
 
 def _fractions(N, D):
@@ -199,29 +201,41 @@ def parse_scalar(s):
     """The exact Fraction of a string ("p/q", an integer, a decimal) or an
     int.  A float, which JSON reads as a binary expansion, and a zero
     denominator raise ValueError."""
+    return Fraction(*_parse_ratio(s))
+
+
+def _parse_ratio(s):
+    """(p, q), integers with s == p / q and q != 0, not always in lowest
+    terms, of what parse_scalar reads; it raises as parse_scalar does."""
     if isinstance(s, str):
+        p, slash, q = s.partition("/")
         try:
             # int() reads the integers and "p/q" that files hold faster than
             # Fraction's parser, which reads decimals as well
-            if "/" not in s:
-                return Fraction(int(s))
-            p, q = s.split("/")
-            return Fraction(int(p), int(q))
+            p, q = int(p), int(q) if slash else 1
         except ValueError:
-            return Fraction(s)
-        except ZeroDivisionError:
-            raise ValueError("zero denominator in %r" % (s,)) from None
+            s = Fraction(s)
+            return s.numerator, s.denominator
+        if q == 0:
+            raise ValueError("zero denominator in %r" % (s,))
+        return p, q
     if isinstance(s, float):
         raise ValueError("float %r where an exact value is needed" % (s,))
-    return Fraction(s)
+    s = Fraction(s)
+    return s.numerator, s.denominator
 
 
-def scalar_to_json(x):
-    if isinstance(x, Fraction):
-        return "%d/%d" % (x.numerator, x.denominator) if x.denominator != 1 else str(x.numerator)
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    return float(x)
+def _json_values(N, D):
+    """The entries of the 1-D N / D as JSON values, read back by parse_scalar:
+    "p/q" in lowest terms, or "p" when q = 1, for integer N, and floats
+    for float N."""
+    if N.dtype.kind == "f":
+        return (N / D).tolist()
+    out = []
+    for p in N.tolist():
+        g = math.gcd(p, D)
+        out.append(str(p // g) if g == D else "%d/%d" % (p // g, D // g))
+    return out
 
 
 def solve(A, b):
@@ -305,20 +319,47 @@ def inertia(gram, tol=EPS_RANK):
 
 
 class SymBilinearForm:
-    """A symmetric bilinear form given by its Gram matrix."""
+    """A symmetric bilinear form given by its Gram matrix G / DG.
+
+    Its state is the pair (G, DG), as _numerators gives it: integers in
+    lowest terms, or float G over 1.  The Gram matrix of Fractions is made
+    when first read, read-only.
+    """
 
     def __init__(self, gram):
-        self.gram = as_backend(gram, backend_of(gram))
-        if self.gram.ndim != 2 or self.gram.shape[0] != self.gram.shape[1]:
-            raise ValueError("Gram matrix of shape %s is not square" % (self.gram.shape,))
+        g = as_backend(gram, backend_of(gram))
+        if g.ndim != 2 or g.shape[0] != g.shape[1]:
+            raise ValueError("Gram matrix of shape %s is not square" % (g.shape,))
+        self._init(*_numerators(g))
+        g.setflags(write=False)
+        self._gram = g
+
+    @classmethod
+    def _from_numerators(cls, G, DG):
+        """The form of Gram matrix G / DG for integer G (or float G), without
+        making its Fractions."""
+        form = cls.__new__(cls)
+        form._init(G, DG)
+        return form
+
+    def _init(self, G, DG):
+        self._G, self._DG = _lowest_terms(G, DG)
+        self._gram = None
+
+    @property
+    def gram(self):
+        if self._gram is None:
+            self._gram = _fractions(self._G, self._DG)
+            self._gram.setflags(write=False)
+        return self._gram
 
     @property
     def backend(self):
-        return backend_of(self.gram)
+        return FLOAT if self._G.dtype.kind == "f" else RATIONAL
 
     @property
     def dim(self):
-        return self.gram.shape[0]
+        return self._G.shape[0]
 
     def apply(self, x, y):
         return np.asarray(x) @ self.gram @ np.asarray(y)
@@ -355,16 +396,23 @@ def rational_eigenvalues(M):
 
     They are the rational roots of the minimal polynomial, the first exact
     dependency among I, M, M^2, ...; candidates come from the rational-root
-    theorem and are tested exactly, so no float is involved.
+    theorem and are tested exactly, so no float is involved.  With M = X / E
+    for integer X, the powers are the integer X^k over E^k, and a dependency
+    a' among the columns X^k is the dependency a'_k E^k among the M^k.
     """
-    powers = [eye(M.shape[0])]
+    X, E = _numerators(M)
+    powers = [np.eye(len(X), dtype=np.int64)]
     while True:
-        powers.append(powers[-1] @ M)
-        dependency = nullspace(np.stack([P.reshape(-1) for P in powers], axis=1))
-        if dependency.shape[1]:
+        # each entry sums n products
+        powers.append(_contract(np.matmul, len(X), powers[-1], X))
+        R, pivots = _reduce_integer_rows(np.column_stack([P.reshape(-1) for P in powers]))
+        if len(pivots) < len(powers):
             break
-    scale = math.lcm(*(c.denominator for c in dependency[:, 0]))
-    c = [int(x * scale) for x in dependency[:, 0]]
+    K = _kernel(_rref(R, pivots), pivots)
+    free = next(j for j in range(len(powers)) if j not in pivots)
+    dependency = [x * Fraction(E ** k, E ** free) for k, x in enumerate(K[:, 0])]
+    scale = math.lcm(*(c.denominator for c in dependency))
+    c = [int(x * scale) for x in dependency]
     low = next(k for k, x in enumerate(c) if x)      # x^low divides the polynomial
     candidates = {Fraction(s * p, q) for p in _divisors(abs(c[low]))
                   for q in _divisors(abs(c[-1])) for s in (1, -1)}

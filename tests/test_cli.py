@@ -167,6 +167,9 @@ MALFORMED = {
     "zero-denominator": json.dumps({"dim": 1, "structure": [[0, 0, 0, "1/0"]]}),
     "float-in-rational": json.dumps({"dim": 1, "scalar": "rational",
                                      "structure": [[0, 0, 0, 0.1]]}),
+    "float-index": json.dumps({"dim": 2, "structure": [[0, 1.0, 0, "1"]]}),
+    "string-index": json.dumps({"dim": 2, "structure": [[0, "1", 0, "1"]]}),
+    "bool-index": json.dumps({"dim": 2, "structure": [[True, 0, 0, "1"]]}),
 }
 
 COMMANDS = {
@@ -341,3 +344,53 @@ def test_exact_commands_do_not_import_scipy(tmp_path):
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.load(open(rep))["verdict"] is True
+
+
+def fraction_sizes(monkeypatch):
+    """The sizes of the arrays every module turns into Fractions, from now on."""
+    sizes = []
+    real = tracealg.linalg._fractions
+
+    def spy(N, D):
+        sizes.append(np.size(N))
+        return real(N, D)
+    for module in (tracealg.linalg, tracealg.core, tracealg.catalog, tracealg.analysis):
+        monkeypatch.setattr(module, "_fractions", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("suite", ["exact", "killing-invariant", "ricci-invariant",
+                                   "nondegenerate", "einstein", "proj-assoc", "conf-assoc"])
+@pytest.mark.parametrize("family", [["herm0", "--n", "3", "--level", "c"],
+                                    ["talg", "--n", "4", "--alpha=-1/3"]],
+                         ids=["metrized", "killing-metric"])
+def test_exact_reports_build_no_fraction_tensor(tmp_path, capsys, monkeypatch, suite, family):
+    """A report on a loaded exact algebra computes on its numerators: no
+    n^3 tensor of Fractions is made, with a metric in the file or without."""
+    path, out = str(tmp_path / "a.json"), str(tmp_path / "r.json")
+    assert main(["construct"] + family + ["-o", path]) == 0
+    n = json.load(open(path))["dim"]
+    sizes = fraction_sizes(monkeypatch)
+    assert exit_code(["report", "--in", path, "--suite", suite, "-o", out]) in (0, 1)
+    assert json.load(open(out))["schema"] == 1
+    assert max(sizes, default=0) < n ** 3
+
+
+@pytest.mark.parametrize("argv", [["herm0", "--n", "3", "--level", "o"], ["lie-su", "--n", "3"],
+                                  ["nahm", "--base", "@su3"],
+                                  ["dsum", "--base", "@e3", "--base2", "@h3"],
+                                  ["tensor", "--base", "@e2", "--base2", "@e3"]],
+                         ids=["herm0", "lie-su", "nahm", "dsum", "tensor"])
+def test_constructions_build_no_fraction_tensor(tmp_path, capsys, monkeypatch, argv):
+    """Catalogue builds and derived builds assemble numerators, and the
+    file is written from them: no n^3 tensor of Fractions is made."""
+    inputs = {"@su3": ["lie-su", "--n", "3"], "@e2": ["ealg", "--n", "2"],
+              "@e3": ["ealg", "--n", "3"], "@h3": ["herm0", "--n", "3", "--level", "r"]}
+    for stem, family in inputs.items():
+        assert main(["construct"] + family + ["-o", str(tmp_path / stem[1:])]) == 0
+    out = str(tmp_path / "out.json")
+    sizes = fraction_sizes(monkeypatch)
+    argv = [str(tmp_path / a[1:]) if a in inputs else a for a in argv]
+    assert main(["construct"] + argv + ["-o", out]) == 0
+    n = json.load(open(out))["dim"]
+    assert max(sizes, default=0) < n ** 3

@@ -18,9 +18,9 @@ from tracealg.core import (Algebra, MetrizedAlgebra, deunitalization,
                            intrinsic_unitalization, retraction, tensor_product,
                            to_json, unitalization, verify_homomorphism, voa_kappa)
 from tracealg.hurwitz import LEVELS, hmat_commutator, hmat_jordan, hmat_mul
-from tracealg.linalg import (FLOAT, RATIONAL, SymBilinearForm, Subspace, _reduce_rows,
-                             eye, inv, inertia, max_abs, rational_eigenvalues, solve,
-                             to_float, zeros)
+from tracealg.linalg import (FLOAT, RATIONAL, SymBilinearForm, Subspace, _is_zero,
+                             _numerators, _reduce_rows, as_backend, eye, inv, inertia,
+                             max_abs, rational_eigenvalues, solve, to_float, zeros)
 from test_linalg import ref_nullspace, ref_reduce_rows
 
 F = Fraction
@@ -304,6 +304,183 @@ def test_json_anticommutative():
     B = from_json(to_json(L))
     assert B.symmetry == "anticommutative"
     assert max_abs(np.asarray(B.structure) - np.asarray(L.structure)) == 0
+
+
+def test_structure_and_gram_are_read_only_and_made_once():
+    A = ta.herm0(3, 2)
+    assert A._structure is None and A.form._gram is None
+    m, g = A.structure, A.gram
+    assert A.structure is m and A.gram is g
+    assert np.array_equal(m, from_json(to_json(A)).structure)
+    with pytest.raises(AttributeError):
+        A.structure = m
+    with pytest.raises(AttributeError):
+        A.form.gram = g
+    with pytest.raises(ValueError):
+        m[0, 0, 0] = F(1)
+    with pytest.raises(ValueError):
+        g[0, 0] = F(1)
+    B = MetrizedAlgebra(np.array(m), np.array(g))
+    with pytest.raises(ValueError):
+        B.structure[0, 0, 0] = F(1)
+    with pytest.raises(ValueError):
+        B.gram[0, 0] = F(1)
+
+
+# -- differential test: the numerator loader against the Fraction-tensor loader --
+
+def ref_parse_scalar(s):
+    """parse_scalar before it read integer pairs."""
+    if isinstance(s, str):
+        try:
+            if "/" not in s:
+                return F(int(s))
+            p, q = s.split("/")
+            return F(int(p), int(q))
+        except ValueError:
+            return F(s)
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in %r" % (s,)) from None
+    if isinstance(s, float):
+        raise ValueError("float %r where an exact value is needed" % (s,))
+    return F(s)
+
+
+def ref_from_json(doc):
+    """from_json before it read numerators: a dense tensor of Fractions
+    (floats on a float file) filled one entry at a time, then the public
+    constructors."""
+    n = doc["dim"]
+    backend = doc.get("scalar", RATIONAL)
+    if backend not in (RATIONAL, FLOAT):
+        raise ValueError("unknown scalar kind %r" % (backend,))
+    symmetry = doc.get("symmetry", "commutative")
+    s = zeros((n, n, n), backend)
+    sign = 1 if symmetry == "commutative" else -1
+    scalar = ref_parse_scalar
+    if backend == FLOAT:
+        def scalar(v):
+            return v if isinstance(v, float) else ref_parse_scalar(v)
+    for i, j, k, v in doc["structure"]:
+        if not 0 <= min(i, j, k) <= max(i, j, k) < n:
+            raise IndexError("structure index (%s, %s, %s) out of range" % (i, j, k))
+        val = scalar(v)
+        s[i, j, k] = val
+        if i != j:
+            s[j, i, k] = sign * val
+    if "metric" in doc and doc["metric"] is not None:
+        gram = [[scalar(v) for v in row] for row in doc["metric"]["gram"]]
+        alg = MetrizedAlgebra(s, as_backend(gram, backend), symmetry, name=doc.get("name", ""))
+        G, _ = _numerators(alg.gram)
+        if not np.all(_is_zero(G - G.T, 1e-9, lambda: max_abs(G))):
+            raise ValueError("Gram matrix is not symmetric")
+        return alg
+    return Algebra(s, symmetry, name=doc.get("name", ""))
+
+
+def load_outcome(load, doc):
+    """What a loader makes of doc: the exception type it raises, or the
+    algebra's kind, numerators and values (repr keeps -0.0 apart)."""
+    try:
+        A = load(doc)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        return type(exc).__name__
+    out = [type(A).__name__, A.symmetry, A.name, A.backend, A._N.dtype, A._D,
+           repr(A._N.tolist()), repr(A.structure.tolist())]
+    if isinstance(A, MetrizedAlgebra):
+        out += [A.form._G.dtype, A.form._DG, repr(A.form._G.tolist()), repr(A.gram.tolist())]
+    return out
+
+
+GOOD_VALUES = ["ratio"] * 4 + ["unreduced", "negative-denominator", "integer", "json-int",
+                               "decimal", "big"]
+
+
+@st.composite
+def json_values(draw, kinds):
+    """A structure or Gram value as JSON holds it: "p/q" unreduced or with a
+    negative denominator, integer strings, JSON ints, decimals, numerators
+    above 2**62, JSON floats (exact files reject them), a zero denominator
+    or a word."""
+    p, q = draw(st.integers(-6, 6)), draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(kinds))
+    if kind == "ratio":
+        return "%d/%d" % (p, q)
+    if kind == "unreduced":
+        m = draw(st.integers(2, 4))
+        return "%d/%d" % (p * m, q * m)
+    if kind == "negative-denominator":
+        return "%d/-%d" % (p, q)
+    if kind == "integer":
+        return str(p)
+    if kind == "json-int":
+        return p
+    if kind == "decimal":
+        return "%s%d.%02d" % ("-" if p < 0 else "", abs(p), draw(st.integers(0, 99)))
+    if kind == "big":
+        return "%d/%d" % (p * 2 ** 63 + draw(st.sampled_from([-1, 1])), q)
+    if kind == "json-float":
+        return p / 4
+    if kind == "zero-denominator":
+        return "%d/0" % p
+    return "one"
+
+
+@st.composite
+def json_docs(draw):
+    """Algebra documents of dim 0 to 3 whose entries repeat positions, set
+    transposes, carry float or string indices, or fall out of range, with
+    an optional Gram matrix that may be asymmetric, ragged or of the wrong
+    size."""
+    n = draw(st.integers(0, 3))
+    doc = {"dim": n, "name": "doc"}
+    doc["scalar"] = draw(st.sampled_from(["rational"] * 3 + ["float"]))
+    doc["symmetry"] = draw(st.sampled_from(["commutative", "anticommutative"]))
+    faulty = draw(st.integers(0, 3)) == 0          # one document in four
+    kinds = GOOD_VALUES + (["json-float"] if doc["scalar"] == "float" else [])
+    index = st.sampled_from(range(n)) if n else st.just(0)
+    if faulty:
+        kinds = kinds + ["json-float", "zero-denominator", "word"]
+        index = st.sampled_from(list(range(n)) * 6 + [-1, n, 1.0, "1"])
+    value = json_values(kinds)
+    entry = st.tuples(index, index, index, value).map(list)
+    doc["structure"] = draw(st.lists(entry, max_size=8))
+    metric = draw(st.sampled_from(["absent", "none", "square", "square", "square"]
+                                  + (["asymmetric", "ragged", "wrong-dim"] if faulty else [])))
+    if metric == "none":
+        doc["metric"] = None
+    elif metric != "absent":
+        size = n + 1 if metric == "wrong-dim" else n
+        G = [[draw(value) for _ in range(size)] for _ in range(size)]
+        if metric != "asymmetric":
+            G = [[G[min(i, j)][max(i, j)] for j in range(size)] for i in range(size)]
+        if metric == "ragged" and G:
+            G[-1] = G[-1][:-1]
+        doc["metric"] = {"gram": G}
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_docs())
+def test_loader_equals_the_fraction_tensor_loader(doc):
+    assert load_outcome(from_json, doc) == load_outcome(ref_from_json, doc)
+
+
+def test_loader_edge_cases():
+    """Float and string indices raise as the Fraction loader does; a later
+    entry sets both positions of its transpose; a bool index is refused."""
+    for doc in ({"dim": 2, "structure": [[0, 1.0, 0, "1"]]},
+                {"dim": 2, "structure": [[0, "1", 0, "1"]]},
+                {"dim": 2, "structure": [[0, 1, 0, "1"], [1, 0, 0, "2"]]},
+                {"dim": 2, "symmetry": "anticommutative",
+                 "structure": [[0, 1, 0, "1"], [1, 0, 0, "2"], [0, 1, 1, "2/4"]]},
+                {"dim": 1, "structure": [[0, 0, 0, "%d" % 2 ** 70]],
+                 "metric": {"gram": [["%d/3" % 2 ** 64]]}}):
+        assert load_outcome(from_json, doc) == load_outcome(ref_from_json, doc)
+    A = from_json({"dim": 2, "structure": [[0, 1, 0, "1"], [1, 0, 0, "2"]]})
+    assert A.structure[0, 1, 0] == A.structure[1, 0, 0] == 2
+    with pytest.raises(IndexError):
+        from_json({"dim": 2, "structure": [[True, 0, 0, "1"]]})
 
 
 def test_decompose_ideals_tensor_square():

@@ -1,5 +1,6 @@
 """Exact/float linear algebra helpers."""
 from fractions import Fraction
+import math
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from tracealg.linalg import (FLOAT, RATIONAL, Subspace, SymBilinearForm, _kernel,
                              _reduce_rows, as_backend, inertia, inv, nullspace,
-                             orthogonal_complement, parse_scalar, solve,
-                             to_float, zeros)
+                             orthogonal_complement, parse_scalar, rational_eigenvalues,
+                             solve, to_float, zeros)
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -287,3 +288,71 @@ def test_elimination_edge_cases():
     X = 2 ** 70
     assert_reduces_like_fractions(frac_matrix([[1, 2, 3], [0, 1, 4],
                                                [X, 2 * X + 1, 3 * X + 5]]))
+
+
+# -- differential test: rational eigenvalues on integer powers against Fraction powers --
+
+def ref_rational_eigenvalues(M):
+    """rational_eigenvalues before it ran on integers: the powers I, M,
+    M^2, ... as Fraction matrix products, and a Fraction nullspace redone
+    at every power; the rational roots of the first dependency."""
+    n = M.shape[0]
+    powers = [frac_matrix([[int(i == j) for j in range(n)] for i in range(n)])]
+    while True:
+        powers.append(powers[-1] @ M)
+        dependency = ref_nullspace(np.stack([P.reshape(-1) for P in powers], axis=1))
+        if dependency.shape[1]:
+            break
+    scale = math.lcm(*(c.denominator for c in dependency[:, 0]))
+    c = [int(x * scale) for x in dependency[:, 0]]
+    low = next(k for k, x in enumerate(c) if x)
+
+    def divisors(k):
+        return {d for d in range(1, k + 1) if k % d == 0}
+    candidates = {Fraction(s * p, q) for p in divisors(abs(c[low]))
+                  for q in divisors(abs(c[-1])) for s in (1, -1)}
+    roots = {r for r in candidates if sum(x * r ** k for k, x in enumerate(c)) == 0}
+    return sorted(roots | ({Fraction(0)} if low else set()))
+
+
+@st.composite
+def eigen_matrices(draw):
+    """Square matrices of size 1 to 4: random integer or rational entries
+    (mostly irrational eigenvalues), or P J P^-1 for J diagonal or with a
+    Jordan block, over eigenvalues that repeat and include 0."""
+    n = draw(st.integers(1, 4))
+    entries = st.integers(-4, 4) if draw(st.booleans()) else fracs
+
+    def square():
+        return frac_matrix(draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                         min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        return square()
+    values = draw(st.lists(st.sampled_from([0, 0, 1, -2, Fraction(1, 2), Fraction(-3, 4)]),
+                           min_size=n, max_size=n))
+    J = frac_matrix([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    for i in draw(st.lists(st.integers(0, n - 2), max_size=2)) if n > 1 else []:
+        if J[i, i] == J[i + 1, i + 1]:
+            J[i, i + 1] = Fraction(1)             # a Jordan block
+    P = square()
+    try:
+        return P @ J @ inv(P)
+    except np.linalg.LinAlgError:
+        return J
+
+
+@settings(max_examples=150, deadline=None)
+@given(eigen_matrices())
+def test_rational_eigenvalues_equal_fraction_powers(M):
+    assert rational_eigenvalues(M) == ref_rational_eigenvalues(M)
+
+
+def test_rational_eigenvalues_edge_cases():
+    for M in (frac_matrix([[0]]), frac_matrix([[0] * 3] * 3),
+              frac_matrix([[0, 1], [0, 0]]),
+              # powers with entries above 2**62, over a small minimal polynomial
+              frac_matrix([[1, 2 ** 70], [0, 1]]),
+              frac_matrix([[2, 2 ** 70, 0], [0, 2, 0], [0, 0, -1]]),
+              frac_matrix([[Fraction(1, 3 ** 8), 0], [0, -1]]),
+              np.empty((0, 0), dtype=object)):
+        assert rational_eigenvalues(M) == ref_rational_eigenvalues(M)
