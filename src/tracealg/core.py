@@ -8,7 +8,6 @@ computed on N; the tensor of Fractions, `structure`, is made only when it
 is read, and kept.  A metrized algebra additionally carries a
 nondegenerate invariant symmetric bilinear form of the same kind.
 """
-import functools
 import json
 import math
 from fractions import Fraction
@@ -201,9 +200,7 @@ def _twice_killing(a, b):
 
 class MetrizedAlgebra(Algebra):
     def __init__(self, structure, gram, symmetry=COMMUTATIVE, name=""):
-        kind = backend_of(structure)
-        # SymBilinearForm makes its own copy of a Gram matrix of the right kind
-        form = SymBilinearForm(gram if backend_of(gram) == kind else as_backend(gram, kind))
+        form = SymBilinearForm(as_backend(gram, backend_of(structure)))
         self._init(*_structure_numerators(structure), form, symmetry, name)
 
     def _init(self, N, D, form, symmetry=COMMUTATIVE, name=""):
@@ -546,8 +543,6 @@ def from_json(doc):
 
         def negative(r):
             return -r[0], r[1]
-    # files repeat few distinct values; typed keeps 1, 1.0 and True apart
-    scalar = functools.lru_cache(maxsize=None, typed=True)(scalar)
     entries = {}                # flat position: value
     for i, j, k, v in doc["structure"]:
         if not 0 <= min(i, j, k) <= max(i, j, k) < n:

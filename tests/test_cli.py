@@ -1,5 +1,6 @@
 """Command line interface: construction, reports, exit codes."""
 import json
+import math
 import os
 import subprocess
 import sys
@@ -346,17 +347,17 @@ def test_exact_commands_do_not_import_scipy(tmp_path):
     assert json.load(open(rep))["verdict"] is True
 
 
-def fraction_sizes(monkeypatch):
-    """The sizes of the arrays every module turns into Fractions, from now on."""
-    sizes = []
+def fraction_shapes(monkeypatch):
+    """The shapes of the arrays every module turns into Fractions, from now on."""
+    shapes = []
     real = tracealg.linalg._fractions
 
     def spy(N, D):
-        sizes.append(np.size(N))
+        shapes.append(np.shape(N))
         return real(N, D)
     for module in (tracealg.linalg, tracealg.core, tracealg.catalog, tracealg.analysis):
         monkeypatch.setattr(module, "_fractions", spy)
-    return sizes
+    return shapes
 
 
 @pytest.mark.parametrize("suite", ["exact", "killing-invariant", "ricci-invariant",
@@ -370,10 +371,11 @@ def test_exact_reports_build_no_fraction_tensor(tmp_path, capsys, monkeypatch, s
     path, out = str(tmp_path / "a.json"), str(tmp_path / "r.json")
     assert main(["construct"] + family + ["-o", path]) == 0
     n = json.load(open(path))["dim"]
-    sizes = fraction_sizes(monkeypatch)
+    shapes = fraction_shapes(monkeypatch)
     assert exit_code(["report", "--in", path, "--suite", suite, "-o", out]) in (0, 1)
     assert json.load(open(out))["schema"] == 1
-    assert max(sizes, default=0) < n ** 3
+    # no 3-D tensor, nor n^3 values in another shape
+    assert [s for s in shapes if len(s) == 3 or math.prod(s) >= n ** 3] == []
 
 
 @pytest.mark.parametrize("argv", [["herm0", "--n", "3", "--level", "o"], ["lie-su", "--n", "3"],
@@ -389,8 +391,9 @@ def test_constructions_build_no_fraction_tensor(tmp_path, capsys, monkeypatch, a
     for stem, family in inputs.items():
         assert main(["construct"] + family + ["-o", str(tmp_path / stem[1:])]) == 0
     out = str(tmp_path / "out.json")
-    sizes = fraction_sizes(monkeypatch)
+    shapes = fraction_shapes(monkeypatch)
     argv = [str(tmp_path / a[1:]) if a in inputs else a for a in argv]
     assert main(["construct"] + argv + ["-o", out]) == 0
     n = json.load(open(out))["dim"]
-    assert max(sizes, default=0) < n ** 3
+    # no 3-D tensor, the inputs' of a derived build included, nor n^3 values
+    assert [s for s in shapes if len(s) == 3 or math.prod(s) >= n ** 3] == []

@@ -400,8 +400,8 @@ GOOD_VALUES = ["ratio"] * 4 + ["unreduced", "negative-denominator", "integer", "
 def json_values(draw, kinds):
     """A structure or Gram value as JSON holds it: "p/q" unreduced or with a
     negative denominator, integer strings, JSON ints, decimals, numerators
-    above 2**62, JSON floats (exact files reject them), a zero denominator
-    or a word."""
+    above 2**62, JSON floats, -0.0 among them (exact files reject them), a
+    zero denominator or a word."""
     p, q = draw(st.integers(-6, 6)), draw(st.integers(1, 6))
     kind = draw(st.sampled_from(kinds))
     if kind == "ratio":
@@ -420,7 +420,7 @@ def json_values(draw, kinds):
     if kind == "big":
         return "%d/%d" % (p * 2 ** 63 + draw(st.sampled_from([-1, 1])), q)
     if kind == "json-float":
-        return p / 4
+        return draw(st.sampled_from([p / 4, -0.0]))
     if kind == "zero-denominator":
         return "%d/0" % p
     return "one"
@@ -479,6 +479,15 @@ def test_loader_edge_cases():
         assert load_outcome(from_json, doc) == load_outcome(ref_from_json, doc)
     A = from_json({"dim": 2, "structure": [[0, 1, 0, "1"], [1, 0, 0, "2"]]})
     assert A.structure[0, 1, 0] == A.structure[1, 0, 0] == 2
+    # -0.0 after an equal 0.0 stays -0.0, and the file round-trips
+    doc = {"name": "z", "dim": 2, "symmetry": "commutative", "scalar": "float",
+           "structure": [[0, 0, 0, 0.0], [0, 1, 1, -0.0], [1, 1, 1, 1.0]],
+           "metric": {"gram": [[0.0, -0.0], [-0.0, 1.0]]}}
+    assert load_outcome(from_json, doc) == load_outcome(ref_from_json, doc)
+    B = from_json(doc)
+    assert repr(B.gram.tolist()) == "[[0.0, -0.0], [-0.0, 1.0]]"
+    assert json.dumps(to_json(from_json(to_json(B)))) == json.dumps(to_json(B))
+    assert to_json(B)["metric"] == doc["metric"]
     with pytest.raises(IndexError):
         from_json({"dim": 2, "structure": [[True, 0, 0, "1"]]})
 
