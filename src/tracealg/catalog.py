@@ -6,9 +6,9 @@ import numpy as np
 
 from . import hurwitz
 from .core import (ANTICOMMUTATIVE, COMMUTATIVE, Algebra, MetrizedAlgebra, _blocks,
-                   deunitalization, direct_sum, tensor_product, unitalization)
+                   as_float, deunitalization, direct_sum, tensor_product, unitalization)
 from .hurwitz import hmat_re_tr
-from .linalg import SymBilinearForm, _contract, _fractions, eye, to_float, zeros
+from .linalg import SymBilinearForm, _contract, _fractions, eye, zeros
 
 
 def talg(n, alpha):
@@ -340,14 +340,15 @@ def conformal_extension(alg):
     with c = 1/sqrt(n(n+1)), a = sqrt((n+2)(n-1)); metric blockdiag(tau, 1).
 
     Input must carry its Killing metric; output is float, since c is
-    irrational for every n >= 1, with Killing metric again.  Carries
-    `.canonical_idempotent`.
+    irrational for every n >= 1, with Killing metric again; it is built
+    from the float view of the input.  Carries `.canonical_idempotent`.
     """
     n = alg.dim
-    G = to_float(alg.gram)
+    fl = as_float(alg)
+    G = fl.gram
     cn = 1 / math.sqrt(n * (n + 1))
     s = np.zeros((n + 1, n + 1, n + 1))
-    s[:n, :n, :n] = cn * math.sqrt((n + 2) * (n - 1)) * to_float(alg.structure)
+    s[:n, :n, :n] = cn * math.sqrt((n + 2) * (n - 1)) * fl.structure
     s[:n, :n, n] = -cn * G
     s[range(n), n, range(n)] = s[n, range(n), range(n)] = -cn
     s[n, n, n] = n * cn

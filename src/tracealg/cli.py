@@ -26,17 +26,22 @@ def _load(path):
         raise SystemExit(2)
 
 
-def _metrized(alg):
-    if isinstance(alg, MetrizedAlgebra):
-        return alg
+def _killing_metric(alg):
+    """(tau, its inertia) for the Killing form tau of an algebra without a
+    metric; exits 2 when tau is degenerate."""
     tau = alg.killing_form()
     inertia = tau.inertia()
     if inertia[2]:
         print("error: input has no metric and its Killing form is degenerate "
               "(inertia %s)" % (inertia,), file=sys.stderr)
         raise SystemExit(2)
-    return MetrizedAlgebra._from_numerators(alg._N, alg._D, tau, alg.symmetry,
-                                            name=alg.name)
+    return tau, inertia
+
+
+def _metrized(alg):
+    if isinstance(alg, MetrizedAlgebra):
+        return alg
+    return core._with_metric(alg, _killing_metric(alg)[0])
 
 
 def _emit(doc, out):
@@ -77,9 +82,8 @@ def cmd_construct(args):
 def run_suite(alg, suite, seed=0, tol=linalg.EPS0):
     if suite == "exact":
         t = alg.trace_linear()
-        err = linalg.max_abs(t)
         return analysis.make_report("trace of every left multiplication vanishes",
-                                   alg.is_exact(tol), err, seed=seed)
+                                    linalg.is_zero(t, tol), linalg.max_abs(t), seed=seed)
     if suite == "killing-invariant":
         ok, err = alg.is_invariant(alg.killing_form(), tol)
         return analysis.make_report("killing form is invariant", ok, err, seed=seed)
@@ -87,8 +91,8 @@ def run_suite(alg, suite, seed=0, tol=linalg.EPS0):
         ok, err = alg.is_invariant(alg.ricci_form(), tol)
         return analysis.make_report("ricci form is invariant", ok, err, seed=seed)
     if suite == "nondegenerate":
-        alg = _metrized(alg)
-        p, m, z = alg.form.inertia()
+        p, m, z = (alg.form.inertia() if isinstance(alg, MetrizedAlgebra)
+                   else _killing_metric(alg)[1])
         return analysis.make_report("metric is nondegenerate", z == 0, z,
                                     witnesses=[[p, m, z]], seed=seed)
     if suite == "einstein":

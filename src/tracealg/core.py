@@ -7,6 +7,8 @@ forms, the associator, invariance, ideal tests and the commutant are
 computed on N; the tensor of Fractions, `structure`, is made only when it
 is read, and kept.  A metrized algebra additionally carries a
 nondegenerate invariant symmetric bilinear form of the same kind.
+`as_float` is the one float view of an algebra, made from the numerators;
+the numeric searches compute on it.
 """
 import json
 import math
@@ -58,9 +60,10 @@ class Algebra:
     @property
     def structure(self):
         """m[i,j,k] = N / D, read-only: Fractions on an exact algebra, made
-        on first use and then kept."""
+        on first use and then kept, and N itself on a float one (D = 1)."""
         if self._structure is None:
-            self._structure = _fractions(self._N, self._D)
+            self._structure = (self._N.view() if self._N.dtype.kind == "f"
+                               else _fractions(self._N, self._D))
             self._structure.setflags(write=False)
         return self._structure
 
@@ -220,11 +223,19 @@ class MetrizedAlgebra(Algebra):
 
 
 def as_float(alg):
-    """A float64 copy of an algebra, and of its metric if it has one."""
-    s = linalg.to_float(alg.structure)
+    """The float64 view of an algebra, and of its metric if it has one: a new
+    algebra of the entries N / D and G / DG, correctly rounded (linalg._floats),
+    with no Fraction made.  A float algebra comes back as an equal copy."""
+    N = linalg._floats(alg._N, alg._D)
     if isinstance(alg, MetrizedAlgebra):
-        return MetrizedAlgebra(s, linalg.to_float(alg.gram), alg.symmetry, alg.name)
-    return Algebra(s, alg.symmetry, alg.name)
+        form = SymBilinearForm._from_numerators(linalg._floats(alg.form._G, alg.form._DG), 1)
+        return MetrizedAlgebra._from_numerators(N, 1, form, alg.symmetry, alg.name)
+    return Algebra._from_numerators(N, 1, alg.symmetry, alg.name)
+
+
+def _with_metric(alg, form):
+    """The algebra alg, metrized by form, a SymBilinearForm of its kind."""
+    return MetrizedAlgebra._from_numerators(alg._N, alg._D, form, alg.symmetry, alg.name)
 
 
 def einstein_fit(alg, tol=EPS0):
@@ -316,23 +327,24 @@ def unitalization(alg, c=None, name=""):
 def intrinsic_unitalization(alg):
     """Unitalization with c = -ric / (dim - 1)."""
     n = alg.dim
-    c = SymBilinearForm(-alg.ricci_form().gram / (n - 1))
-    base = alg if isinstance(alg, MetrizedAlgebra) else MetrizedAlgebra._from_numerators(
-        alg._N, alg._D, SymBilinearForm(linalg.eye(n, alg.backend)), alg.symmetry, alg.name)
+    R, E = alg._ricci()
+    c = SymBilinearForm._from_numerators(-R, E * (n - 1))
+    base = (alg if isinstance(alg, MetrizedAlgebra)
+            else _with_metric(alg, SymBilinearForm(linalg.eye(n, alg.backend))))
     return unitalization(base, c, name="iunit(%s)" % alg.name)
 
 
-def retraction(alg, basis, scale=None):
+def retraction(alg, basis):
     """Orthogonal-projection algebra on the span of the given basis columns.
 
-    Products: pi(x) pi(y) projected back; metric: restricted Gram, times
-    scale if given.  Returns a MetrizedAlgebra in the basis coordinates.
-    Exact algebras compute it on integer numerators.
+    Products: pi(x) pi(y) projected back; metric: the restricted Gram
+    matrix.  Returns a MetrizedAlgebra in the basis coordinates.  Exact
+    algebras compute it on integer numerators.
     """
     B = as_backend(basis, alg.backend)
     n, k = B.shape
     X, DB = _numerators(B)
-    G, DG = (alg.form._G, alg.form._DG) if scale is None else _numerators(scale * alg.gram)
+    G, DG = alg.form._G, alg.form._DG
     # B^T G and (B^T G) B sum n products per entry
     BG = _contract(lambda b, g: b.T @ g, n, X, G)                  # over DB DG
     M = _contract(np.matmul, n, BG, X)                             # over DB^2 DG
@@ -364,8 +376,12 @@ def deunitalization(alg, tol=EPS0):
     if is_zero(gee, tol):
         raise ValueError("unit is null for the metric")
     comp = linalg.orthogonal_complement(Subspace.from_spanning([e], tol), alg.form, tol)
-    inv_gee = 1 / gee
-    out = retraction(alg, comp.basis, scale=inv_gee)
+    # the coordinates do not depend on the metric's scale, so the form is
+    # rescaled afterwards, by p / q = 1 / gee with q > 0: one product per entry
+    out = retraction(alg, comp.basis)
+    p, q = _numerators(1 / gee)
+    out.form = SymBilinearForm._from_numerators(_contract(np.multiply, 1, out.form._G, p),
+                                                out.form._DG * q)
     out.unit = e
     out.name = "deunit(%s)" % alg.name
     return out

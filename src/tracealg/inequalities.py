@@ -2,6 +2,7 @@
 import numpy as np
 
 from . import linalg
+from .core import _with_metric, as_float
 from .hurwitz import frobenius, hmat_commutator
 
 
@@ -31,21 +32,22 @@ def bw_lie_estimate(lie_alg, samples=2000, ascent=200, seed=0):
     """Estimate sup -B([x,y],[x,y]) / (B(x,x)B(y,y) - B(x,y)^2) for a Lie
     algebra whose Killing form B is negative definite.
 
-    Random sampling followed by local ascent; returns a BoundEstimate
-    dict {"value", "witness", "seed"}."""
+    Random sampling followed by local ascent, on the float view of the
+    algebra metrized by B; returns a BoundEstimate dict {"value",
+    "witness", "seed"}."""
     from scipy import optimize       # imported here: the exact commands never need it
     B = lie_alg.killing_form()
     p, m, z = B.inertia()
     if p or z:
         raise ValueError("Killing form must be negative definite, inertia %s" % ((p, m, z),))
     n = lie_alg.dim
-    mf = linalg.to_float(lie_alg.structure)
-    Gf = linalg.to_float(B.gram)
+    fl = as_float(_with_metric(lie_alg, B))
+    Gf = fl.gram
     rng = np.random.default_rng(seed)
 
     def ratio(zv):
         x, y = zv[:n], zv[n:]
-        c = y @ np.tensordot(x, mf, axes=(0, 0))
+        c = fl.multiply(x, y)
         bx = x @ Gf @ x
         by = y @ Gf @ y
         den = bx * by - (x @ Gf @ y) ** 2

@@ -29,7 +29,7 @@ FLOAT = "float"
 
 EPS0 = 1e-9      # default zero test
 EPS_RANK = 1e-8  # default rank / inertia threshold
-EPS_DEDUP = 1e-6  # default deduplication radius for numeric searches
+EPS_DEDUP = 1e-6  # deduplication radius (max-norm) of the numeric searches
 
 _ZERO = Fraction(0)
 
@@ -152,6 +152,15 @@ def _fractions(N, D):
     out = np.empty(N.shape, dtype=object)
     out.reshape(-1)[:] = [_ZERO if p == 0 else Fraction(p, D) for p in N.ravel().tolist()]
     return out
+
+
+def _floats(N, D):
+    """N / D as float64, each entry correctly rounded: integer N is divided
+    as Python ints, as float(Fraction(p, D)) divides them."""
+    N = np.asarray(N)
+    if N.dtype.kind == "f":
+        return N / D
+    return np.array([p / D for p in N.ravel().tolist()], dtype=float).reshape(N.shape)
 
 
 def _contract(fn, terms, *operands):
@@ -322,8 +331,8 @@ class SymBilinearForm:
     """A symmetric bilinear form given by its Gram matrix G / DG.
 
     Its state is the pair (G, DG), as _numerators gives it: integers in
-    lowest terms, or float G over 1.  The Gram matrix of Fractions is made
-    when first read, read-only.
+    lowest terms, or float G over 1.  The Gram matrix, read-only, is G
+    itself on a float form; its Fractions are made when first read.
     """
 
     def __init__(self, gram):
@@ -349,7 +358,8 @@ class SymBilinearForm:
     @property
     def gram(self):
         if self._gram is None:
-            self._gram = _fractions(self._G, self._DG)
+            self._gram = (self._G.view() if self._G.dtype.kind == "f"
+                          else _fractions(self._G, self._DG))
             self._gram.setflags(write=False)
         return self._gram
 

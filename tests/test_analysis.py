@@ -185,3 +185,53 @@ def test_make_report_schema():
     assert rep["verdict"] is True
     assert rep["witnesses"] == [1]
     assert rep["seed"] == 3
+
+
+def counted(system):
+    """system, and the list that grows by one entry per call of it."""
+    calls = []
+
+    def wrapped(z):
+        calls.append(z.copy())
+        return system(z)
+    return wrapped, calls
+
+
+def test_newton_returns_a_converged_start_unchanged():
+    system, calls = counted(lambda z: (z ** 2 - 4.0, np.diag(2 * z)))
+    z0 = np.array([2.0, -2.0])
+    assert ta.analysis._newton(system, z0, 1e-12) is z0
+    assert len(calls) == 1
+
+
+def test_newton_converges_to_a_root():
+    z = ta.analysis._newton(lambda z: (z ** 2 - 2.0, np.diag(2 * z)), np.array([1.0]), 1e-12)
+    assert abs(z[0] - np.sqrt(2.0)) < 1e-12
+
+
+@pytest.mark.parametrize("jacobian", [1e-320, 1e-7], ids=["non-finite", "beyond-bound"])
+def test_newton_gives_up_on_a_diverging_step(jacobian):
+    """A step to an infinite iterate, or to one beyond the bound, ends the
+    search at once."""
+    system, calls = counted(lambda z: (np.array([1.0]), np.array([[jacobian]])))
+    assert ta.analysis._newton(system, np.array([0.0]), 1e-12) is None
+    assert len(calls) == 1
+
+
+def test_newton_gives_up_after_the_step_cap():
+    """F = 1 with J = 1 steps by -1 forever and never converges."""
+    system, calls = counted(lambda z: (np.array([1.0]), np.array([[1.0]])))
+    assert ta.analysis._newton(system, np.array([0.0]), 1e-12) is None
+    assert len(calls) == ta.analysis._NEWTON_STEPS == 80
+    assert calls[-1][0] == -79.0
+
+
+def test_newton_gives_up_when_a_solve_fails(monkeypatch):
+    """LAPACK's SVD can fail to converge on a finite, well-scaled Jacobian
+    (seen on herm0(3, 8)); that start is abandoned, the search goes on."""
+    def fail(J, F, rcond=None):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+    monkeypatch.setattr(np.linalg, "lstsq", fail)
+    system, calls = counted(lambda z: (np.array([1.0]), np.array([[1.0]])))
+    assert ta.analysis._newton(system, np.array([0.0]), 1e-12) is None
+    assert len(calls) == 1

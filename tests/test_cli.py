@@ -397,3 +397,73 @@ def test_constructions_build_no_fraction_tensor(tmp_path, capsys, monkeypatch, a
     n = json.load(open(out))["dim"]
     # no 3-D tensor, the inputs' of a derived build included, nor n^3 values
     assert [s for s in shapes if len(s) == 3 or math.prod(s) >= n ** 3] == []
+
+
+@pytest.mark.parametrize("argv", [["report", "--suite", "norton"],
+                                  ["report", "--suite", "const-sect"],
+                                  ["idempotents", "--trials", "8"],
+                                  ["sect", "--trials", "8"]],
+                         ids=["norton", "const-sect", "idempotents", "sect"])
+@pytest.mark.parametrize("family", [["ealg", "--n", "3"],
+                                    ["talg", "--n", "4", "--alpha=-1/3"]],
+                         ids=["metrized", "killing-metric"])
+def test_numeric_commands_build_no_fraction_tensor(tmp_path, capsys, monkeypatch, argv, family):
+    """The numeric searches and the constant-sect report read the float
+    view and the numerators: no n^3 tensor of Fractions is made."""
+    path, out = str(tmp_path / "a.json"), str(tmp_path / "r.json")
+    assert main(["construct"] + family + ["-o", path]) == 0
+    n = json.load(open(path))["dim"]
+    shapes = fraction_shapes(monkeypatch)
+    assert exit_code(argv + ["--in", path, "-o", out]) in (0, 1)
+    assert json.load(open(out))["schema"] == 1
+    assert [s for s in shapes if len(s) == 3 or math.prod(s) >= n ** 3] == []
+
+
+@pytest.mark.parametrize("argv", [["herm0", "--n", "3", "--level", "c", "--scalar", "float"],
+                                  ["confext", "--base", "@e3"]],
+                         ids=["scalar-float", "confext"])
+def test_float_constructions_build_no_fraction_tensor(tmp_path, capsys, monkeypatch, argv):
+    """A float build converts the numerators once, as Python int quotients:
+    no n^3 tensor of Fractions is made, the exact input's included."""
+    base = str(tmp_path / "e3.json")
+    assert main(["construct", "ealg", "--n", "3", "-o", base]) == 0
+    out = str(tmp_path / "out.json")
+    shapes = fraction_shapes(monkeypatch)
+    assert main(["construct"] + [base if a == "@e3" else a for a in argv] + ["-o", out]) == 0
+    doc = json.load(open(out))
+    assert doc["scalar"] == "float"
+    assert [s for s in shapes if len(s) == 3 or math.prod(s) >= doc["dim"] ** 3] == []
+
+
+@pytest.mark.parametrize("family", [["herm0", "--n", "3", "--level", "c"],
+                                    ["talg", "--n", "4", "--alpha=-1/3"]],
+                         ids=["metrized", "killing-metric"])
+def test_nondegenerate_report_computes_the_inertia_once(tmp_path, capsys, monkeypatch, family):
+    """With a metric in the file or the Killing form in its place, the
+    report computes one inertia."""
+    path, out = str(tmp_path / "a.json"), str(tmp_path / "r.json")
+    assert main(["construct"] + family + ["-o", path]) == 0
+    calls = []
+    real = tracealg.linalg.inertia
+
+    def spy(gram, tol=tracealg.linalg.EPS_RANK):
+        calls.append(np.shape(gram))
+        return real(gram, tol)
+    monkeypatch.setattr(tracealg.linalg, "inertia", spy)
+    assert main(["report", "--in", path, "--suite", "nondegenerate", "-o", out]) == 0
+    assert json.load(open(out))["verdict"] is True
+    assert len(calls) == 1
+
+
+def test_exact_report_computes_the_trace_once(monkeypatch):
+    calls = []
+    real = tracealg.core.Algebra.trace_linear
+
+    def spy(alg):
+        calls.append(alg.dim)
+        return real(alg)
+    monkeypatch.setattr(tracealg.core.Algebra, "trace_linear", spy)
+    for alg, verdict in ((tracealg.simplicial(3), True), (tracealg.talg(3, "1/2"), False)):
+        calls.clear()
+        assert run_suite(alg, "exact")["verdict"] is verdict
+        assert calls == [alg.dim]

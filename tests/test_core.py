@@ -270,6 +270,20 @@ def test_deunitalization_round_trip():
         assert max_abs(np.asarray(D.gram) - np.asarray(A.gram)) == 0
 
 
+def test_deunitalization_ignores_the_sign_of_the_metric():
+    """Negating the metric of a unital algebra negates h(e, e) and the
+    restricted Gram matrix together: the deunitalization is unchanged, in
+    lowest terms with a positive denominator."""
+    rng = random.Random(5)
+    for _ in range(3):
+        U = unitalization(random_metrized(rng, rng.randint(2, 3)))
+        V = MetrizedAlgebra._from_numerators(
+            U._N, U._D, SymBilinearForm._from_numerators(-U.form._G, U.form._DG), U.symmetry)
+        D, E = deunitalization(U), deunitalization(V)
+        assert D._D == E._D and np.array_equal(D._N, E._N)
+        assert D.form._DG == E.form._DG > 0 and np.array_equal(D.form._G, E.form._G)
+
+
 def test_einstein_unitalization_shift():
     """An exact algebra with killing = (dim-1) metric unitalizes to
     killing-hat = (dim+1) metric-hat."""
@@ -1096,3 +1110,81 @@ def hermitian_extremes(rng, signs, level):
     if signs == "mixed":
         X = X * np.array([rng.choice((-1, 1)) for _ in range(X.size)]).reshape(X.shape)
     return X, Y
+
+
+# -- the float view: one conversion, from the numerators --
+
+def ref_as_float(A):
+    """The float copy made from the Fraction tensor and Gram matrix."""
+    if isinstance(A, MetrizedAlgebra):
+        return MetrizedAlgebra(to_float(A.structure), to_float(A.gram), A.symmetry, A.name)
+    return Algebra(to_float(A.structure), A.symmetry, A.name)
+
+
+def assert_same_float_algebra(a, b):
+    assert type(a) is type(b) and (a.symmetry, a.name) == (b.symmetry, b.name)
+    assert a._N.dtype == b._N.dtype == float and a._D == b._D == 1
+    assert a._N.tobytes() == b._N.tobytes()
+    if isinstance(a, MetrizedAlgebra):
+        assert a.form._G.dtype == b.form._G.dtype == float and a.form._DG == b.form._DG == 1
+        assert a.form._G.tobytes() == b.form._G.tobytes()
+
+
+FLOAT_VIEW_FAMILIES = {
+    "talg(3,-1/2)": lambda: ta.talg(3, F(-1, 2)),
+    "ealg(4)": lambda: ta.simplicial(4),
+    "cyclic3": lambda: ta.cyclic3(),
+    "herm(3,2)": lambda: ta.herm_jordan(3, 2),
+    "herm0(3,8)": lambda: ta.herm0(3, 8),
+    "su-circle(3)": lambda: ta.su_circle(3),
+    "lie-so(4)": lambda: ta.lie_so(4),
+    "lie-su(3)": lambda: ta.lie_su(3),
+    "triple(ealg(3))": lambda: ta.triple(ta.simplicial(3)),
+    "nahm(lie-su(2))": lambda: ta.nahm(ta.lie_su(2)),
+    "tensor": lambda: tensor_product(ta.simplicial(2), ta.simplicial(3)),
+    "dsum": lambda: direct_sum(ta.simplicial(3), ta.herm0(3, 1)),
+    "unitalize": lambda: unitalization(ta.herm0(3, 1)),
+    "deunitalize": lambda: deunitalization(unitalization(ta.herm0(3, 1))),
+    "confext": lambda: ta.conformal_extension(ta.simplicial(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_VIEW_FAMILIES))
+def test_as_float_equals_the_fraction_tensor_rounding(name):
+    A = FLOAT_VIEW_FAMILIES[name]()
+    assert_same_float_algebra(ta.as_float(A), ref_as_float(A))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), python_ints=st.booleans(), data=st.data())
+def test_as_float_rounds_large_numerators_as_fractions_do(n, python_ints, data):
+    """Numerators in [2**53, 2**62) are int64 and not exact as floats; above
+    2**62 they are Python ints.  Either way each entry is correctly
+    rounded."""
+    lo, hi = (2 ** 62, 2 ** 90) if python_ints else (2 ** 53, 2 ** 62 - 1)
+    entry = st.one_of(st.just(0), st.integers(lo, hi), st.integers(-hi, -lo))
+
+    def symmetric(shape):
+        X = np.zeros(shape, dtype=object)
+        for idx in itertools.product(range(n), repeat=len(shape)):
+            if idx[0] <= idx[1]:
+                X[idx] = X[(idx[1], idx[0]) + idx[2:]] = data.draw(entry)
+        return X
+    N, G = symmetric((n, n, n)), symmetric((n, n))
+    D, DG = data.draw(st.integers(1, 2 ** 70)), data.draw(st.integers(1, 2 ** 70))
+    A = MetrizedAlgebra._from_numerators(N, D, SymBilinearForm._from_numerators(G, DG))
+    assert_same_float_algebra(ta.as_float(A), ref_as_float(A))
+    plain = Algebra._from_numerators(N, D)
+    assert_same_float_algebra(ta.as_float(plain), ref_as_float(plain))
+
+
+def test_as_float_copies_a_float_algebra_unchanged():
+    N = ta.as_float(ta.simplicial(3))._N.copy()
+    N[N == 0] = -0.0
+    G = 2 * np.eye(3)
+    G[G == 0] = -0.0
+    B = MetrizedAlgebra(N, G)
+    C = ta.as_float(B)
+    assert_same_float_algebra(C, B)
+    assert np.signbit(C._N).any() and np.signbit(C.form._G).any()
+    assert not np.shares_memory(C._N, B._N) and not np.shares_memory(C.form._G, B.form._G)
