@@ -314,7 +314,8 @@ def sect_extremize(alg, seed, n_starts=40):
 
     Random multistart on the float view, polished by derivative-free
     descent; finite precision, no global guarantee.  Returns a
-    BoundEstimate dict.
+    BoundEstimate dict.  Raises ValueError when every start of the min or
+    of the max search ends on a degenerate plane.
     """
     from scipy import optimize       # imported here: the exact commands never need it
     fl = as_float(alg)
@@ -334,8 +335,10 @@ def sect_extremize(alg, seed, n_starts=40):
                                              "xtol": 1e-12, "ftol": 1e-14})
             if res.fun < 1e8:
                 vals.append((res.fun, res.x))
-        vals.sort(key=lambda t: t[0])
-        best[sign] = vals[0]
+        if not vals:
+            raise ValueError("every one of the %d starts of the sect %s search ended on "
+                             "a degenerate plane" % (n_starts, "min" if sign > 0 else "max"))
+        best[sign] = min(vals, key=lambda t: t[0])
     lo = best[1.0]
     hi = best[-1.0]
     return {"lower": lo[0], "upper": -hi[0],

@@ -133,11 +133,23 @@ def _traceless_jordan(B, n, level):
     return s, t
 
 
+class _MatrixAlgebra(MetrizedAlgebra):
+    """A metrized algebra on a basis of matrices, kept as an integer stack;
+    its Fractions, `matrices`, are made on first read, as `structure` is."""
+
+    @property
+    def matrices(self):
+        if self._matrices is None:
+            self._matrices = _fractions(self._mats, 1)
+            self._matrices.setflags(write=False)
+        return self._matrices
+
+
 def _matrix_algebra(N, D, form, symmetry, name, mats):
     """The metrized algebra of structure N / D and metric form on the
     integer basis stack mats."""
-    out = MetrizedAlgebra._from_numerators(N, D, form, symmetry, name=name)
-    out.matrices = _fractions(mats, 1)
+    out = _MatrixAlgebra._from_numerators(N, D, form, symmetry, name=name)
+    out._mats, out._matrices = mats, None
     return out
 
 

@@ -147,7 +147,11 @@ def cmd_idempotents(args):
 
 def cmd_sect(args):
     alg = _metrized(_load(args.infile))
-    est = analysis.sect_extremize(alg, args.seed, n_starts=max(args.trials, 8))
+    try:
+        est = analysis.sect_extremize(alg, args.seed, n_starts=max(args.trials, 8))
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     doc = {"schema": 1, "lower": est["lower"], "upper": est["upper"],
            "seed": args.seed}
     _emit(doc, args.out)

@@ -4,10 +4,11 @@ Levels 1, 2, 4, 8 are the reals, complexes, quaternions and octonions.
 Scalars are coordinate vectors of length d = level; matrices over a
 composition algebra are (n, n, d) arrays, and stacks of them (..., n, n, d).
 
-unit_tensor(level) is the one multiplication table: every product is one
-contraction of integer numerators with it (_mul), over the product of the
-operands' common denominators, and only the result becomes Fractions.  A
-float array is its own numerator over D = 1, so floats run the same code.
+unit_tensor(level) is the one multiplication table: every product is a
+contraction of integer numerators with it and one batched matmul (_mul),
+over the product of the operands' common denominators, and only the
+result becomes Fractions.  A float array is its own numerator over D = 1,
+so floats run the same code.
 """
 from fractions import Fraction
 from functools import lru_cache
@@ -55,15 +56,25 @@ def _mul(X, Y, level):
     """Matrix products X Y of integer or float numerator stacks
     (..., n, m, d) and (..., m, l, d), broadcast over the leading axes.
 
-    Each pair of units (a, b) has exactly one unit c with M[a,b,c] != 0,
-    and each (b, c) exactly one a, so an entry of X M is one product and
-    an entry of (X M) Y a sum of m * level products.  Contracting M first
-    is what makes this fast: one three-operand einsum runs the full
-    i, j, k, a, b, c loop, at about eight times the cost.
+    Two steps.  The unit-tensor contraction XU[..., i, c, j, b] =
+    sum_a X[..., i, j, a] M[a, b, c] is one product per entry, since each
+    (b, c) has exactly one unit a with M[a,b,c] != 0.  Then XU, as
+    (..., i c, j b) matrices, times Y, as (..., j b, k) matrices, is one
+    batched matmul, whose (i c, k) entry is the product's [i, k, c], a sum
+    of m * level products.  numpy runs the equivalent einsum over (j, b)
+    as a loop over the stack, without its matmul path, at several times
+    the cost; one three-operand einsum over i, j, k, a, b, c is slower
+    still.
     """
+    n, m, l = X.shape[-3], X.shape[-2], Y.shape[-2]
+
     def mul(x, y, u):
-        return np.einsum("...ijbc,...jkb->...ikc", np.einsum("...ija,abc->...ijbc", x, u), y)
-    return _contract(mul, X.shape[-2] * level, X, Y, unit_tensor(level))
+        xu = np.einsum("...ija,abc->...icjb", x, u)
+        xu = xu.reshape(xu.shape[:-4] + (n * level, m * level))
+        y = np.swapaxes(y, -1, -2).reshape(y.shape[:-3] + (m * level, l))
+        p = xu @ y
+        return np.swapaxes(p.reshape(p.shape[:-2] + (n, level, l)), -1, -2)
+    return _contract(mul, m * level, X, Y, unit_tensor(level))
 
 
 def _products(X, Y, level):

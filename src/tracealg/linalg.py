@@ -290,41 +290,60 @@ def inv(A):
 def inertia(gram, tol=EPS_RANK):
     """Return (n_plus, n_minus, n_zero) of a symmetric matrix.
 
-    Exact: symmetric congruence diagonalization.
+    Exact (Fractions, or integers such as the numerators of a Gram matrix
+    over a positive denominator, which has the same inertia): symmetric
+    congruence diagonalization on integers.  The pivot is the first
+    diagonal entry d; a zero one is swapped with the next nonzero diagonal
+    entry, or else the first row and column with a nonzero off-diagonal
+    entry are added to it.  Eliminating the pivot's column a leaves the
+    trailing block B congruent to B - a a^T / d, which |d| B - sign(d) a a^T
+    scales by |d| > 0; it is divided by its content, so no Fraction is made.
     Float: eigenvalue counts with absolute threshold tol.
     """
-    if backend_of(gram) == FLOAT:
-        w = np.linalg.eigvalsh(to_float(gram))
+    A = np.asarray(gram)
+    if A.dtype.kind == "f":
+        w = np.linalg.eigvalsh(A)
         pos = int(np.sum(w > tol))
         neg = int(np.sum(w < -tol))
         return pos, neg, len(w) - pos - neg
-    A = as_backend(gram, RATIONAL)
-    n = A.shape[0]
+    A = _numerators(A)[0] if A.dtype.kind == "O" else A.copy()
     pos = neg = zero = 0
-    for k in range(n):
-        if A[k, k] == 0:
-            j = next((j for j in range(k + 1, n) if A[j, j] != 0), None)
-            if j is not None:
-                A[[k, j]] = A[[j, k]]
-                A[:, [k, j]] = A[:, [j, k]]
+    while len(A):
+        if A[0, 0] == 0:
+            diagonal = np.flatnonzero(np.diagonal(A))
+            row = np.flatnonzero(A[0])
+            if diagonal.size:
+                j = diagonal[0]
+                A[[0, j]] = A[[j, 0]]
+                A[:, [0, j]] = A[:, [j, 0]]
+            elif row.size:
+                # A[0, 0] becomes 2 A[0, j]; an entry sums at most four of A
+                A = _contract(lambda b: _add_to_first(b, row[0]), 4, A)
             else:
-                j = next((j for j in range(k + 1, n) if A[k, j] != 0), None)
-                if j is None:
-                    zero += 1
-                    continue
-                A[k] = A[k] + A[j]
-                A[:, k] = A[:, k] + A[:, j]
-        d = A[k, k]
-        for i in range(k + 1, n):
-            if A[i, k] != 0:
-                f = A[i, k] / d
-                A[i] = A[i] - f * A[k]
-                A[:, i] = A[:, i] - f * A[:, k]
+                zero += 1
+                A = A[1:, 1:]
+                continue
+        d, a, A = int(A[0, 0]), A[1:, 0], A[1:, 1:]
         if d > 0:
             pos += 1
         else:
             neg += 1
+        if np.any(a != 0):
+            # two products per entry: |d| B[i, l] and a[i] a[l]
+            op = np.subtract if d > 0 else np.add
+            A = _contract(lambda b, x, y, c: op(c * b, np.multiply.outer(x, y)), 2,
+                          A, a, a, abs(d))
+            g = np.gcd.reduce(A.ravel())
+            if g > 1:
+                A //= g
     return pos, neg, zero
+
+
+def _add_to_first(A, j):
+    """A with row and column j added to row and column 0, in place."""
+    A[0] += A[j]
+    A[:, 0] += A[:, j]
+    return A
 
 
 class SymBilinearForm:
@@ -378,7 +397,7 @@ class SymBilinearForm:
         return self.apply(x, x)
 
     def inertia(self, tol=EPS_RANK):
-        return inertia(self.gram, tol)
+        return inertia(self._G, tol)
 
     def rank(self, tol=EPS_RANK):
         p, m, z = self.inertia(tol)

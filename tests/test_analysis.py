@@ -116,6 +116,16 @@ def test_sect_extremize_constant_case():
     assert abs(est["upper"] + 0.5) < 1e-5
 
 
+def test_sect_extremize_raises_when_every_start_is_degenerate():
+    """big_coprime_algebra's own metric: every Powell run of the min search
+    ends on a degenerate plane, exact and on the float view."""
+    from test_core import big_coprime_algebra
+    A = big_coprime_algebra()
+    for alg in (A, ta.as_float(A)):
+        with pytest.raises(ValueError, match="every one of the 3 starts .* degenerate plane"):
+            ta.sect_extremize(alg, seed=2, n_starts=3)
+
+
 def test_projective_associativity():
     for n in (2, 3):
         ok, err = ta.is_projectively_associative(ta.simplicial(n))

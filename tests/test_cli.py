@@ -1,4 +1,5 @@
 """Command line interface: construction, reports, exit codes."""
+import hashlib
 import json
 import math
 import os
@@ -467,3 +468,35 @@ def test_exact_report_computes_the_trace_once(monkeypatch):
         calls.clear()
         assert run_suite(alg, "exact")["verdict"] is verdict
         assert calls == [alg.dim]
+
+
+# SHA-256 of the `construct` output of the matrix catalogue algebras, as
+# recorded when their Cayley-Dickson products were one einsum over (j, b)
+CONSTRUCT_SHA256 = {
+    "herm0 --n 4 --level h": "77b3067a8c205da9e498c93525d16addaebf3a66ececad6608d4464daa121831",
+    "herm0 --n 3 --level o": "b29e1dd6877a3144466be0b79d6cc82034a70c70609594e4de2aa06cfd0dcdb4",
+    "herm --n 3 --level o": "fff88c49bfc0827825e20eab830b743e68e72e734180a502055b12bd664af34a",
+    "lie-su --n 4": "2c720b373848b798583265be3e5b9700b09f5f80694dc44d4c99193d1561ba97",
+    "su-circle --n 3": "caac75e7a952ca7f0576d75cd999de29cf7251fa36c91ace4d7b02bb373b318a",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CONSTRUCT_SHA256))
+def test_matrix_constructions_are_byte_identical(tmp_path, argv):
+    out = tmp_path / "out.json"
+    assert main(["construct"] + argv.split() + ["-o", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CONSTRUCT_SHA256[argv]
+
+
+def test_sect_with_only_degenerate_starts_is_an_input_error(tmp_path, capsys):
+    """When every start ends on a degenerate plane, sect exits 2 with one
+    error line, as a degenerate Killing form does."""
+    from test_core import big_coprime_algebra
+    path = str(tmp_path / "a.json")
+    with open(path, "w") as fh:
+        json.dump(tracealg.core.to_json(big_coprime_algebra()), fh)
+    assert exit_code(["sect", "--in", path, "--seed", "2", "--trials", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert "every one of the 8 starts" in captured.err and "degenerate plane" in captured.err

@@ -185,9 +185,10 @@ def assert_matches(got, want, kind, scale):
 
 
 # (leading shape of X, of Y, matrix sizes n, m, l): single matrices, stacks,
-# broadcast stacks and a non-square product
+# broadcast stacks and non-square products
 SHAPES = [((), (), 3, 3, 3), ((2,), (2,), 3, 3, 3), ((3, 1), (1, 2), 2, 2, 2),
-          ((2,), (), 3, 3, 3), ((), (), 2, 3, 1)]
+          ((2,), (), 3, 3, 3), ((), (), 2, 3, 1), ((4, 1), (1, 3), 3, 3, 3),
+          ((2,), (2,), 2, 3, 4)]
 
 
 @pytest.mark.parametrize("kind", ["fraction", "float", "bigint"])

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tracealg
+from tracealg import linalg
 from tracealg.linalg import (FLOAT, RATIONAL, Subspace, SymBilinearForm, _kernel,
                              _reduce_rows, as_backend, inertia, inv, nullspace,
                              orthogonal_complement, parse_scalar, rational_eigenvalues,
@@ -356,3 +358,95 @@ def test_rational_eigenvalues_edge_cases():
               frac_matrix([[Fraction(1, 3 ** 8), 0], [0, -1]]),
               np.empty((0, 0), dtype=object)):
         assert rational_eigenvalues(M) == ref_rational_eigenvalues(M)
+
+
+# -- differential test: inertia on integers against the Fraction congruence --
+
+def ref_inertia(gram):
+    """inertia before it ran on integers: symmetric congruence
+    diagonalization of the Fraction Gram matrix."""
+    A = as_backend(gram, RATIONAL)
+    n = A.shape[0]
+    pos = neg = zero = 0
+    for k in range(n):
+        if A[k, k] == 0:
+            j = next((j for j in range(k + 1, n) if A[j, j] != 0), None)
+            if j is not None:
+                A[[k, j]] = A[[j, k]]
+                A[:, [k, j]] = A[:, [j, k]]
+            else:
+                j = next((j for j in range(k + 1, n) if A[k, j] != 0), None)
+                if j is None:
+                    zero += 1
+                    continue
+                A[k] = A[k] + A[j]
+                A[:, k] = A[:, k] + A[:, j]
+        d = A[k, k]
+        for i in range(k + 1, n):
+            if A[i, k] != 0:
+                f = A[i, k] / d
+                A[i] = A[i] - f * A[k]
+                A[:, i] = A[:, i] - f * A[:, k]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+    return pos, neg, zero
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric matrices of size 1 to 6 of small Fractions, zeros and
+    integers of magnitude in [2**62, 2**90]: dense or of lower rank, some
+    with a zero diagonal (the swap and row-add pivots) or zero rows."""
+    n = draw(st.integers(1, 6))
+    big = st.integers(2 ** 62, 2 ** 90).map(Fraction)
+    entries = st.one_of(st.just(Fraction(0)), fracs, big, big.map(lambda x: -x))
+    M = zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            M[i, j] = M[j, i] = draw(entries)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        B = frac_matrix(draw(st.lists(st.lists(fracs, min_size=n, max_size=n),
+                                      min_size=k, max_size=k))).reshape(k, n)
+        M = B.T @ M[:k, :k] @ B if k else zeros((n, n))
+    if draw(st.booleans()):
+        M[range(n), range(n)] = Fraction(0)
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        M[i, :] = M[:, i] = Fraction(0)
+    return M
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_matrices())
+def test_integer_inertia_equals_fraction_congruence(M):
+    want = ref_inertia(M)
+    assert inertia(M) == want
+    assert SymBilinearForm(M).inertia() == want
+
+
+def test_integer_inertia_pivot_paths():
+    X = 2 ** 70
+    for M in ([[0, 1], [1, 0]], [[0, 0, 1], [0, 0, 0], [1, 0, 0]],
+              [[0, 2, 3], [2, 0, 5], [3, 5, 0]], [[0, 0], [0, -3]], [[0, 0], [0, 0]],
+              [[X, X + 1, 0], [X + 1, X, 1], [0, 1, -X]], [[1, 2], [2, 4]]):
+        M = frac_matrix(M)
+        assert inertia(M) == ref_inertia(M)
+    assert inertia(np.empty((0, 0), dtype=object)) == (0, 0, 0)
+
+
+def test_form_inertia_makes_no_fraction_gram(monkeypatch):
+    """The inertia of a form runs on its numerators: no Fraction Gram
+    matrix is made."""
+    form = tracealg.simplicial(8).form
+    want = ref_inertia(tracealg.simplicial(8).gram)
+    shapes = []
+    real = linalg._fractions
+
+    def spy(N, D):
+        shapes.append(np.shape(N))
+        return real(N, D)
+    monkeypatch.setattr(linalg, "_fractions", spy)
+    assert form.inertia() == want == (8, 0, 0)
+    assert shapes == [] and form._gram is None
