@@ -4,7 +4,7 @@ from .linalg import (FLOAT, RATIONAL, SymBilinearForm, Subspace, inertia,
                      general_real_eigenvalues)
 from .core import (Algebra, MetrizedAlgebra, as_float, decompose_ideals,
                    deunitalization, direct_sum, einstein_fit, from_json,
-                   griess_einstein, intrinsic_unitalization, load_json, dump_json,
+                   griess_einstein, intrinsic_unitalization, load_json,
                    retraction, tensor_product, to_json, unitalization,
                    verify_homomorphism, verify_isometric, voa_kappa)
 from .catalog import (build_by_name, conformal_extension,

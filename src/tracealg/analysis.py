@@ -7,9 +7,8 @@ import numpy as np
 from . import linalg
 from .core import _with_metric, as_float, deunitalization
 from .catalog import gamma_vectors, triple, triple_embeddings
-from .linalg import (EPS0, EPS_DEDUP, RATIONAL, _contract, _fractions, _is_zero,
-                     _lowest_terms, _numerators, _residual, is_zero, max_abs, to_float,
-                     zeros)
+from .linalg import (EPS_DEDUP, RATIONAL, _contract, _fractions, _is_zero, _lowest_terms,
+                     _numerators, _residual, is_zero, max_abs, to_float, zeros)
 
 
 def make_report(predicate, verdict, residual, witnesses=None, seed=None):
@@ -69,7 +68,7 @@ def conformal_tensor(alg):
     return _fractions(*_conformal(alg))
 
 
-def is_conformally_associative(alg, tol=EPS0):
+def is_conformally_associative(alg):
     """Returns (verdict, max residual); dims <= 3 are conformally
     associative by convention."""
     if alg.dim <= 2:
@@ -78,7 +77,7 @@ def is_conformally_associative(alg, tol=EPS0):
     err = _fractions(max_abs(W), E)
     if alg.dim == 3:
         return True, err
-    return bool(_is_zero(err, tol, lambda: max_abs(alg.gram) ** 2)), err
+    return bool(_is_zero(err, scale=lambda: max_abs(alg.gram) ** 2)), err
 
 
 def _pair_times_identity(X):
@@ -90,7 +89,7 @@ def _pair_times_identity(X):
                      2, X, I)
 
 
-def is_projectively_associative(alg, tol=EPS0):
+def is_projectively_associative(alg):
     """Check [x,y,z] = c(y,z) x - c(x,y) z with c = -ric/(dim-1) on basis
     triples, plus the cyclic commutator identity it implies."""
     n = alg.dim
@@ -115,10 +114,10 @@ def is_projectively_associative(alg, tol=EPS0):
     S = _contract(cyclic, 6 * n * n, alg._N, alg._N, alg._N)
     # the larger of P / Q and S / D^3, over one denominator
     err = _fractions(max(P * alg._D ** 3, S * Q), Q * alg._D ** 3)
-    return bool(_is_zero(err, tol, lambda: max_abs(alg._N) ** 3)), err
+    return bool(_is_zero(err, scale=lambda: max_abs(alg._N) ** 3)), err
 
 
-def constant_sect_check(alg, kappa=None, tol=EPS0):
+def constant_sect_check(alg, kappa=None):
     """Check [x,y,z] = kappa (h(x,y) z - h(y,z) x) on basis triples.
 
     If kappa is None it is inferred from ric = kappa (dim-1) h at the
@@ -128,10 +127,10 @@ def constant_sect_check(alg, kappa=None, tol=EPS0):
     G, DG = alg.form._G, alg.form._DG
     if kappa is None:
         R, E = alg._ricci()
-        k0 = next(i for i in range(n) if not is_zero(G[i, i], tol))
+        k0 = next(i for i in range(n) if not is_zero(G[i, i]))
         kappa = _fractions(R[k0, k0], E) / ((n - 1) * _fractions(G[k0, k0], DG))
     err = _fractions(*_residual(*alg._associator(), _pair_times_identity(G), DG, kappa))
-    return bool(_is_zero(err, tol, lambda: max_abs(G))), kappa, err
+    return bool(_is_zero(err, scale=lambda: max_abs(G))), kappa, err
 
 
 def norton_minimum(alg, seed):

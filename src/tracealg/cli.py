@@ -79,16 +79,16 @@ def cmd_construct(args):
     return 0
 
 
-def run_suite(alg, suite, seed=0, tol=linalg.EPS0):
+def run_suite(alg, suite, seed=0):
     if suite == "exact":
         t = alg.trace_linear()
         return analysis.make_report("trace of every left multiplication vanishes",
-                                    linalg.is_zero(t, tol), linalg.max_abs(t), seed=seed)
+                                    linalg.is_zero(t), linalg.max_abs(t), seed=seed)
     if suite == "killing-invariant":
-        ok, err = alg.is_invariant(alg.killing_form(), tol)
+        ok, err = alg.is_invariant(alg.killing_form())
         return analysis.make_report("killing form is invariant", ok, err, seed=seed)
     if suite == "ricci-invariant":
-        ok, err = alg.is_invariant(alg.ricci_form(), tol)
+        ok, err = alg.is_invariant(alg.ricci_form())
         return analysis.make_report("ricci form is invariant", ok, err, seed=seed)
     if suite == "nondegenerate":
         p, m, z = (alg.form.inertia() if isinstance(alg, MetrizedAlgebra)
@@ -97,29 +97,29 @@ def run_suite(alg, suite, seed=0, tol=linalg.EPS0):
                                     witnesses=[[p, m, z]], seed=seed)
     if suite == "einstein":
         alg = _metrized(alg)
-        kappa, resid = core.einstein_fit(alg, tol)
+        kappa, resid = core.einstein_fit(alg)
         return analysis.make_report("killing form is a multiple of the metric",
-                                    linalg.is_zero(resid, tol), resid,
+                                    linalg.is_zero(resid), resid,
                                     witnesses=[str(kappa)], seed=seed)
     if suite == "proj-assoc":
-        ok, err = analysis.is_projectively_associative(alg, tol)
+        ok, err = analysis.is_projectively_associative(alg)
         return analysis.make_report("projectively associative", ok, err, seed=seed)
     if suite == "conf-assoc":
         alg = _metrized(alg)
-        ok, err = analysis.is_conformally_associative(alg, tol)
+        ok, err = analysis.is_conformally_associative(alg)
         return analysis.make_report("conformally associative", ok, err, seed=seed)
     if suite == "norton":
         worst = analysis.norton_minimum(_metrized(alg), seed)
         return analysis.make_report("h([x,x,y],y) >= 0 on samples",
-                                    worst >= -tol, worst, seed=seed)
+                                    worst >= -linalg.EPS0, worst, seed=seed)
     if suite == "const-sect":
         alg = _metrized(alg)
-        ok, kappa, err = analysis.constant_sect_check(alg, tol=tol)
+        ok, kappa, err = analysis.constant_sect_check(alg)
         return analysis.make_report("constant sectional value", ok, err,
                                     witnesses=[str(kappa)], seed=seed)
     if suite == "ideals":
         alg = _metrized(alg)
-        parts, verdict = core.decompose_ideals(alg, tol)
+        parts, verdict = core.decompose_ideals(alg)
         return analysis.make_report("ideal decomposition certificates",
                                     verdict != "undetermined", 0,
                                     witnesses=[verdict] + [S.dim for S, _ in parts],
@@ -129,7 +129,7 @@ def run_suite(alg, suite, seed=0, tol=linalg.EPS0):
 
 def cmd_report(args):
     alg = _load(args.infile)
-    rep = run_suite(alg, args.suite, args.seed, args.tol)
+    rep = run_suite(alg, args.suite, args.seed)
     _emit(rep, args.out)
     return 0 if rep["verdict"] else 1
 
@@ -160,7 +160,7 @@ def cmd_sect(args):
 
 def cmd_decompose(args):
     alg = _metrized(_load(args.infile))
-    parts, verdict = core.decompose_ideals(alg, args.tol)
+    parts, verdict = core.decompose_ideals(alg)
     doc = {"schema": 1, "verdict": verdict,
            "component_dims": [S.dim for S, _ in parts]}
     _emit(doc, args.out)
@@ -169,7 +169,7 @@ def cmd_decompose(args):
 
 def cmd_check(args):
     alg = _load(args.infile)
-    reports = {suite: run_suite(alg, suite, args.seed, args.tol)
+    reports = {suite: run_suite(alg, suite, args.seed)
                for suite in ("exact", "killing-invariant", "ricci-invariant")}
     _emit({"schema": 1, "reports": reports}, args.out)
     return 0 if all(rep["verdict"] for rep in reports.values()) else 1
@@ -211,9 +211,9 @@ def _parser():
 
     for q in (pr, pi, ps, pd, pk):
         q.add_argument("--seed", type=int, default=0)
-        q.add_argument("--tol", type=float, default=linalg.EPS0)
         q.add_argument("-o", "--out")
-    # report and check run no search; decompose ignores --trials but accepts it
+    # report and check run no search.  decompose reads neither --seed nor
+    # --trials; it accepts both because the benchmark workloads pass them
     for q in (pi, ps, pd):
         q.add_argument("--trials", type=int, default=200)
     return p

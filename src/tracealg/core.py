@@ -54,7 +54,7 @@ class Algebra:
         if symmetry not in (COMMUTATIVE, ANTICOMMUTATIVE):
             raise ValueError("unknown symmetry %r" % (symmetry,))
         sign = 1 if symmetry == COMMUTATIVE else -1
-        if not np.all(_is_zero(N - sign * np.swapaxes(N, 0, 1), EPS0, lambda: max_abs(N))):
+        if not np.all(_is_zero(N - sign * np.swapaxes(N, 0, 1), scale=lambda: max_abs(N))):
             raise ValueError("structure tensor is not %s" % symmetry)
 
     @property
@@ -93,8 +93,8 @@ class Algebra:
         return _fractions(_contract(lambda a: np.trace(a, axis1=1, axis2=2), self.dim, self._N),
                           self._D)
 
-    def is_exact(self, tol=EPS0):
-        return is_zero(self.trace_linear(), tol)
+    def is_exact(self):
+        return is_zero(self.trace_linear())
 
     def _killing(self):
         """(K, E) with tau = K / E, K integer on exact algebras."""
@@ -135,7 +135,7 @@ class Algebra:
         """A[i,j,k,l] = [e_i, e_j, e_k]_l = ((e_i e_j) e_k - e_i (e_j e_k))_l."""
         return _fractions(*self._associator())
 
-    def is_invariant(self, form, tol=EPS0):
+    def is_invariant(self, form):
         """Check h(xy, z) = h(x, yz) on basis triples; returns (ok, max violation)."""
         G, DG = form._G, form._DG
 
@@ -144,7 +144,7 @@ class Algebra:
             return max_abs(A - np.transpose(A, (2, 0, 1)))
         # A sums n products; A minus its transpose doubles that
         err = _fractions(_contract(violation, 2 * self.dim, self._N, G), self._D * DG)
-        ok = _is_zero(err, tol, lambda: max(max_abs(G), max_abs(self._N)))
+        ok = _is_zero(err, scale=lambda: max(max_abs(G), max_abs(self._N)))
         return bool(ok), err
 
     def cubic_value(self, form, x):
@@ -161,18 +161,18 @@ class Algebra:
                       self.dim, self._N, R)                        # [i,k,j]
         return np.transpose(P, (2, 0, 1)).reshape(-1, self.dim)
 
-    def is_ideal(self, S, tol=EPS0):
-        return S.contains(self._products(S), tol)
+    def is_ideal(self, S):
+        return S.contains(self._products(S))
 
-    def ideal_closure(self, generators, tol=EPS0):
-        S = Subspace.from_spanning(generators, tol)
+    def ideal_closure(self, generators):
+        S = Subspace.from_spanning(generators)
         while True:
-            outside = S._outside(self._products(S), tol)
+            outside = S._outside(self._products(S))
             if not len(outside):
                 return S
-            S = Subspace(np.vstack([S.rows, _fractions(outside, 1)]).T, tol)
+            S = Subspace(np.vstack([S.rows, _fractions(outside, 1)]).T)
 
-    def find_unit(self, tol=EPS0):
+    def find_unit(self):
         """Solve L(e) = Id if possible, else return None.
 
         An exact algebra solves A e = b exactly: it has a solution iff the
@@ -191,7 +191,7 @@ class Algebra:
             v = next((v for v in N.T if v[n] != 0), None)
             return None if v is None else v[:n] / v[n]
         e, *_ = np.linalg.lstsq(A, b, rcond=None)
-        return e if np.all(_is_zero(A @ e - b, tol, lambda: max_abs(A))) else None
+        return e if np.all(_is_zero(A @ e - b, scale=lambda: max_abs(A))) else None
 
 
 def _twice_killing(a, b):
@@ -238,14 +238,14 @@ def _with_metric(alg, form):
     return MetrizedAlgebra._from_numerators(alg._N, alg._D, form, alg.symmetry, alg.name)
 
 
-def einstein_fit(alg, tol=EPS0):
+def einstein_fit(alg):
     """Fit tau = kappa h; kappa from the first basis vector with h(e,e) != 0.
 
     Returns (kappa, residual) where residual is the max-norm of tau - kappa h.
     """
     K, E = alg._killing()
     G, DG = alg.form._G, alg.form._DG
-    k = next((i for i in range(alg.dim) if not is_zero(G[i, i], tol)), None)
+    k = next((i for i in range(alg.dim) if not is_zero(G[i, i])), None)
     if k is None:
         raise ValueError("metric vanishes on the whole diagonal")
     kappa = _fractions(K[k, k], E) / _fractions(G[k, k], DG)
@@ -363,19 +363,19 @@ def retraction(alg, basis):
     return out
 
 
-def deunitalization(alg, tol=EPS0):
+def deunitalization(alg):
     """Retract a unital metrized algebra onto the orthocomplement of its unit.
 
     The metric is rescaled by 1/h(e,e).  The result carries `.embedding`
     (columns spanning the complement) and `.unit`.
     """
-    e = alg.find_unit(tol)
+    e = alg.find_unit()
     if e is None:
         raise ValueError("algebra has no unit")
     gee = alg.h(e, e)
-    if is_zero(gee, tol):
+    if is_zero(gee):
         raise ValueError("unit is null for the metric")
-    comp = linalg.orthogonal_complement(Subspace.from_spanning([e], tol), alg.form, tol)
+    comp = linalg.orthogonal_complement(Subspace.from_spanning([e]), alg.form)
     # the coordinates do not depend on the metric's scale, so the form is
     # rescaled afterwards, by p / q = 1 / gee with q > 0: one product per entry
     out = retraction(alg, comp.basis)
@@ -423,7 +423,7 @@ def voa_kappa(c, n):
 _COMMUTANT_ROWS = 4096
 
 
-def _commutant(alg, tol):
+def _commutant(alg):
     """Basis of {T : T L(e_i) = L(e_i) T for all i}, as n x n matrices.
 
     This is the centroid (Schafer, An Introduction to Nonassociative
@@ -453,13 +453,13 @@ def _commutant(alg, tol):
         M[:, d, :, d, :] = N[block]                                # [a,i,c,q]
         M[:, :, d, :, d] -= L[block]                               # [c,i,a,p]
         R, pivots = (linalg._reduce_integer_rows(rows) if exact
-                     else linalg._reduce_rows(rows, tol))
+                     else linalg._reduce_rows(rows))
         R = R.copy()                    # not a view holding on to all the rows
     K = linalg._kernel(linalg._rref(R, pivots) if exact else R, pivots)
     return [K[:, j].reshape(n, n) for j in range(K.shape[1])]
 
 
-def _certified_split(alg, commutant, tol):
+def _certified_split(alg, commutant):
     """First eigenspace S = ker(T - lam I), T in the commutant, that is a
     proper nondegenerate ideal with an ideal orthocomplement C; (S, C) or None.
 
@@ -472,21 +472,21 @@ def _certified_split(alg, commutant, tol):
         if alg.backend == RATIONAL:
             eigenvalues = linalg.rational_eigenvalues(T)
         else:
-            eigenvalues = linalg.general_real_eigenvalues(T, tol)[0]
+            eigenvalues = linalg.general_real_eigenvalues(T, EPS0)[0]
         for lam in eigenvalues:
-            S = Subspace(linalg.nullspace(T - lam * I, tol), tol)
+            S = Subspace(linalg.nullspace(T - lam * I))
             if not 0 < S.dim < n:
                 continue
             restricted = _matmul(_matmul(S.rows, alg.gram), S.basis)
             if not SymBilinearForm(restricted).is_nondegenerate():
                 continue
-            comp = linalg.orthogonal_complement(S, alg.form, tol)
-            if alg.is_ideal(S, tol) and alg.is_ideal(comp, tol):
+            comp = linalg.orthogonal_complement(S, alg.form)
+            if alg.is_ideal(S) and alg.is_ideal(comp):
                 return S, comp
     return None
 
 
-def decompose_ideals(alg, tol=EPS0):
+def decompose_ideals(alg):
     """Certified direct-sum decomposition into ideals, through the commutant.
 
     Returns (components, verdict): components are (Subspace in original
@@ -496,10 +496,10 @@ def decompose_ideals(alg, tol=EPS0):
     commutant eigenspace passed the certificate.
     """
     def recurse(sub_alg, embed):
-        C = _commutant(sub_alg, tol)
-        pieces = None if len(C) == 1 else _certified_split(sub_alg, C, tol)
+        C = _commutant(sub_alg)
+        pieces = None if len(C) == 1 else _certified_split(sub_alg, C)
         if pieces is None:
-            return [(Subspace(embed, tol), sub_alg)], len(C)
+            return [(Subspace(embed), sub_alg)], len(C)
         parts = [part for piece in pieces
                  for part in recurse(retraction(sub_alg, piece.basis),
                                      _matmul(embed, piece.basis))[0]]
@@ -592,7 +592,7 @@ def from_json(doc):
         form = SymBilinearForm._from_numerators(nums.reshape(len(gram), -1), DG)
     alg = MetrizedAlgebra._from_numerators(N, D, form, symmetry, name=name)
     G = form._G
-    if not np.all(_is_zero(G - G.T, EPS0, lambda: max_abs(G))):
+    if not np.all(_is_zero(G - G.T, scale=lambda: max_abs(G))):
         raise ValueError("Gram matrix is not symmetric")
     return alg
 
@@ -603,11 +603,6 @@ def _ratio_numerators(ratios):
     ratios = list(ratios)
     D = math.lcm(*{q for _, q in ratios})
     return linalg._integers([p * (D // q) for p, q in ratios], (len(ratios),)), D
-
-
-def dump_json(alg, path, name=None):
-    with open(path, "w") as fh:
-        json.dump(to_json(alg, name), fh, indent=1)
 
 
 def load_json(path):

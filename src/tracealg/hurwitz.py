@@ -15,8 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import (EPS0, _contract, _fractions, _is_zero,
-                     _numerators, max_abs, zeros)
+from .linalg import _contract, _fractions, _is_zero, _numerators, max_abs, zeros
 
 LEVELS = (1, 2, 4, 8)
 LEVEL_OF_LETTER = {"r": 1, "c": 2, "h": 4, "o": 8}
@@ -149,4 +148,4 @@ def frobenius(X, Y):
 
 
 def is_hermitian(X):
-    return bool(np.all(_is_zero(X - hmat_conj_t(X), EPS0, lambda: max_abs(X))))
+    return bool(np.all(_is_zero(X - hmat_conj_t(X), scale=lambda: max_abs(X))))

@@ -1,11 +1,11 @@
 """Scalar kinds and small dense linear algebra.
 
 An array's dtype says which kind of scalar it holds: an object array of
-fractions.Fraction is exact (RATIONAL), a float64 array is FLOAT.  Functions
-read the kind from their input; only builders that start from nothing
-(zeros, eye, the target of as_backend) are told it.  Everything in this
-module is deterministic: echelon pivots are the first nonzero entry, with
-the largest-magnitude entry chosen on floats.
+fractions.Fraction, or an integer array, is exact (RATIONAL), a float64
+array is FLOAT.  Functions read the kind from their input; only builders
+that start from nothing (zeros, eye, the target of as_backend) are told
+it.  Everything in this module is deterministic: echelon pivots are the
+first nonzero entry, with the largest-magnitude entry chosen on floats.
 
 There is one elimination routine for each kind of scalar: exact rows are
 reduced fraction-free, as integers (_reduce_integer_rows), float rows by
@@ -27,8 +27,8 @@ import numpy as np
 RATIONAL = "rational"
 FLOAT = "float"
 
-EPS0 = 1e-9      # default zero test
-EPS_RANK = 1e-8  # default rank / inertia threshold
+EPS0 = 1e-9      # zero test of float data, relative to its scale
+EPS_RANK = 1e-8  # absolute eigenvalue threshold of the float inertia
 EPS_DEDUP = 1e-6  # deduplication radius (max-norm) of the numeric searches
 
 _ZERO = Fraction(0)
@@ -65,7 +65,7 @@ def to_float(a):
 
 
 def backend_of(a):
-    return RATIONAL if np.asarray(a).dtype == object else FLOAT
+    return RATIONAL if np.asarray(a).dtype.kind in "Oiu" else FLOAT
 
 
 def _is_zero(x, tol=EPS0, scale=None):
@@ -82,9 +82,9 @@ def _is_zero(x, tol=EPS0, scale=None):
     return np.abs(x) <= tol * max(1.0, scale() if scale else 1.0)
 
 
-def is_zero(x, tol=EPS0):
-    """True when every entry of x is zero: exactly, or within tol on floats."""
-    return bool(np.all(_is_zero(x, tol)))
+def is_zero(x):
+    """True when every entry of x is zero: exactly, or within EPS0 on floats."""
+    return bool(np.all(_is_zero(x)))
 
 
 def max_abs(a):
@@ -287,7 +287,7 @@ def inv(A):
     return solve(A, eye(len(A)))
 
 
-def inertia(gram, tol=EPS_RANK):
+def inertia(gram):
     """Return (n_plus, n_minus, n_zero) of a symmetric matrix.
 
     Exact (Fractions, or integers such as the numerators of a Gram matrix
@@ -298,13 +298,13 @@ def inertia(gram, tol=EPS_RANK):
     entry are added to it.  Eliminating the pivot's column a leaves the
     trailing block B congruent to B - a a^T / d, which |d| B - sign(d) a a^T
     scales by |d| > 0; it is divided by its content, so no Fraction is made.
-    Float: eigenvalue counts with absolute threshold tol.
+    Float: eigenvalue counts with absolute threshold EPS_RANK.
     """
     A = np.asarray(gram)
     if A.dtype.kind == "f":
         w = np.linalg.eigvalsh(A)
-        pos = int(np.sum(w > tol))
-        neg = int(np.sum(w < -tol))
+        pos = int(np.sum(w > EPS_RANK))
+        neg = int(np.sum(w < -EPS_RANK))
         return pos, neg, len(w) - pos - neg
     A = _numerators(A)[0] if A.dtype.kind == "O" else A.copy()
     pos = neg = zero = 0
@@ -396,15 +396,15 @@ class SymBilinearForm:
     def norm2(self, x):
         return self.apply(x, x)
 
-    def inertia(self, tol=EPS_RANK):
-        return inertia(self._G, tol)
+    def inertia(self):
+        return inertia(self._G)
 
-    def rank(self, tol=EPS_RANK):
-        p, m, z = self.inertia(tol)
+    def rank(self):
+        p, m, z = self.inertia()
         return p + m
 
-    def is_nondegenerate(self, tol=EPS_RANK):
-        return self.rank(tol) == self.dim
+    def is_nondegenerate(self):
+        return self.rank() == self.dim
 
 
 def general_real_eigenvalues(M, tol=EPS0):
@@ -454,25 +454,24 @@ def _divisors(k):
     return set(small) | {k // d for d in small}
 
 
-def _reduce_rows(M, tol=EPS0):
+def _reduce_rows(M):
     """Reduced row echelon form of M: (the nonzero rows, their pivot columns).
 
     Each pivot column holds a leading 1 in its row and exactly 0 in every
     other row.  Exact M is reduced without Fractions: each row is scaled to
     integers by the lcm of its denominators, which leaves the reduced form
     as it is, then _reduce_integer_rows runs, and the rows become Fractions
-    once, at the end (_rref).  Float pivots are the largest entry above tol
+    once, at the end (_rref).  Float pivots are the largest entry above EPS0
     times the largest |entry| of M.  The tolerance only chooses pivots:
     every row with a nonzero entry in a pivot column is eliminated, since
-    the normalised pivot rows no longer share the scale of M.  Integer M is
-    reduced as floats.
+    the normalised pivot rows no longer share the scale of M.
     """
     if backend_of(M) == RATIONAL:
         R, pivots = _reduce_integer_rows(_row_numerators(np.asarray(M)))
         return _rref(R, pivots), pivots
     M = np.array(M, dtype=float)                      # a copy
     m, n = M.shape
-    bound = tol * max(1.0, max_abs(M))
+    bound = EPS0 * max(1.0, max_abs(M))
     pivots = []
     for col in range(n):
         row = len(pivots)
@@ -585,10 +584,10 @@ def _kernel(R, pivots):
     return basis
 
 
-def nullspace(M, tol=EPS0):
+def nullspace(M):
     """Basis (columns) of the right nullspace of M."""
     M = np.asarray(M)
-    return _kernel(*_reduce_rows(M.reshape(1, -1) if M.ndim == 1 else M, tol))
+    return _kernel(*_reduce_rows(M.reshape(1, -1) if M.ndim == 1 else M))
 
 
 class Subspace:
@@ -600,16 +599,15 @@ class Subspace:
     spanning set of it gives the same R and p.
     """
 
-    def __init__(self, basis, tol=EPS0):
+    def __init__(self, basis):
         """basis: spanning vectors as columns (a 1-D array is one vector)."""
         B = np.asarray(basis)
-        self.tol = tol
-        self.rows, self.pivots = _reduce_rows((B[:, None] if B.ndim == 1 else B).T, tol)
+        self.rows, self.pivots = _reduce_rows((B[:, None] if B.ndim == 1 else B).T)
         self.rows.setflags(write=False)
 
     @classmethod
-    def from_spanning(cls, vectors, tol=EPS0):
-        return cls(np.stack([np.asarray(v) for v in vectors], axis=1), tol)
+    def from_spanning(cls, vectors):
+        return cls(np.stack([np.asarray(v) for v in vectors], axis=1))
 
     @property
     def basis(self):
@@ -628,15 +626,16 @@ class Subspace:
     def dim(self):
         return self.rows.shape[0]
 
-    def _outside(self, V, tol):
+    def _outside(self, V):
         """The residuals v - v[p] @ R of the rows v of V that lie outside
         the subspace, each up to a positive factor.  Exact rows (Fractions,
         or integer numerators over any common denominator) are tested on
-        integers; floats are zero-tested at the scale of the largest entry
-        of V."""
+        integers.  When V or the subspace is float, both are read as floats
+        and zero-tested at the scale of the largest entry of V."""
         if self.backend == FLOAT or V.dtype.kind == "f":
-            r = V - V[:, self.pivots] @ self.rows
-            return r[~np.all(_is_zero(r, tol, lambda: max_abs(V)), axis=1)]
+            V = np.asarray(V, dtype=float)
+            r = V - V[:, self.pivots] @ np.asarray(self.rows, dtype=float)
+            return r[~np.all(_is_zero(r, scale=lambda: max_abs(V)), axis=1)]
         X = V if V.dtype.kind in "iu" else _numerators(V)[0]
         R, DR = _numerators(self.rows)
         # an entry sums dim products of X and R, and one of X and DR
@@ -644,23 +643,27 @@ class Subspace:
                       self.dim + 1, X, R, DR)
         return r[np.any(r != 0, axis=1)]
 
-    def contains(self, V, tol=None):
+    def contains(self, V):
         """True when the vector V, or every row of the stack V, lies in the
         subspace.  A float stack is zero-tested at the scale of its largest
         entry, not row by row."""
         V = np.atleast_2d(np.asarray(V))
-        return not len(self._outside(V, self.tol if tol is None else tol))
+        return not len(self._outside(V))
 
     def equals(self, other):
-        """Same subspace: equal pivots and rows, exactly or within tol."""
-        return (self.pivots == other.pivots
-                and bool(np.all(_is_zero(self.rows - other.rows, self.tol,
-                                         lambda: max_abs(self.rows)))))
+        """Same subspace: equal pivots and rows, exactly, or within EPS0 when
+        either subspace is float."""
+        if self.pivots != other.pivots:
+            return False
+        diff = self.rows - other.rows
+        if FLOAT in (self.backend, other.backend):
+            diff = diff.astype(float)           # exact minus float rows are floats
+        return bool(np.all(_is_zero(diff, scale=lambda: max_abs(self.rows))))
 
 
-def orthogonal_complement(S, form, tol=EPS0):
+def orthogonal_complement(S, form):
     """Orthogonal complement of a subspace w.r.t. a nondegenerate form."""
-    comp = Subspace(nullspace(_matmul(S.rows, form.gram), tol), tol)
+    comp = Subspace(nullspace(_matmul(S.rows, form.gram)))
     if comp.dim != S.ambient_dim - S.dim:
         raise ValueError("form degenerate on this configuration")
     return comp

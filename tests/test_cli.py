@@ -140,6 +140,18 @@ def test_usage_errors(tmp_path, capsys):
                  "--suite", "exact"]) == 2
 
 
+@pytest.mark.parametrize("cmd", ["report", "check", "decompose", "idempotents", "sect"])
+def test_no_command_takes_a_tolerance(tmp_path, capsys, cmd):
+    """The zero tolerance is a module constant, so --tol is a usage error."""
+    path = str(tmp_path / "e3.json")
+    assert main(["construct", "ealg", "--n", "3", "-o", path]) == 0
+    suite = ["--suite", "exact"] if cmd == "report" else []
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--in", path, "--tol", "1e-3"] + suite)
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 def test_json_round_trip_via_cli(tmp_path, capsys):
     p1 = str(tmp_path / "a.json")
     run(capsys, "construct", "talg", "--n", "4", "--alpha=-1/3", "-o", p1)
@@ -447,9 +459,9 @@ def test_nondegenerate_report_computes_the_inertia_once(tmp_path, capsys, monkey
     calls = []
     real = tracealg.linalg.inertia
 
-    def spy(gram, tol=tracealg.linalg.EPS_RANK):
+    def spy(gram):
         calls.append(np.shape(gram))
-        return real(gram, tol)
+        return real(gram)
     monkeypatch.setattr(tracealg.linalg, "inertia", spy)
     assert main(["report", "--in", path, "--suite", "nondegenerate", "-o", out]) == 0
     assert json.load(open(out))["verdict"] is True

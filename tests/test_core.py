@@ -1,5 +1,6 @@
 """Algebra container, trace forms, unitalization, serialization."""
 from fractions import Fraction
+import inspect
 import itertools
 import json
 import math
@@ -582,7 +583,7 @@ def test_decompose_ideals_undetermined_without_rational_eigenvalues():
                                        ("ealg(2)(x)ealg(3)", 1)])
 def test_commutant_commutes_with_left_multiplications(name, dim):
     alg = DECOMPOSITIONS[name][0]()
-    C = ta.core._commutant(alg, 0)
+    C = ta.core._commutant(alg)
     assert len(C) == dim
     for T in C:
         for i in range(alg.dim):
@@ -611,7 +612,7 @@ def test_commutant_equals_full_system_nullspace(build):
     alg = build()
     n = alg.dim
     N = ref_nullspace(full_commutant_system(alg))
-    C = ta.core._commutant(alg, 0)
+    C = ta.core._commutant(alg)
     assert len(C) == N.shape[1] >= 1
     for j, T in enumerate(C):
         assert all(isinstance(x, F) for x in T.flat)
@@ -1188,3 +1189,19 @@ def test_as_float_copies_a_float_algebra_unchanged():
     assert_same_float_algebra(C, B)
     assert np.signbit(C._N).any() and np.signbit(C.form._G).any()
     assert not np.shares_memory(C._N, B._N) and not np.shares_memory(C.form._G, B.form._G)
+
+
+def test_no_public_signature_takes_a_tolerance():
+    """Zero tests read the module constants EPS0 and EPS_RANK.  Only the
+    real-eigenvalue split and the spectrum grouping radius take a tol."""
+    members = [(name, getattr(ta, name)) for name in ta.__all__]
+    for cls in (Algebra, MetrizedAlgebra, SymBilinearForm, Subspace):
+        members += [("%s.%s" % (cls.__name__, name), member)
+                    for name, member in inspect.getmembers(cls)
+                    if not name.startswith("_") and callable(member)]
+    checked = {name for name, member in members if callable(member)}
+    assert {"Subspace", "Subspace.contains", "Algebra.is_exact", "decompose_ideals",
+            "SymBilinearForm.inertia", "group_spectrum"} <= checked
+    with_tol = {name for name, member in members
+                if callable(member) and "tol" in inspect.signature(member).parameters}
+    assert with_tol == {"general_real_eigenvalues", "group_spectrum"}

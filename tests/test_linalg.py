@@ -122,6 +122,37 @@ def test_nullspace():
     assert np.allclose(N[:, 0], [-0.5, 1])
 
 
+def test_integer_arrays_are_exact():
+    """An integer array is exact, as an array of Fractions is: entries
+    near 2**53, which float64 rounds, give exact kernels, solutions and
+    memberships."""
+    X = 2 ** 53
+    M = np.array([[X + 1, X]])
+    assert linalg.backend_of(M) == RATIONAL
+    K = nullspace(M)
+    assert list(K[:, 0]) == [Fraction(-X, X + 1), 1]
+    assert np.all(M.astype(object) @ K == 0)
+    A = np.array([[X + 1, X], [X, X - 1]])                 # determinant -1
+    assert list(solve(A, np.array([1, 0]))) == [1 - X, X]
+    assert inv(A).tolist() == [[1 - X, X], [X, -1 - X]]
+    S = Subspace(np.array([[X + 1], [X]]))
+    assert S.contains(np.array([[X + 1, X], [2 * X + 2, 2 * X]]))
+    assert not S.contains(np.array([X, X - 1]))
+
+
+def test_exact_subspace_zero_tests_float_vectors():
+    """A float vector or subspace is compared with an exact subspace as
+    floats, within EPS0, as with a float one: 0.1 is not a third of 0.3 in
+    float64."""
+    F = Subspace(np.array([[0.3], [0.1]]))
+    for basis in (np.array([[3], [1]]), frac_matrix([[3], [1]]), np.array([[3.0], [1.0]])):
+        S = Subspace(basis)
+        assert S.contains(np.array([0.3, 0.1]))
+        assert not S.contains(np.array([0.3, 0.2]))
+        assert S.equals(F) and F.equals(S)
+        assert not S.equals(Subspace(np.array([[0.3], [0.2]])))
+
+
 def test_orthogonal_complement():
     form = SymBilinearForm(frac_matrix([[1, 0], [0, -1]]))
     v = np.array([Fraction(1), Fraction(1)], dtype=object)  # isotropic vector
