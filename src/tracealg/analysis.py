@@ -121,13 +121,16 @@ def constant_sect_check(alg, kappa=None):
     """Check [x,y,z] = kappa (h(x,y) z - h(y,z) x) on basis triples.
 
     If kappa is None it is inferred from ric = kappa (dim-1) h at the
-    first anisotropic diagonal entry.  Returns (verdict, kappa, residual).
+    first anisotropic diagonal entry, and a metric with none raises
+    ValueError.  Returns (verdict, kappa, residual).
     """
     n = alg.dim
     G, DG = alg.form._G, alg.form._DG
     if kappa is None:
         R, E = alg._ricci()
-        k0 = next(i for i in range(n) if not is_zero(G[i, i]))
+        k0 = next((i for i in range(n) if not is_zero(G[i, i])), None)
+        if k0 is None:
+            raise ValueError("metric vanishes on the whole diagonal")
         kappa = _fractions(R[k0, k0], E) / ((n - 1) * _fractions(G[k0, k0], DG))
     err = _fractions(*_residual(*alg._associator(), _pair_times_identity(G), DG, kappa))
     return bool(_is_zero(err, scale=lambda: max_abs(G))), kappa, err

@@ -8,7 +8,7 @@ from . import hurwitz
 from .core import (ANTICOMMUTATIVE, COMMUTATIVE, Algebra, MetrizedAlgebra, _blocks,
                    as_float, deunitalization, direct_sum, tensor_product, unitalization)
 from .hurwitz import hmat_re_tr
-from .linalg import SymBilinearForm, _contract, _fractions, eye, zeros
+from .linalg import SymBilinearForm, _contract, _view, eye, zeros
 
 
 def talg(n, alpha):
@@ -140,8 +140,7 @@ class _MatrixAlgebra(MetrizedAlgebra):
     @property
     def matrices(self):
         if self._matrices is None:
-            self._matrices = _fractions(self._mats, 1)
-            self._matrices.setflags(write=False)
+            self._matrices = _view(self._mats, 1)
         return self._matrices
 
 

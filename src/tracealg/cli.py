@@ -129,7 +129,11 @@ def run_suite(alg, suite, seed=0):
 
 def cmd_report(args):
     alg = _load(args.infile)
-    rep = run_suite(alg, args.suite, args.seed)
+    try:
+        rep = run_suite(alg, args.suite, args.seed)
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     _emit(rep, args.out)
     return 0 if rep["verdict"] else 1
 
@@ -160,7 +164,11 @@ def cmd_sect(args):
 
 def cmd_decompose(args):
     alg = _metrized(_load(args.infile))
-    parts, verdict = core.decompose_ideals(alg)
+    try:
+        parts, verdict = core.decompose_ideals(alg)
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     doc = {"schema": 1, "verdict": verdict,
            "component_dims": [S.dim for S, _ in parts]}
     _emit(doc, args.out)

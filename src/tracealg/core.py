@@ -18,8 +18,8 @@ import numpy as np
 
 from . import linalg
 from .linalg import (EPS0, FLOAT, RATIONAL, SymBilinearForm, Subspace, _contract,
-                     _fractions, _is_zero, _lowest_terms, _matmul, _numerators,
-                     _residual, as_backend, backend_of, is_zero, max_abs, zeros)
+                     _fractions, _is_zero, _lowest_terms, _numerators,
+                     _residual, _view, as_backend, backend_of, is_zero, max_abs, zeros)
 
 COMMUTATIVE = "commutative"
 ANTICOMMUTATIVE = "anticommutative"
@@ -62,9 +62,7 @@ class Algebra:
         """m[i,j,k] = N / D, read-only: Fractions on an exact algebra, made
         on first use and then kept, and N itself on a float one (D = 1)."""
         if self._structure is None:
-            self._structure = (self._N.view() if self._N.dtype.kind == "f"
-                               else _fractions(self._N, self._D))
-            self._structure.setflags(write=False)
+            self._structure = _view(self._N, self._D)
         return self._structure
 
     @property
@@ -155,10 +153,9 @@ class Algebra:
         """The products e_i s_j (s_j outer, e_i inner) with the rows of S, as
         rows: integer numerators over one common denominator on an exact
         algebra, which is all a containment test needs."""
-        R, _ = _numerators(S.rows)
         # each entry sums n products
         P = _contract(lambda m, r: np.tensordot(m, r, axes=(1, 1)),
-                      self.dim, self._N, R)                        # [i,k,j]
+                      self.dim, self._N, S._R)                     # [i,k,j]
         return np.transpose(P, (2, 0, 1)).reshape(-1, self.dim)
 
     def is_ideal(self, S):
@@ -170,7 +167,7 @@ class Algebra:
             outside = S._outside(self._products(S))
             if not len(outside):
                 return S
-            S = Subspace(np.vstack([S.rows, _fractions(outside, 1)]).T)
+            S = Subspace(np.vstack([S._R, outside]).T)
 
     def find_unit(self):
         """Solve L(e) = Id if possible, else return None.
@@ -186,9 +183,7 @@ class Algebra:
         if self.backend == RATIONAL:
             # one product per entry
             M = _contract(lambda a, d: np.column_stack([a, -d * b]), 1, A, self._D)
-            R, pivots = linalg._reduce_integer_rows(M)
-            N = linalg._kernel(linalg._rref(R, pivots), pivots)
-            v = next((v for v in N.T if v[n] != 0), None)
+            v = next((v for v in linalg.nullspace(M).T if v[n] != 0), None)
             return None if v is None else v[:n] / v[n]
         e, *_ = np.linalg.lstsq(A, b, rcond=None)
         return e if np.all(_is_zero(A @ e - b, scale=lambda: max_abs(A))) else None
@@ -434,7 +429,6 @@ def _commutant(alg):
     """
     n = alg.dim
     N = alg._N
-    exact = alg.backend == RATIONAL
     L = N.transpose(0, 2, 1)                                       # L[i] = D L(e_i)
     d = np.arange(n)
     # reducing a few blocks at a time keeps at most n^2 independent rows plus
@@ -452,10 +446,9 @@ def _commutant(alg):
         # factors become index-diagonal assignments, not n^4 multiplications
         M[:, d, :, d, :] = N[block]                                # [a,i,c,q]
         M[:, :, d, :, d] -= L[block]                               # [c,i,a,p]
-        R, pivots = (linalg._reduce_integer_rows(rows) if exact
-                     else linalg._reduce_rows(rows))
+        R, pivots = linalg._reduce_rows(rows)
         R = R.copy()                    # not a view holding on to all the rows
-    K = linalg._kernel(linalg._rref(R, pivots) if exact else R, pivots)
+    K = linalg._kernel(R, pivots)
     return [K[:, j].reshape(n, n) for j in range(K.shape[1])]
 
 
@@ -468,6 +461,7 @@ def _certified_split(alg, commutant):
     """
     n = alg.dim
     I = linalg.eye(n, alg.backend)
+    G = alg.form._G
     for T in commutant:
         if alg.backend == RATIONAL:
             eigenvalues = linalg.rational_eigenvalues(T)
@@ -477,8 +471,8 @@ def _certified_split(alg, commutant):
             S = Subspace(linalg.nullspace(T - lam * I))
             if not 0 < S.dim < n:
                 continue
-            restricted = _matmul(_matmul(S.rows, alg.gram), S.basis)
-            if not SymBilinearForm(restricted).is_nondegenerate():
+            # the restricted form R G R^T / (DR^2 DG): n^2 products per entry
+            if linalg.inertia(_contract(lambda r, g, s: r @ g @ s.T, n * n, S._R, G, S._R))[2]:
                 continue
             comp = linalg.orthogonal_complement(S, alg.form)
             if alg.is_ideal(S) and alg.is_ideal(comp):
@@ -493,19 +487,25 @@ def decompose_ideals(alg):
     coordinates, restricted MetrizedAlgebra) pairs.  The verdict is
     "decomposed" when a certified split was found, "indecomposable" when
     the commutant is one-dimensional (a proof), and "undetermined" when no
-    commutant eigenspace passed the certificate.
+    commutant eigenspace passed the certificate.  A degenerate metric
+    raises ValueError.
     """
+    if not alg.form.is_nondegenerate():
+        raise ValueError("metric is degenerate (inertia %s)" % (alg.form.inertia(),))
+
     def recurse(sub_alg, embed):
         C = _commutant(sub_alg)
         pieces = None if len(C) == 1 else _certified_split(sub_alg, C)
         if pieces is None:
             return [(Subspace(embed), sub_alg)], len(C)
+        # embed @ piece._R.T, a multiple of the piece's basis in the original
+        # coordinates, spans it; each entry sums sub_alg.dim products
         parts = [part for piece in pieces
                  for part in recurse(retraction(sub_alg, piece.basis),
-                                     _matmul(embed, piece.basis))[0]]
+                                     _contract(np.matmul, sub_alg.dim, embed, piece._R.T))[0]]
         return parts, len(C)
 
-    parts, commutant_dim = recurse(alg, linalg.eye(alg.dim, alg.backend))
+    parts, commutant_dim = recurse(alg, np.eye(alg.dim, dtype=np.int64))
     if len(parts) > 1:
         verdict = "decomposed"
     else:
@@ -542,6 +542,8 @@ def from_json(doc):
     an earlier one at each position it sets, its transpose included.
     """
     n = doc["dim"]
+    if n < 1:
+        raise ValueError("dim %s is below 1" % (n,))
     backend = doc.get("scalar", RATIONAL)
     if backend not in (RATIONAL, FLOAT):
         raise ValueError("unknown scalar kind %r" % (backend,))

@@ -7,17 +7,17 @@ that start from nothing (zeros, eye, the target of as_backend) are told
 it.  Everything in this module is deterministic: echelon pivots are the
 first nonzero entry, with the largest-magnitude entry chosen on floats.
 
-There is one elimination routine for each kind of scalar: exact rows are
-reduced fraction-free, as integers (_reduce_integer_rows), float rows by
-_reduce_rows.  Solves, nullspaces and subspaces all go through them, and a
-Subspace is stored in the reduced row echelon form _reduce_rows returns,
-which is canonical for exact subspaces.
+There is one elimination entry, _reduce_rows.  It keeps its input's kind:
+exact rows are reduced fraction-free, as integers (_reduce_integer_rows),
+float rows to their reduced row echelon form, and _echelon reads both as
+numerators N over one denominator D.  Solves, nullspaces and subspaces all
+go through them; a Subspace is that pair, canonical when exact.
 
 Exact contractions do not multiply Fractions.  They run on integer
 numerators N over one common denominator D (_numerators), in a dtype that
 rules out overflow before they start (_contract), and only their results
-become Fractions (_fractions).  A float array is its own numerator over
-D = 1, so the same code serves both kinds.
+become Fractions (_fractions, or _view for a read-only array).  A float
+array is its own numerator over D = 1, so the same code serves both kinds.
 """
 import math
 from fractions import Fraction
@@ -163,6 +163,13 @@ def _floats(N, D):
     return np.array([p / D for p in N.ravel().tolist()], dtype=float).reshape(N.shape)
 
 
+def _view(N, D):
+    """N / D, read-only: Fractions for integer N, N itself for float N."""
+    out = N.view() if N.dtype.kind == "f" else _fractions(N, D)
+    out.setflags(write=False)
+    return out
+
+
 def _contract(fn, terms, *operands):
     """fn(*operands), with integer operands in a dtype it cannot overflow.
 
@@ -185,14 +192,6 @@ def _contract(fn, terms, *operands):
         dtype = np.int64 if bound < _INT64_LIMIT else object
         out = fn(*(a.astype(dtype, copy=False) for a in arrays))
     return np.asarray(out).item() if np.ndim(out) == 0 else out
-
-
-def _matmul(A, B):
-    """A @ B, of exact matrices as one contraction of integer numerators:
-    only the product's entries become Fractions."""
-    (X, DA), (Y, DB) = _numerators(A), _numerators(B)
-    # each entry sums A.shape[-1] products
-    return _fractions(_contract(np.matmul, A.shape[-1], X, Y), DA * DB)
 
 
 def _residual(X, DX, Y, DY, c=1):
@@ -377,9 +376,7 @@ class SymBilinearForm:
     @property
     def gram(self):
         if self._gram is None:
-            self._gram = (self._G.view() if self._G.dtype.kind == "f"
-                          else _fractions(self._G, self._DG))
-            self._gram.setflags(write=False)
+            self._gram = _view(self._G, self._DG)
         return self._gram
 
     @property
@@ -423,52 +420,58 @@ def general_real_eigenvalues(M, tol=EPS0):
 def rational_eigenvalues(M):
     """Distinct rational eigenvalues of an exact square matrix, ascending.
 
-    They are the rational roots of the minimal polynomial, the first exact
-    dependency among I, M, M^2, ...; candidates come from the rational-root
-    theorem and are tested exactly, so no float is involved.  With M = X / E
-    for integer X, the powers are the integer X^k over E^k, and a dependency
-    a' among the columns X^k is the dependency a'_k E^k among the M^k.
+    With M = X / E for integer X, they are mu / E for the integer roots mu
+    of the minimal polynomial of X, the first exact dependency among the
+    integer powers I, X, X^2, ...  That polynomial is monic with integer
+    coefficients (Gauss's lemma), so the echelon form of the powers has
+    D = 1 and the kernel's one column holds the coefficients.  Every root
+    divides the lowest nonzero coefficient and is tested exactly, so no
+    Fraction is multiplied and no float is involved.
     """
     X, E = _numerators(M)
     powers = [np.eye(len(X), dtype=np.int64)]
     while True:
         # each entry sums n products
         powers.append(_contract(np.matmul, len(X), powers[-1], X))
-        R, pivots = _reduce_integer_rows(np.column_stack([P.reshape(-1) for P in powers]))
+        R, pivots = _reduce_rows(np.column_stack([P.reshape(-1) for P in powers]))
         if len(pivots) < len(powers):
             break
-    K = _kernel(_rref(R, pivots), pivots)
-    free = next(j for j in range(len(powers)) if j not in pivots)
-    dependency = [x * Fraction(E ** k, E ** free) for k, x in enumerate(K[:, 0])]
-    scale = math.lcm(*(c.denominator for c in dependency))
-    c = [int(x * scale) for x in dependency]
+    c = [int(x) for x in _kernel(R, pivots)[:, 0]]
     low = next(k for k, x in enumerate(c) if x)      # x^low divides the polynomial
-    candidates = {Fraction(s * p, q) for p in _divisors(abs(c[low]))
-                  for q in _divisors(abs(c[-1])) for s in (1, -1)}
-    roots = {r for r in candidates if sum(x * r ** k for k, x in enumerate(c)) == 0}
-    return sorted(roots | ({Fraction(0)} if low else set()))
+    roots = {s * p for p in _divisors(abs(c[low])) for s in (1, -1)
+             if sum(x * (s * p) ** k for k, x in enumerate(c)) == 0}
+    return sorted(Fraction(mu, E) for mu in roots | ({0} if low else set()))
 
 
 def _divisors(k):
-    small = [d for d in range(1, math.isqrt(k) + 1) if k % d == 0]
-    return set(small) | {k // d for d in small}
+    """The positive divisors of k >= 1, from its factors found by trial
+    division; each prime found is divided out of k."""
+    divisors, p = {1}, 2
+    while p * p <= k:
+        e = 0
+        while k % p == 0:
+            k, e = k // p, e + 1
+        divisors |= {d * p ** i for d in divisors for i in range(1, e + 1)}
+        p += 1
+    return divisors | {d * k for d in divisors}
 
 
 def _reduce_rows(M):
-    """Reduced row echelon form of M: (the nonzero rows, their pivot columns).
+    """Echelon rows of M in M's kind: (the nonzero rows, their pivot columns).
 
-    Each pivot column holds a leading 1 in its row and exactly 0 in every
-    other row.  Exact M is reduced without Fractions: each row is scaled to
-    integers by the lcm of its denominators, which leaves the reduced form
-    as it is, then _reduce_integer_rows runs, and the rows become Fractions
-    once, at the end (_rref).  Float pivots are the largest entry above EPS0
-    times the largest |entry| of M.  The tolerance only chooses pivots:
-    every row with a nonzero entry in a pivot column is eliminated, since
-    the normalised pivot rows no longer share the scale of M.
+    Row i divided by its entry in column pivots[i] is row i of the reduced
+    row echelon form (_echelon).  Exact M gives the rows of _reduce_integer_rows:
+    integer M is copied, and each row of Fractions is scaled to integers by
+    the lcm of its denominators.  Float M gives its reduced form, with pivots
+    the largest entry above EPS0 times the largest |entry| of M.  The
+    tolerance only chooses pivots: every row with a nonzero entry in a pivot
+    column is eliminated, as normalised pivot rows lose the scale of M.
     """
-    if backend_of(M) == RATIONAL:
-        R, pivots = _reduce_integer_rows(_row_numerators(np.asarray(M)))
-        return _rref(R, pivots), pivots
+    M = np.asarray(M)
+    if M.dtype.kind == "O":
+        return _reduce_integer_rows(_row_numerators(M))
+    if M.dtype.kind in "iu":
+        return _reduce_integer_rows(M.astype(np.int64 if max_abs(M) < _INT64_LIMIT else object))
     M = np.array(M, dtype=float)                      # a copy
     m, n = M.shape
     bound = EPS0 * max(1.0, max_abs(M))
@@ -514,7 +517,7 @@ def _reduce_integer_rows(M):
 
     Each pivot column is nonzero in its own row only, and row i divided by
     its entry in column pivots[i] is row i of the reduced row echelon form
-    (_rref).  Pivots are the first nonzero entry of a column.  A pivot row
+    (_echelon).  Pivots are the first nonzero entry of a column.  A pivot row
     is divided by its content (the gcd of its entries); every other row
     with c != 0 in the pivot column becomes p * row - c * (pivot row), with
     p the pivot, divided by its content, so entries stay small (Bareiss,
@@ -563,25 +566,27 @@ def _reduce_integer_rows(M):
     return M[:len(pivots)], pivots
 
 
-def _rref(R, pivots):
-    """The reduced row echelon form, as Fractions, of the integer rows and
-    pivots of _reduce_integer_rows: row i divided by R[i, pivots[i]]."""
-    out = np.empty(R.shape, dtype=object)
-    for i, (row, p) in enumerate(zip(R.tolist(), pivots)):
-        d = row[p]
-        out[i] = [_ZERO if x == 0 else Fraction(x, d) for x in row]
-    return out
+def _echelon(R, pivots):
+    """(N, D): the reduced row echelon form N / D, in lowest terms, of the rows
+    R and pivots of _reduce_rows, D the lcm of the pivot entries; float R is N."""
+    if R.dtype.kind == "f":
+        return R, 1
+    p = [int(x) for x in R[range(len(pivots)), pivots]]
+    D = math.lcm(*p)
+    # row i times D / p[i]: one product per entry
+    return _lowest_terms(_contract(np.multiply, 1, R, _integers([D // x for x in p], (-1, 1))), D)
 
 
 def _kernel(R, pivots):
-    """Basis (columns) of the right nullspace of a reduced row echelon form."""
-    n = R.shape[1]
-    free = [j for j in range(n) if j not in pivots]
-    basis = zeros((n, len(free)), backend_of(R))
-    for idx, j in enumerate(free):
-        basis[j, idx] += 1
-        basis[pivots, idx] = -R[:, j]
-    return basis
+    """Basis (columns) of the right nullspace of the rows R and pivots of
+    _reduce_rows: with N / D their echelon form, the column of free
+    variable j holds D at j and -N[:, j] at the pivots, all over D."""
+    N, D = _echelon(R, pivots)
+    free = [j for j in range(N.shape[1]) if j not in pivots]
+    K = np.zeros((N.shape[1], len(free)), N.dtype)
+    K[free, range(len(free))] = D
+    K[pivots] = -N[:, free]
+    return _fractions(K, D)
 
 
 def nullspace(M):
@@ -591,19 +596,20 @@ def nullspace(M):
 
 
 class Subspace:
-    """A linear subspace, stored as the reduced row echelon form of its
-    spanning vectors: rows R (dim x ambient_dim) with pivot columns p.
+    """A linear subspace, stored as the reduced row echelon form R / DR of
+    its spanning vectors (_echelon, dim x ambient_dim) with pivot columns p.
 
-    R[:, p] is the identity, so v lies in the subspace exactly when its
-    residual v - v[p] @ R is zero.  An exact subspace is canonical: every
-    spanning set of it gives the same R and p.
+    R[:, p] is DR times the identity, so v lies in the subspace exactly when
+    its residual DR v - v[p] @ R is zero.  An exact subspace is canonical:
+    every spanning set gives the same R, DR and p.  `rows` is R / DR, read-only.
     """
 
     def __init__(self, basis):
         """basis: spanning vectors as columns (a 1-D array is one vector)."""
         B = np.asarray(basis)
-        self.rows, self.pivots = _reduce_rows((B[:, None] if B.ndim == 1 else B).T)
-        self.rows.setflags(write=False)
+        R, self.pivots = _reduce_rows((B[:, None] if B.ndim == 1 else B).T)
+        self._R, self._DR = _echelon(R, self.pivots)
+        self.rows = _view(self._R, self._DR)
 
     @classmethod
     def from_spanning(cls, vectors):
@@ -616,31 +622,30 @@ class Subspace:
 
     @property
     def backend(self):
-        return backend_of(self.rows)
+        return backend_of(self._R)
 
     @property
     def ambient_dim(self):
-        return self.rows.shape[1]
+        return self._R.shape[1]
 
     @property
     def dim(self):
-        return self.rows.shape[0]
+        return self._R.shape[0]
 
     def _outside(self, V):
-        """The residuals v - v[p] @ R of the rows v of V that lie outside
+        """The residuals DR v - v[p] @ R of the rows v of V that lie outside
         the subspace, each up to a positive factor.  Exact rows (Fractions,
         or integer numerators over any common denominator) are tested on
         integers.  When V or the subspace is float, both are read as floats
         and zero-tested at the scale of the largest entry of V."""
         if self.backend == FLOAT or V.dtype.kind == "f":
             V = np.asarray(V, dtype=float)
-            r = V - V[:, self.pivots] @ np.asarray(self.rows, dtype=float)
+            r = V - V[:, self.pivots] @ _floats(self._R, self._DR)
             return r[~np.all(_is_zero(r, scale=lambda: max_abs(V)), axis=1)]
         X = V if V.dtype.kind in "iu" else _numerators(V)[0]
-        R, DR = _numerators(self.rows)
         # an entry sums dim products of X and R, and one of X and DR
         r = _contract(lambda x, rows, d: d * x - x[:, self.pivots] @ rows,
-                      self.dim + 1, X, R, DR)
+                      self.dim + 1, X, self._R, self._DR)
         return r[np.any(r != 0, axis=1)]
 
     def contains(self, V):
@@ -655,15 +660,14 @@ class Subspace:
         either subspace is float."""
         if self.pivots != other.pivots:
             return False
-        diff = self.rows - other.rows
-        if FLOAT in (self.backend, other.backend):
-            diff = diff.astype(float)           # exact minus float rows are floats
-        return bool(np.all(_is_zero(diff, scale=lambda: max_abs(self.rows))))
+        e, L = _residual(self._R, self._DR, other._R, other._DR)
+        return bool(_is_zero(_fractions(e, L), scale=lambda: max_abs(self.rows)))
 
 
 def orthogonal_complement(S, form):
     """Orthogonal complement of a subspace w.r.t. a nondegenerate form."""
-    comp = Subspace(nullspace(_matmul(S.rows, form.gram)))
+    # each entry sums n products
+    comp = Subspace(nullspace(_contract(np.matmul, S.ambient_dim, S._R, form._G)))
     if comp.dim != S.ambient_dim - S.dim:
         raise ValueError("form degenerate on this configuration")
     return comp

@@ -97,6 +97,36 @@ def test_decompose_refuses_degenerate_killing_form(tmp_path, capsys):
     assert "Killing form is degenerate" in err and "(1, 0, 2)" in err
 
 
+# files the loader reads but the command cannot use; each ended in a
+# traceback (exit 1) instead of one error line and exit 2
+UNUSABLE = {
+    "dim-zero": {"dim": 0, "structure": []},
+    "null-diagonal": {"dim": 2, "structure": [],
+                      "metric": {"gram": [["0", "1"], ["1", "0"]]}},
+    "degenerate-metric": {"dim": 2, "structure": [[0, 0, 0, "1"], [1, 1, 1, "1"]],
+                          "metric": {"gram": [["1", "0"], ["0", "0"]]}},
+}
+
+
+UNUSABLE_RUNS = ([("dim-zero", ["decompose"])]
+                 + [("dim-zero", ["report", "--suite", s])
+                    for s in ("ideals", "const-sect", "einstein")]
+                 + [("null-diagonal", ["report", "--suite", s]) for s in ("einstein", "const-sect")]
+                 + [("degenerate-metric", ["decompose"]),
+                    ("degenerate-metric", ["report", "--suite", "ideals"])])
+
+
+@pytest.mark.parametrize("source, argv", UNUSABLE_RUNS,
+                         ids=["%s-%s" % (source, argv[-1]) for source, argv in UNUSABLE_RUNS])
+def test_unusable_input_exits_2(tmp_path, capsys, source, argv):
+    path = str(tmp_path / "in.json")
+    with open(path, "w") as fh:
+        json.dump(UNUSABLE[source], fh)
+    assert exit_code(argv + ["--in", path]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 def test_ideals_suite_reports_certified_split(tmp_path, capsys):
     base = str(tmp_path / "e3.json")
     both = str(tmp_path / "e3e3.json")
@@ -368,7 +398,7 @@ def fraction_shapes(monkeypatch):
     def spy(N, D):
         shapes.append(np.shape(N))
         return real(N, D)
-    for module in (tracealg.linalg, tracealg.core, tracealg.catalog, tracealg.analysis):
+    for module in (tracealg.linalg, tracealg.core, tracealg.analysis):
         monkeypatch.setattr(module, "_fractions", spy)
     return shapes
 

@@ -22,7 +22,7 @@ from tracealg.hurwitz import LEVELS, hmat_commutator, hmat_jordan, hmat_mul
 from tracealg.linalg import (FLOAT, RATIONAL, SymBilinearForm, Subspace, _is_zero,
                              _numerators, _reduce_rows, as_backend, eye, inv, inertia,
                              max_abs, rational_eigenvalues, solve, to_float, zeros)
-from test_linalg import ref_nullspace, ref_reduce_rows
+from test_linalg import ref_nullspace, ref_reduce_rows, rref
 
 F = Fraction
 
@@ -364,8 +364,10 @@ def ref_parse_scalar(s):
 def ref_from_json(doc):
     """from_json before it read numerators: a dense tensor of Fractions
     (floats on a float file) filled one entry at a time, then the public
-    constructors."""
+    constructors.  Like from_json, it refuses a dim below 1."""
     n = doc["dim"]
+    if n < 1:
+        raise ValueError("dim %s is below 1" % (n,))
     backend = doc.get("scalar", RATIONAL)
     if backend not in (RATIONAL, FLOAT):
         raise ValueError("unknown scalar kind %r" % (backend,))
@@ -517,6 +519,16 @@ def test_decompose_ideals_tensor_square():
         assert T.is_ideal(S)
 
 
+def test_decompose_ideals_makes_no_fraction_gram():
+    """The certificate tests the restricted form on integer numerators: a
+    loaded algebra's Gram matrix is never made as Fractions."""
+    e3 = ta.simplicial(3)
+    alg = from_json(to_json(direct_sum(e3, e3)))
+    parts, verdict = ta.decompose_ideals(alg)
+    assert verdict == "decomposed" and [S.dim for S, _ in parts] == [3, 3]
+    assert alg.form._gram is None
+
+
 def test_decompose_ideals_simple_case():
     E = ta.simplicial(3)
     M = MetrizedAlgebra(E.structure, E.gram, "commutative")
@@ -608,7 +620,8 @@ def full_commutant_system(alg):
 def test_commutant_equals_full_system_nullspace(build):
     """Reducing a few L(e_i) blocks at a time, on integers, gives the exact
     basis of the nullspace of the whole system, as Gauss-Jordan on its
-    Fractions finds it, entry for entry."""
+    Fractions finds it, entry for entry.  The float view of the algebra
+    gives the same basis, to rounding."""
     alg = build()
     n = alg.dim
     N = ref_nullspace(full_commutant_system(alg))
@@ -617,6 +630,10 @@ def test_commutant_equals_full_system_nullspace(build):
     for j, T in enumerate(C):
         assert all(isinstance(x, F) for x in T.flat)
         assert np.array_equal(T, N[:, j].reshape(n, n))
+    Cf = ta.core._commutant(ta.as_float(alg))
+    assert len(Cf) == len(C)
+    for T, Tf in zip(C, Cf):
+        assert Tf.dtype == float and max_abs(Tf - to_float(T)) <= 1e-12
 
 
 def test_rational_eigenvalues():
@@ -630,6 +647,11 @@ def test_rational_eigenvalues():
     assert rational_eigenvalues(nilpotent) == [F(0)]
     scalar = np.diag([F(-4, 9)] * 3)
     assert rational_eigenvalues(scalar) == [F(-4, 9)]
+    # minimal polynomials whose lowest coefficient, 2**140 and -3**40, has
+    # too many divisors to list by counting up to its square root
+    jordan = np.array([[F(2 ** 70), F(1)], [F(0), F(2 ** 70)]], dtype=object)
+    assert rational_eigenvalues(jordan) == [F(2 ** 70)]
+    assert rational_eigenvalues(np.diag([F(1, 3 ** 40), F(-1)])) == [F(-1), F(1, 3 ** 40)]
 
 
 # -- differential test: whole-tensor contractions against per-basis loops --
@@ -1093,7 +1115,7 @@ def test_elimination_bounds_at_the_int64_switch():
                   [[X, -(X - 1), 1], [X - 1, X, 2], [1, 2, 3]],
                   [[1, 2, 3], [0, 1, 4], [X, 2 * X + 1, 3 * X + 5]]):
             M = np.array(M, dtype=object) + F(0)
-            R, pivots = _reduce_rows(M)
+            R, pivots = rref(M)
             ref, ref_pivots = ref_reduce_rows(M)
             assert pivots == ref_pivots and np.array_equal(R, ref)
             if len(M) == 3:

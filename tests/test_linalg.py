@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 import tracealg
 from tracealg import linalg
-from tracealg.linalg import (FLOAT, RATIONAL, Subspace, SymBilinearForm, _kernel,
-                             _reduce_rows, as_backend, inertia, inv, nullspace,
-                             orthogonal_complement, parse_scalar, rational_eigenvalues,
-                             solve, to_float, zeros)
+from tracealg.linalg import (FLOAT, RATIONAL, Subspace, SymBilinearForm, _echelon,
+                             _fractions, _numerators, _reduce_rows, as_backend, inertia,
+                             inv, nullspace, orthogonal_complement, parse_scalar,
+                             rational_eigenvalues, solve, to_float, zeros)
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -255,11 +255,28 @@ def ref_reduce_rows(M):
 
 
 def ref_nullspace(M):
-    return _kernel(*ref_reduce_rows(M))
+    """Basis (columns) of the right nullspace, read off the Fraction reduced
+    row echelon form: the column of free variable j is 1 at j and -R[:, j]
+    at the pivots."""
+    R, pivots = ref_reduce_rows(M)
+    n = R.shape[1]
+    free = [j for j in range(n) if j not in pivots]
+    basis = zeros((n, len(free)))
+    for idx, j in enumerate(free):
+        basis[j, idx] += 1
+        basis[pivots, idx] = -R[:, j]
+    return basis
+
+
+def rref(M):
+    """The reduced row echelon form of M, as Fractions, and its pivots, from
+    _reduce_rows and _echelon."""
+    R, pivots = _reduce_rows(M)
+    return _fractions(*_echelon(R, pivots)), pivots
 
 
 def assert_reduces_like_fractions(M):
-    R, pivots = _reduce_rows(M)
+    R, pivots = rref(M)
     ref, ref_pivots = ref_reduce_rows(M)
     assert pivots == ref_pivots and R.shape == ref.shape
     assert all(isinstance(x, Fraction) for x in R.flat)
@@ -308,9 +325,22 @@ def test_integer_elimination_equals_fraction_gauss_jordan(M):
     assert_reduces_like_fractions(M)
 
 
+@settings(max_examples=100, deadline=None)
+@given(exact_matrices())
+def test_subspace_holds_the_numerators_of_its_reduced_form(M):
+    """A subspace's state is the reduced row echelon form of its spanning
+    rows as integer numerators over one denominator, in lowest terms."""
+    S = Subspace(M.T)
+    ref, ref_pivots = ref_reduce_rows(M)
+    R, DR = _numerators(ref)
+    assert S.pivots == ref_pivots and S._DR == DR
+    assert S._R.dtype == R.dtype and np.array_equal(S._R, R)
+    assert np.array_equal(S.rows, ref) and not S.rows.flags.writeable
+
+
 def test_elimination_edge_cases():
     zero = frac_matrix([[0, 0, 0], [0, 0, 0]])
-    R, pivots = _reduce_rows(zero)
+    R, pivots = rref(zero)
     assert R.shape == (0, 3) and pivots == []
     assert_reduces_like_fractions(zero)
     assert_reduces_like_fractions(frac_matrix([[0, 2, 4], [0, 1, 2], [0, 3, 7]]))
