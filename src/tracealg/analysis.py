@@ -5,10 +5,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .core import _with_metric, as_float, deunitalization
+from .core import _first_anisotropic, _with_metric, as_float, deunitalization
 from .catalog import gamma_vectors, triple, triple_embeddings
 from .linalg import (EPS_DEDUP, RATIONAL, _contract, _fractions, _is_zero, _lowest_terms,
-                     _numerators, _residual, is_zero, max_abs, to_float, zeros)
+                     _numerators, _residual, max_abs, to_float, zeros)
 
 
 def make_report(predicate, verdict, residual, witnesses=None, seed=None):
@@ -128,9 +128,7 @@ def constant_sect_check(alg, kappa=None):
     G, DG = alg.form._G, alg.form._DG
     if kappa is None:
         R, E = alg._ricci()
-        k0 = next((i for i in range(n) if not is_zero(G[i, i])), None)
-        if k0 is None:
-            raise ValueError("metric vanishes on the whole diagonal")
+        k0 = _first_anisotropic(alg.form)
         kappa = _fractions(R[k0, k0], E) / ((n - 1) * _fractions(G[k0, k0], DG))
     err = _fractions(*_residual(*alg._associator(), _pair_times_identity(G), DG, kappa))
     return bool(_is_zero(err, scale=lambda: max_abs(G))), kappa, err

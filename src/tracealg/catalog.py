@@ -161,11 +161,8 @@ def herm_jordan(n, level):
         raise ValueError("octonionic Hermitian matrices only at size 3")
     B = _herm_basis(n, level)
     J, t = _jordan_table(B, level)
-    out = _matrix_algebra(_herm_coords(J, n, level), 2, SymBilinearForm._from_numerators(t, 2 * n),
-                          COMMUTATIVE, "herm(%d,%d)" % (n, level), B)
-    out.msize = n
-    out.level = level
-    return out
+    return _matrix_algebra(_herm_coords(J, n, level), 2, SymBilinearForm._from_numerators(t, 2 * n),
+                           COMMUTATIVE, "herm(%d,%d)" % (n, level), B)
 
 
 def herm0(n, level):
@@ -177,11 +174,8 @@ def herm0(n, level):
         raise ValueError("octonionic Hermitian matrices only at size 3")
     B = _herm_basis(n, level, traceless=True)
     s, g = _traceless_jordan(B, n, level)
-    out = _matrix_algebra(s, 2 * n, SymBilinearForm._from_numerators(g, 2 * n), COMMUTATIVE,
-                          "herm0(%d,%d)" % (n, level), B)
-    out.msize = n
-    out.level = level
-    return out
+    return _matrix_algebra(s, 2 * n, SymBilinearForm._from_numerators(g, 2 * n), COMMUTATIVE,
+                           "herm0(%d,%d)" % (n, level), B)
 
 
 def herm0_coords(M, n, level):

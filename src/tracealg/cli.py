@@ -1,6 +1,7 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
+An input error is an OSError or a ValueError; main prints it as one line.
 """
 import argparse
 import functools
@@ -21,20 +22,18 @@ def _load(path):
     try:
         return core.load_json(path)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
-        print("error: malformed algebra file %s (%s: %s)" % (path, type(exc).__name__, exc),
-              file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError("malformed algebra file %s (%s: %s)"
+                         % (path, type(exc).__name__, exc)) from exc
 
 
 def _killing_metric(alg):
     """(tau, its inertia) for the Killing form tau of an algebra without a
-    metric; exits 2 when tau is degenerate."""
+    metric; raises ValueError when tau is degenerate."""
     tau = alg.killing_form()
     inertia = tau.inertia()
     if inertia[2]:
-        print("error: input has no metric and its Killing form is degenerate "
-              "(inertia %s)" % (inertia,), file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError("input has no metric and its Killing form is degenerate "
+                         "(inertia %s)" % (inertia,))
     return tau, inertia
 
 
@@ -63,19 +62,14 @@ def cmd_construct(args):
         kw["base"] = _load(args.base)
     if args.base2:
         kw["base2"] = _load(args.base2)
-    try:
-        if args.alpha is not None:
-            kw["alpha"] = linalg.parse_scalar(args.alpha)
-        alg = catalog.build_by_name(args.family, **kw)
-        if args.scalar == FLOAT:
-            alg = core.as_float(alg)
-        elif args.scalar and alg.backend != args.scalar:
-            raise ValueError("%s builds a float algebra; it has no exact form" % args.family)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    doc = core.to_json(alg)
-    _emit(doc, args.out)
+    if args.alpha is not None:
+        kw["alpha"] = linalg.parse_scalar(args.alpha)
+    alg = catalog.build_by_name(args.family, **kw)
+    if args.scalar == FLOAT:
+        alg = core.as_float(alg)
+    elif args.scalar and alg.backend != args.scalar:
+        raise ValueError("%s builds a float algebra; it has no exact form" % args.family)
+    _emit(core.to_json(alg), args.out)
     return 0
 
 
@@ -128,12 +122,7 @@ def run_suite(alg, suite, seed=0):
 
 
 def cmd_report(args):
-    alg = _load(args.infile)
-    try:
-        rep = run_suite(alg, args.suite, args.seed)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    rep = run_suite(_load(args.infile), args.suite, args.seed)
     _emit(rep, args.out)
     return 0 if rep["verdict"] else 1
 
@@ -151,11 +140,7 @@ def cmd_idempotents(args):
 
 def cmd_sect(args):
     alg = _metrized(_load(args.infile))
-    try:
-        est = analysis.sect_extremize(alg, args.seed, n_starts=max(args.trials, 8))
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    est = analysis.sect_extremize(alg, args.seed, n_starts=max(args.trials, 8))
     doc = {"schema": 1, "lower": est["lower"], "upper": est["upper"],
            "seed": args.seed}
     _emit(doc, args.out)
@@ -163,12 +148,7 @@ def cmd_sect(args):
 
 
 def cmd_decompose(args):
-    alg = _metrized(_load(args.infile))
-    try:
-        parts, verdict = core.decompose_ideals(alg)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    parts, verdict = core.decompose_ideals(_metrized(_load(args.infile)))
     doc = {"schema": 1, "verdict": verdict,
            "component_dims": [S.dim for S, _ in parts]}
     _emit(doc, args.out)
@@ -231,7 +211,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return globals()["cmd_" + args.cmd](args)
-    except FileNotFoundError as exc:
+    except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

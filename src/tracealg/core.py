@@ -233,6 +233,14 @@ def _with_metric(alg, form):
     return MetrizedAlgebra._from_numerators(alg._N, alg._D, form, alg.symmetry, alg.name)
 
 
+def _first_anisotropic(form):
+    """The first i with h(e_i, e_i) != 0; ValueError when there is none."""
+    live = np.flatnonzero(~_is_zero(np.diagonal(form._G)))
+    if not live.size:
+        raise ValueError("metric vanishes on the whole diagonal")
+    return int(live[0])
+
+
 def einstein_fit(alg):
     """Fit tau = kappa h; kappa from the first basis vector with h(e,e) != 0.
 
@@ -240,9 +248,7 @@ def einstein_fit(alg):
     """
     K, E = alg._killing()
     G, DG = alg.form._G, alg.form._DG
-    k = next((i for i in range(alg.dim) if not is_zero(G[i, i])), None)
-    if k is None:
-        raise ValueError("metric vanishes on the whole diagonal")
+    k = _first_anisotropic(alg.form)
     kappa = _fractions(K[k, k], E) / _fractions(G[k, k], DG)
     return kappa, _fractions(*_residual(K, E, G, DG, kappa))
 
@@ -413,43 +419,43 @@ def voa_kappa(c, n):
     return (-5 * c ** 2 + 88 * (n - 2) - 2 * c * (n + 20)) / (4 * (5 * c + 22))
 
 
-# new rows per elimination pass of _commutant: one sweep over the columns
-# serves several blocks; at dim 26 a pass takes six, 26 MB of int64 rows
-_COMMUTANT_ROWS = 4096
-
-
 def _commutant(alg):
     """Basis of {T : T L(e_i) = L(e_i) T for all i}, as n x n matrices.
 
     This is the centroid (Schafer, An Introduction to Nonassociative
     Algebras, ch. II): its idempotents are the projections of the
-    direct-sum decompositions into ideals.  Exact algebras build the
-    equations from the numerators N of m; all of them share the one
-    denominator, so the kernel is the same.
+    direct-sum decompositions into ideals.  It is the span of I and of the
+    T with T[0, 0] = 0, which K refines one generator at a time: L(e_i)
+    replaces K by K Z, Z the kernel of T -> T L(e_i) - L(e_i) T on K, so no
+    system exceeds n^2 x n^2, and an empty K proves that the centroid is
+    the scalars.  The basis returned is that of the whole n^3 x n^2
+    system's nullspace, whose free variables are the last nonzero
+    positions of its elements: it is read off the reversed echelon form.
     """
     n = alg.dim
-    N = alg._N
-    L = N.transpose(0, 2, 1)                                       # L[i] = D L(e_i)
+    # m and each K Z divided by their content: the kernels stay, and float
+    # rounding stays relative to 1, as in the whole system's elimination
+    N = linalg._divide_content(alg._N)
     d = np.arange(n)
-    # reducing a few blocks at a time keeps at most n^2 independent rows plus
-    # about _COMMUTANT_ROWS new ones, not the whole n^3 x n^2 system; each
-    # pass is one sweep over the columns.  Exact rows stay integers throughout.
-    step = max(1, _COMMUTANT_ROWS // (n * n))
-    R, pivots = np.zeros((0, n * n), N.dtype), []
-    for start in range(0, n, step):
-        block = range(start, min(start + step, n))
-        rows = np.zeros((len(R) + len(block) * n * n, n * n), np.result_type(R, N))
-        rows[:len(R)] = R
-        M = rows[len(R):].reshape(len(block), n, n, n, n)
-        # M[i,a,c,p,q] is the coefficient of T[p,q] in (T L_i - L_i T)[a,c],
-        # that is [p == a] L_i[q,c] - L_i[a,p] [q == c]; the two identity
-        # factors become index-diagonal assignments, not n^4 multiplications
-        M[:, d, :, d, :] = N[block]                                # [a,i,c,q]
-        M[:, :, d, :, d] -= L[block]                               # [c,i,a,p]
-        R, pivots = linalg._reduce_rows(rows)
-        R = R.copy()                    # not a view holding on to all the rows
-    K = linalg._kernel(R, pivots)
-    return [K[:, j].reshape(n, n) for j in range(K.shape[1])]
+    # M[a,c,p,q] is the coefficient of T[p,q] in (T L_0 - L_0 T)[a,c], that
+    # is [p == a] L_0[q,c] - L_0[a,p] [q == c]: two index-diagonal assignments
+    M = np.zeros((n, n, n, n), N.dtype)
+    M[d, :, d, :] = N[0]                                            # [a,c,q]
+    M[:, d, :, d] -= N[0].T                                         # [c,a,p]
+    Z, _ = linalg._kernel(*linalg._reduce_rows(M.reshape(n * n, n * n)[:, 1:]))
+    K = np.vstack([np.zeros((1, Z.shape[1]), Z.dtype), Z]).T       # rows: the T
+    for L in N[1:]:
+        if not len(K):
+            break
+        # each entry of T L_i - L_i T sums 2n products, of K Z k of them
+        R = _contract(lambda t, l: t @ l.T - l.T @ t, 2 * n, K.reshape(-1, n, n), L)
+        R, pivots = linalg._reduce_rows(R.reshape(len(K), -1).T)
+        if pivots:                      # else every T in K commutes with L_i
+            Z, _ = linalg._kernel(R, pivots)
+            K = linalg._divide_content(_contract(np.matmul, len(K), Z.T, K), axis=1)
+    K = np.vstack([np.eye(n, dtype=np.int64).reshape(1, -1), K])
+    E, D = linalg._echelon(*linalg._reduce_rows(K[:, ::-1]))
+    return list(_fractions(E[::-1, ::-1], D).reshape(-1, n, n))
 
 
 def _certified_split(alg, commutant):
@@ -468,7 +474,7 @@ def _certified_split(alg, commutant):
         else:
             eigenvalues = linalg.general_real_eigenvalues(T, EPS0)[0]
         for lam in eigenvalues:
-            S = Subspace(linalg.nullspace(T - lam * I))
+            S = Subspace(linalg._kernel(*linalg._reduce_rows(T - lam * I))[0])
             if not 0 < S.dim < n:
                 continue
             # the restricted form R G R^T / (DR^2 DG): n^2 products per entry
@@ -513,7 +519,7 @@ def decompose_ideals(alg):
     return parts, verdict
 
 
-def to_json(alg, name=None):
+def to_json(alg):
     n = alg.dim
     # rows i <= j (i < j when anticommutative) of the nonzero entries, each
     # value N / D in lowest terms
@@ -521,7 +527,7 @@ def to_json(alg, name=None):
     nonzero = upper[:, :, None] & (alg._N != 0)
     values = linalg._json_values(alg._N[nonzero], alg._D)
     doc = {
-        "name": name if name is not None else alg.name,
+        "name": alg.name,
         "dim": n,
         "symmetry": alg.symmetry,
         "scalar": alg.backend,

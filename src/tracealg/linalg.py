@@ -330,12 +330,18 @@ def inertia(gram):
         if np.any(a != 0):
             # two products per entry: |d| B[i, l] and a[i] a[l]
             op = np.subtract if d > 0 else np.add
-            A = _contract(lambda b, x, y, c: op(c * b, np.multiply.outer(x, y)), 2,
-                          A, a, a, abs(d))
-            g = np.gcd.reduce(A.ravel())
-            if g > 1:
-                A //= g
+            A = _divide_content(_contract(lambda b, x, y, c: op(c * b, np.multiply.outer(x, y)),
+                                          2, A, a, a, abs(d)))
     return pos, neg, zero
+
+
+def _divide_content(X, axis=None):
+    """X divided by its content along axis, or all of X when axis is None:
+    integers by their gcd (a zero slice stays), floats by max(1, max |x|)."""
+    if X.dtype.kind == "f":
+        return X / np.max(np.abs(X), axis=axis, keepdims=True, initial=1.0)
+    g = np.gcd.reduce(X, axis=axis, keepdims=True, initial=0)      # never negative
+    return X // np.where(g == 0, 1, g)
 
 
 def _add_to_first(A, j):
@@ -436,7 +442,7 @@ def rational_eigenvalues(M):
         R, pivots = _reduce_rows(np.column_stack([P.reshape(-1) for P in powers]))
         if len(pivots) < len(powers):
             break
-    c = [int(x) for x in _kernel(R, pivots)[:, 0]]
+    c = [int(x) for x in _kernel(R, pivots)[0][:, 0]]
     low = next(k for k, x in enumerate(c) if x)      # x^low divides the polynomial
     roots = {s * p for p in _divisors(abs(c[low])) for s in (1, -1)
              if sum(x * (s * p) ** k for k, x in enumerate(c)) == 0}
@@ -444,16 +450,40 @@ def rational_eigenvalues(M):
 
 
 def _divisors(k):
-    """The positive divisors of k >= 1, from its factors found by trial
-    division; each prime found is divided out of k."""
+    """The positive divisors of k >= 1.  Each prime factor p is divided out
+    of k: p is what is left of k, or its square root, when _is_prime proves
+    that prime, and else the least factor, found by trial division."""
     divisors, p = {1}, 2
-    while p * p <= k:
+    while k > 1:
+        r = math.isqrt(k)
+        if r * r == k and _is_prime(r):
+            p = r
+        elif _is_prime(k):
+            p = k
+        else:
+            while p <= r and k % p:
+                p += 1
+            if p > r:                       # no factor up to its square root
+                p = k
         e = 0
         while k % p == 0:
             k, e = k // p, e + 1
         divisors |= {d * p ** i for d in divisors for i in range(1, e + 1)}
-        p += 1
-    return divisors | {d * k for d in divisors}
+    return divisors
+
+
+def _is_prime(k):
+    """True when k is proved prime: by Miller-Rabin to the thirteen prime
+    bases up to 41, a proof below 3317044064679887385961981 (Sorenson and
+    Webster, Math. Comp. 86, 2017).  False when k is composite, and for any
+    k above that bound, so no probable-prime test enters an exact path."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if not 1 < k < 3317044064679887385961981 or any(k % a == 0 for a in bases):
+        return k in bases
+    s = ((k - 1) & (1 - k)).bit_length() - 1            # k - 1 = d 2^s, d odd
+    d = (k - 1) >> s
+    return all(pow(a, d, k) == 1 or any(pow(a, d << j, k) == k - 1 for j in range(s))
+               for a in bases)
 
 
 def _reduce_rows(M):
@@ -489,13 +519,10 @@ def _reduce_rows(M):
         if piv != row:
             M[[row, piv]] = M[[piv, row]]
             nonzero[[row, piv]] = nonzero[[piv, row]]
-        # only the pivot row's nonzeros change it and the other rows; sparse
-        # systems such as the commutant equations stay cheap
-        support = np.flatnonzero(M[row] != 0)
-        M[row, support] = M[row, support] / M[row, col]
-        for i in np.flatnonzero(nonzero):
-            if i != row:
-                M[i, support] = M[i, support] - M[i, col] * M[row, support]
+        nonzero[row] = False
+        M[row] /= M[row, col]
+        others = np.flatnonzero(nonzero)
+        M[others] -= np.multiply.outer(M[others, col], M[row])
         pivots.append(col)
     return M[:len(pivots)], pivots
 
@@ -518,12 +545,13 @@ def _reduce_integer_rows(M):
     Each pivot column is nonzero in its own row only, and row i divided by
     its entry in column pivots[i] is row i of the reduced row echelon form
     (_echelon).  Pivots are the first nonzero entry of a column.  A pivot row
-    is divided by its content (the gcd of its entries); every other row
-    with c != 0 in the pivot column becomes p * row - c * (pivot row), with
-    p the pivot, divided by its content, so entries stay small (Bareiss,
-    Math. Comp. 22, 1968, divides by the previous pivot instead).  A step
-    runs on int64 when its bound |p| max|rows| + max|c| max|pivot row| is
-    below 2**62, on Python ints otherwise.  Zero rows sink and are dropped.
+    is divided by its content (_divide_content, the gcd of its entries);
+    every other row with c != 0 in the pivot column becomes
+    p * row - c * (pivot row), with p the pivot, on whole rows, and is
+    divided by its content, so entries stay small (Bareiss, Math. Comp. 22,
+    1968, divides by the previous pivot instead).  A step runs on int64 when
+    its bound |p| max|rows| + max|c| max|pivot row| is below 2**62, on
+    Python ints otherwise.  Zero rows sink and are dropped.
     """
     m, n = M.shape
     pivots = []
@@ -539,15 +567,10 @@ def _reduce_integer_rows(M):
         others = nonzero[nonzero != piv]
         if piv != row:                  # row has a 0 in col: it is not in others
             M[[row, piv]] = M[[piv, row]]
-        P = M[row] // np.gcd.reduce(M[row])
-        M[row] = P
+        P = M[row] = _divide_content(M[row])
         if others.size:
-            # only the pivot row's nonzeros change the other rows; sparse
-            # systems such as the commutant equations stay cheap
-            support = np.flatnonzero(P)
-            P = P[support]
             C, c = M[others], M[others, col]
-            p = int(P[support.searchsorted(col)])
+            p = int(P[col])
             # int64 entries here are below 2**63 in magnitude (inputs below
             # 2**62, or differences of two such), so np.abs cannot wrap
             bound = (abs(p) * int(np.abs(C).max())
@@ -557,11 +580,8 @@ def _reduce_integer_rows(M):
                 M = M.astype(object)
             C = C.astype(dtype, copy=False)
             C *= p
-            C[:, support] -= c.astype(dtype)[:, None] * P.astype(dtype)
-            g = np.gcd.reduce(C, axis=1)
-            g[g == 0] = 1
-            C //= g[:, None]
-            M[others] = C
+            C -= c.astype(dtype)[:, None] * P.astype(dtype)
+            M[others] = _divide_content(C, axis=1)
         pivots.append(col)
     return M[:len(pivots)], pivots
 
@@ -578,21 +598,22 @@ def _echelon(R, pivots):
 
 
 def _kernel(R, pivots):
-    """Basis (columns) of the right nullspace of the rows R and pivots of
-    _reduce_rows: with N / D their echelon form, the column of free
-    variable j holds D at j and -N[:, j] at the pivots, all over D."""
+    """(K, D): the basis (columns) K / D of the right nullspace of the rows
+    R and pivots of _reduce_rows.  With N / D their echelon form, the column
+    of free variable j holds D at j and -N[:, j] at the pivots: integer
+    numerators for exact R, floats over D = 1 for float R."""
     N, D = _echelon(R, pivots)
     free = [j for j in range(N.shape[1]) if j not in pivots]
     K = np.zeros((N.shape[1], len(free)), N.dtype)
     K[free, range(len(free))] = D
     K[pivots] = -N[:, free]
-    return _fractions(K, D)
+    return K, D
 
 
 def nullspace(M):
-    """Basis (columns) of the right nullspace of M."""
+    """Basis (columns) of the right nullspace of M: Fractions for exact M."""
     M = np.asarray(M)
-    return _kernel(*_reduce_rows(M.reshape(1, -1) if M.ndim == 1 else M))
+    return _fractions(*_kernel(*_reduce_rows(M.reshape(1, -1) if M.ndim == 1 else M)))
 
 
 class Subspace:
@@ -667,7 +688,7 @@ class Subspace:
 def orthogonal_complement(S, form):
     """Orthogonal complement of a subspace w.r.t. a nondegenerate form."""
     # each entry sums n products
-    comp = Subspace(nullspace(_contract(np.matmul, S.ambient_dim, S._R, form._G)))
+    comp = Subspace(_kernel(*_reduce_rows(_contract(np.matmul, S.ambient_dim, S._R, form._G)))[0])
     if comp.dim != S.ambient_dim - S.dim:
         raise ValueError("form degenerate on this configuration")
     return comp

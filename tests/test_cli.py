@@ -89,9 +89,7 @@ def test_decompose_command(tmp_path, capsys):
 def test_decompose_refuses_degenerate_killing_form(tmp_path, capsys):
     path = str(tmp_path / "t.json")
     run(capsys, "construct", "talg", "--n", "3", "--alpha", "1/2", "-o", path)
-    with pytest.raises(SystemExit) as exc:
-        main(["decompose", "--in", path])
-    assert exc.value.code == 2
+    assert exit_code(["decompose", "--in", path]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "Killing form is degenerate" in err and "(1, 0, 2)" in err
@@ -225,10 +223,11 @@ COMMANDS = {
     "construct": ["construct", "unitalize", "--base", "{}"],
 }
 
-# (command, input, expected exit code): 0 pass, 1 false verdict, 2 bad input
+# (command, input, expected exit code): 0 pass, 1 false verdict, 2 bad input;
+# a directory given as the input file cannot be read
 EXIT_CODES = ([(cmd, "ealg3", 0) for cmd in COMMANDS]
               + [("report", "talg-half", 1), ("check", "talg-half", 1)]
-              + [(cmd, bad, 2) for cmd in COMMANDS for bad in sorted(MALFORMED)])
+              + [(cmd, bad, 2) for cmd in COMMANDS for bad in sorted(MALFORMED) + ["directory"]])
 
 
 def exit_code(argv):
@@ -244,6 +243,8 @@ def test_exit_codes(tmp_path, capsys, cmd, source, code):
     if source in MALFORMED:
         with open(path, "w") as fh:
             fh.write(MALFORMED[source])
+    elif source == "directory":
+        os.mkdir(path)
     elif source == "ealg3":
         main(["construct", "ealg", "--n", "3", "-o", path])
     else:

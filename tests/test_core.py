@@ -618,9 +618,9 @@ def full_commutant_system(alg):
                                    lambda: ta.herm0(3, 2)],
                          ids=["ealg(3)(+)ealg(3)", "lie_so(4)", "herm0(3,2)"])
 def test_commutant_equals_full_system_nullspace(build):
-    """Reducing a few L(e_i) blocks at a time, on integers, gives the exact
-    basis of the nullspace of the whole system, as Gauss-Jordan on its
-    Fractions finds it, entry for entry.  The float view of the algebra
+    """Refining the kernel one L(e_i) at a time, on integers, gives the
+    exact basis of the nullspace of the whole system, as Gauss-Jordan on
+    its Fractions finds it, entry for entry.  The float view of the algebra
     gives the same basis, to rounding."""
     alg = build()
     n = alg.dim
@@ -634,6 +634,60 @@ def test_commutant_equals_full_system_nullspace(build):
     assert len(Cf) == len(C)
     for T, Tf in zip(C, Cf):
         assert Tf.dtype == float and max_abs(Tf - to_float(T)) <= 1e-12
+
+
+def random_structure(rng, n, big):
+    """A commutative structure tensor of dim n: entries p/q with |p| <= 3 and
+    q <= 3, or numerators near 2**40 over 1000003 when big, at a density
+    drawn from 0.2, 0.5 and 1."""
+    density = rng.choice((0.2, 0.5, 1.0))
+    m = zeros((n, n, n))
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if j <= i and rng.random() < density:
+            if big:
+                v = F(rng.choice((-1, 1)) * (2 ** 40 + rng.randint(-999, 999)), 1000003)
+            else:
+                v = F(rng.randint(-3, 3), rng.randint(1, 3))
+            m[i, j, k] = m[j, i, k] = v
+    return m
+
+
+@st.composite
+def commutant_inputs(draw):
+    """(algebra, big): a drawn structure tensor of dim 1-5, or the direct sum
+    of two drawn pieces of dim 1-3 and 1-2."""
+    rng = draw(st.randoms(use_true_random=False))
+    big = draw(st.booleans()) and draw(st.booleans())
+    if draw(st.booleans()):
+        return Algebra(random_structure(rng, draw(st.integers(1, 5)), big)), big
+    a, b = (random_structure(rng, draw(st.integers(1, k)), big) for k in (3, 2))
+    m = zeros((len(a) + len(b),) * 3)
+    m[:len(a), :len(a), :len(a)] = a
+    m[len(a):, len(a):, len(a):] = b
+    return Algebra(m), big
+
+
+@settings(max_examples=40, deadline=None)
+@given(commutant_inputs())
+def test_commutant_refinement_equals_full_system(drawn):
+    """Refining the kernel one L(e_i) at a time gives the basis of the
+    nullspace of the whole system, entry for entry, on numerators small
+    and large (the Python-int path of the contractions).  The float view
+    finds a nonempty basis, and on small entries the same one to rounding."""
+    alg, big = drawn
+    n = alg.dim
+    N = ref_nullspace(full_commutant_system(alg))
+    C = ta.core._commutant(alg)
+    assert len(C) == N.shape[1]
+    for j, T in enumerate(C):
+        assert all(isinstance(x, F) for x in T.flat)
+        assert np.array_equal(T, N[:, j].reshape(n, n))
+    Cf = ta.core._commutant(ta.as_float(alg))
+    assert len(Cf) >= 1
+    if not big:
+        assert len(Cf) == len(C)
+        for T, Tf in zip(C, Cf):
+            assert max_abs(Tf - to_float(T)) <= 1e-12
 
 
 def test_rational_eigenvalues():
@@ -652,6 +706,12 @@ def test_rational_eigenvalues():
     jordan = np.array([[F(2 ** 70), F(1)], [F(0), F(2 ** 70)]], dtype=object)
     assert rational_eigenvalues(jordan) == [F(2 ** 70)]
     assert rational_eigenvalues(np.diag([F(1, 3 ** 40), F(-1)])) == [F(-1), F(1, 3 ** 40)]
+    # lowest coefficients that are the largest prime below 2**50 and the
+    # square of the prime 2**31 - 1: the divisor search stops at once
+    p, q = 1125899906842597, 2 ** 31 - 1
+    assert rational_eigenvalues(np.array([[F(0), F(p)], [F(1), F(0)]], dtype=object)) == []
+    assert (rational_eigenvalues(np.array([[F(0), F(q * q)], [F(1), F(0)]], dtype=object))
+            == [F(-q), F(q)])
 
 
 # -- differential test: whole-tensor contractions against per-basis loops --

@@ -421,6 +421,20 @@ def test_rational_eigenvalues_edge_cases():
         assert rational_eigenvalues(M) == ref_rational_eigenvalues(M)
 
 
+def test_divisors_equal_trial_division():
+    """_divisors against every d <= k; _is_prime proves primes below
+    3.3e24 only, and rejects strong pseudoprimes to the bases below 41."""
+    for k in range(1, 3000):
+        assert linalg._divisors(k) == {d for d in range(1, k + 1) if k % d == 0}
+        assert linalg._is_prime(k) == (k > 1 and all(k % d for d in range(2, math.isqrt(k) + 1)))
+    # composites that pass Miller-Rabin to the bases up to 7, 23 and 37
+    for k in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not linalg._is_prime(k)
+    assert linalg._is_prime(2 ** 61 - 1) and not linalg._is_prime(2 ** 89 - 1)
+    q = 2 ** 31 - 1
+    assert linalg._divisors(12 * q * q) == {d * e for d in linalg._divisors(12) for e in (1, q, q * q)}
+
+
 # -- differential test: inertia on integers against the Fraction congruence --
 
 def ref_inertia(gram):
