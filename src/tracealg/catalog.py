@@ -43,11 +43,11 @@ def gamma_vectors(n):
     return [-I.sum(axis=0)] + list(I)
 
 
-def cyclic3(c=1):
-    """3-dim algebra e_i e_i = 0, e_1 e_2 = c e_3 (cyclically); metric Killing."""
+def cyclic3():
+    """3-dim algebra e_i e_i = 0, e_1 e_2 = e_3 (cyclically); metric Killing."""
     s = zeros((3, 3, 3))
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        s[i, j, k] = s[j, i, k] = Fraction(c)
+        s[i, j, k] = s[j, i, k] = Fraction(1)
     base = Algebra(s, COMMUTATIVE)
     return MetrizedAlgebra(s, base.killing_form().gram, COMMUTATIVE, name="cyclic3")
 

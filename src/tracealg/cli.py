@@ -26,25 +26,21 @@ def _load(path):
                          % (path, type(exc).__name__, exc)) from exc
 
 
-def _killing_metric(alg):
-    """(tau, its inertia) for the Killing form tau of an algebra without a
-    metric; raises ValueError when tau is degenerate."""
+def _metrized(alg):
+    """alg, or, when it has no metric, alg metrized by its Killing form tau;
+    raises ValueError when tau is degenerate."""
+    if isinstance(alg, MetrizedAlgebra):
+        return alg
     tau = alg.killing_form()
     inertia = tau.inertia()
     if inertia[2]:
         raise ValueError("input has no metric and its Killing form is degenerate "
                          "(inertia %s)" % (inertia,))
-    return tau, inertia
-
-
-def _metrized(alg):
-    if isinstance(alg, MetrizedAlgebra):
-        return alg
-    return core._with_metric(alg, _killing_metric(alg)[0])
+    return core._with_metric(alg, tau)
 
 
 def _emit(doc, out):
-    text = json.dumps(doc, indent=1, default=str)
+    text = json.dumps(doc, indent=1)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -85,8 +81,8 @@ def run_suite(alg, suite, seed=0):
         ok, err = alg.is_invariant(alg.ricci_form())
         return analysis.make_report("ricci form is invariant", ok, err, seed=seed)
     if suite == "nondegenerate":
-        p, m, z = (alg.form.inertia() if isinstance(alg, MetrizedAlgebra)
-                   else _killing_metric(alg)[1])
+        form = alg.form if isinstance(alg, MetrizedAlgebra) else alg.killing_form()
+        p, m, z = form.inertia()
         return analysis.make_report("metric is nondegenerate", z == 0, z,
                                     witnesses=[[p, m, z]], seed=seed)
     if suite == "einstein":
@@ -128,7 +124,7 @@ def cmd_report(args):
 
 
 def cmd_idempotents(args):
-    alg = _metrized(_load(args.infile))
+    alg = _load(args.infile)
     idems = analysis.newton_idempotents(alg, args.trials, args.seed)
     szero = analysis.square_zero_rays(alg, max(args.trials // 4, 50), args.seed)
     doc = {"schema": 1, "idempotents": [list(map(float, v)) for v in idems],

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .linalg import (EPS0, FLOAT, RATIONAL, SymBilinearForm, Subspace, _contract,
+from .linalg import (FLOAT, RATIONAL, SymBilinearForm, Subspace, _contract,
                      _fractions, _is_zero, _lowest_terms, _numerators,
                      _residual, _view, as_backend, backend_of, is_zero, max_abs, zeros)
 
@@ -472,7 +472,7 @@ def _certified_split(alg, commutant):
         if alg.backend == RATIONAL:
             eigenvalues = linalg.rational_eigenvalues(T)
         else:
-            eigenvalues = linalg.general_real_eigenvalues(T, EPS0)[0]
+            eigenvalues = linalg.general_real_eigenvalues(T)[0]
         for lam in eigenvalues:
             S = Subspace(linalg._kernel(*linalg._reduce_rows(T - lam * I))[0])
             if not 0 < S.dim < n:
@@ -543,9 +543,12 @@ def from_json(doc):
     """Algebra of a JSON document; malformed input raises KeyError,
     IndexError, TypeError or ValueError.
 
-    Exact entries are read as integer pairs p / q and become numerators
-    over the lcm of the q, with no Fraction made.  A later entry overwrites
-    an earlier one at each position it sets, its transpose included.
+    Every value is read as an integer pair (p, q), except a JSON float in a
+    float file, which is kept as it is.  An exact file's values become
+    numerators over the lcm of the q, with no Fraction made; a float file's
+    become floats, p / q rounded as float(Fraction(p, q)) rounds it.  A
+    later entry overwrites an earlier one at each position it sets, its
+    transpose included.
     """
     n = doc["dim"]
     if n < 1:
@@ -554,50 +557,39 @@ def from_json(doc):
     if backend not in (RATIONAL, FLOAT):
         raise ValueError("unknown scalar kind %r" % (backend,))
     symmetry = doc.get("symmetry", COMMUTATIVE)
-    N = np.zeros((n, n, n), float if backend == FLOAT else np.int64)
     sign = 1 if symmetry == COMMUTATIVE else -1
-    if backend == FLOAT:        # JSON floats as they are; float() rounds the rest
-        def scalar(v):
-            return v if isinstance(v, float) else linalg.parse_scalar(v)
 
-        def negative(x):
-            return -x
-    else:                       # integer pairs (p, q)
-        scalar = linalg._parse_ratio
+    def scalar(v):
+        return (v, 1) if backend == FLOAT and isinstance(v, float) else linalg._parse_ratio(v)
 
-        def negative(r):
-            return -r[0], r[1]
-    entries = {}                # flat position: value
+    def numerators(ratios):
+        """(N, D) of the pairs: floats over 1 in a float file."""
+        if backend == FLOAT:
+            return np.array([p / q for p, q in ratios], dtype=float), 1
+        return _ratio_numerators(ratios)
+    entries = {}                # flat position: (p, q)
     for i, j, k, v in doc["structure"]:
         if not 0 <= min(i, j, k) <= max(i, j, k) < n:
             raise IndexError("structure index (%s, %s, %s) out of range for dim %d"
                              % (i, j, k, n))
-        val = scalar(v)
+        p, q = scalar(v)
         if not type(i) is type(j) is type(k) is int:
             raise IndexError("structure index (%s, %s, %s) is not an integer" % (i, j, k))
-        entries[(i * n + j) * n + k] = val
+        entries[(i * n + j) * n + k] = p, q
         if i != j:
-            entries[(j * n + i) * n + k] = val if sign == 1 else negative(val)
-    at = np.fromiter(entries, np.intp, len(entries))
-    if backend == FLOAT:
-        D = 1
-        np.put(N, at, [float(x) for x in entries.values()])
-    else:
-        nums, D = _ratio_numerators(entries.values())
-        N = N.astype(nums.dtype, copy=False)
-        np.put(N, at, nums)
+            entries[(j * n + i) * n + k] = sign * p, q
+    nums, D = numerators(list(entries.values()))
+    N = np.zeros((n, n, n), nums.dtype)
+    np.put(N, np.fromiter(entries, np.intp, len(entries)), nums)
     name = doc.get("name", "")
     if "metric" not in doc or doc["metric"] is None:
         return Algebra._from_numerators(N, D, symmetry, name=name)
     gram = [[scalar(v) for v in row] for row in doc["metric"]["gram"]]
-    if backend == FLOAT:
-        form = SymBilinearForm(np.array(gram, dtype=float))
-    else:
-        if not gram or any(len(row) != len(gram) for row in gram):
-            raise ValueError("Gram matrix with rows of lengths %s is not square"
-                             % [len(row) for row in gram])
-        nums, DG = _ratio_numerators([x for row in gram for x in row])
-        form = SymBilinearForm._from_numerators(nums.reshape(len(gram), -1), DG)
+    if not gram or any(len(row) != len(gram) for row in gram):
+        raise ValueError("Gram matrix with rows of lengths %s is not square"
+                         % [len(row) for row in gram])
+    nums, DG = numerators([x for row in gram for x in row])
+    form = SymBilinearForm._from_numerators(nums.reshape(len(gram), -1), DG)
     alg = MetrizedAlgebra._from_numerators(N, D, form, symmetry, name=name)
     G = form._G
     if not np.all(_is_zero(G - G.T, scale=lambda: max_abs(G))):
@@ -608,7 +600,6 @@ def from_json(doc):
 def _ratio_numerators(ratios):
     """(N, D): the integer pairs (p, q) as numerators N over the lcm D of
     the q, a 1-D array in the dtype _integers gives it."""
-    ratios = list(ratios)
     D = math.lcm(*{q for _, q in ratios})
     return linalg._integers([p * (D // q) for p, q in ratios], (len(ratios),)), D
 

@@ -10,7 +10,6 @@ over the product of the operands' common denominators, and only the
 result becomes Fractions.  A float array is its own numerator over D = 1,
 so floats run the same code.
 """
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -98,12 +97,6 @@ def hconj(x):
 
 def hre(x):
     return x[0]
-
-
-def hscalar(value, level):
-    out = zeros(level)
-    out[0] = Fraction(value)
-    return out
 
 
 def hmat(n, level):

@@ -213,7 +213,7 @@ def parse_scalar(s):
 
 
 def _parse_ratio(s):
-    """(p, q), integers with s == p / q and q != 0, not always in lowest
+    """(p, q), integers with s == p / q and q > 0, not always in lowest
     terms, of what parse_scalar reads; it raises as parse_scalar does."""
     if isinstance(s, str):
         p, slash, q = s.partition("/")
@@ -226,7 +226,7 @@ def _parse_ratio(s):
             return s.numerator, s.denominator
         if q == 0:
             raise ValueError("zero denominator in %r" % (s,))
-        return p, q
+        return (p, q) if q > 0 else (-p, -q)
     if isinstance(s, float):
         raise ValueError("float %r where an exact value is needed" % (s,))
     s = Fraction(s)
@@ -258,26 +258,23 @@ def solve(A, b):
     if np.shape(A) != (n, n):
         raise np.linalg.LinAlgError("A of shape %s is not square" % (np.shape(A),))
     b = np.asarray(b)
-    S = _row_numerators(as_backend(np.column_stack([A, b]), RATIONAL))
+    S = as_backend(np.column_stack([A, b]), RATIONAL)
     X = _fractions(*_solve_numerators(S[:, :n], S[:, n:]))
     return X[:, 0] if b.ndim == 1 else X
 
 
 def _solve_numerators(A, B):
-    """(X, E) with A X = E B: the solution X / E of a square system of
-    integer numerators, reduced once as [A | B]; float A and B are solved
-    by numpy, with E = 1.  A singular A raises LinAlgError."""
+    """(X, E) with A X = E B: the solution X / E, in lowest terms, of a square
+    exact system, read off the echelon form of [A | B] (_echelon); float A
+    and B are solved by numpy, with E = 1.  A singular A raises LinAlgError."""
     if A.dtype.kind == "f":
         return np.linalg.solve(A, B), 1
     n = len(A)
-    R, pivots = _reduce_integer_rows(np.hstack([A, B]))
+    R, pivots = _reduce_rows(np.hstack([A, B]))
     if pivots[:n] != list(range(n)):
         raise np.linalg.LinAlgError("singular rational system")
-    p = [int(x) for x in R[range(n), range(n)]]
-    E = math.lcm(*p)
-    # one product per entry
-    return _contract(lambda r, c: r * c[:, None], 1, R[:, n:],
-                     _integers([E // x for x in p], (n,))), E
+    N, E = _echelon(R, pivots)
+    return N[:, n:], E
 
 
 def inv(A):
@@ -491,15 +488,17 @@ def _reduce_rows(M):
 
     Row i divided by its entry in column pivots[i] is row i of the reduced
     row echelon form (_echelon).  Exact M gives the rows of _reduce_integer_rows:
-    integer M is copied, and each row of Fractions is scaled to integers by
-    the lcm of its denominators.  Float M gives its reduced form, with pivots
+    integer M is copied, and Fractions are read as their numerators over one
+    common denominator (_numerators); elimination divides every row it
+    returns by its content, so no positive scaling of a row changes them.
+    Float M gives its reduced form, with pivots
     the largest entry above EPS0 times the largest |entry| of M.  The
     tolerance only chooses pivots: every row with a nonzero entry in a pivot
     column is eliminated, as normalised pivot rows lose the scale of M.
     """
     M = np.asarray(M)
     if M.dtype.kind == "O":
-        return _reduce_integer_rows(_row_numerators(M))
+        return _reduce_integer_rows(_numerators(M)[0])
     if M.dtype.kind in "iu":
         return _reduce_integer_rows(M.astype(np.int64 if max_abs(M) < _INT64_LIMIT else object))
     M = np.array(M, dtype=float)                      # a copy
@@ -525,16 +524,6 @@ def _reduce_rows(M):
         M[others] -= np.multiply.outer(M[others, col], M[row])
         pivots.append(col)
     return M[:len(pivots)], pivots
-
-
-def _row_numerators(M):
-    """Each row of an exact matrix times the lcm of its denominators, as
-    integers (int64 or Python ints, as _integers decides)."""
-    nums = []
-    for row in M.tolist():
-        D = math.lcm(*(x.denominator for x in row))
-        nums += [x.numerator * (D // x.denominator) for x in row]
-    return _integers(nums, M.shape)
 
 
 def _reduce_integer_rows(M):

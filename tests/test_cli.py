@@ -42,6 +42,11 @@ def test_report_failure_exit_code(tmp_path, capsys):
     code, out = run(capsys, "report", "--in", path, "--suite",
                     "killing-invariant")
     assert code == 0
+    # a degenerate Killing form, read in place of a metric, is a false verdict
+    code, out = run(capsys, "report", "--in", path, "--suite", "nondegenerate")
+    rep = json.loads(out)
+    assert code == 1 and capsys.readouterr().err == ""
+    assert rep["verdict"] is False and rep["residual"] == 2 and rep["witnesses"] == [[1, 0, 2]]
 
 
 def test_einstein_suite_reports_kappa(tmp_path, capsys):
@@ -67,6 +72,21 @@ def test_idempotents_command(tmp_path, capsys):
     code, out = run(capsys, "idempotents", "--in", path, "--trials", "400")
     assert code == 0
     assert json.loads(out)["count"] == 7
+
+
+def test_idempotents_needs_no_metric(tmp_path, capsys):
+    """The searches read only products and the Euclidean norm, so a file
+    without a metric whose Killing form is degenerate is searched as it is."""
+    path = str(tmp_path / "t.json")
+    run(capsys, "construct", "talg", "--n", "3", "--alpha", "1/2", "-o", path)
+    code, out = run(capsys, "idempotents", "--in", path, "--trials", "60")
+    assert code == 0 and capsys.readouterr().err == ""
+    A = tracealg.load_json(path)
+    doc = json.loads(out)
+    assert doc["idempotents"] == [list(map(float, v))
+                                  for v in tracealg.newton_idempotents(A, 60, 0)]
+    assert doc["szero_rays"] == [list(map(float, v))
+                                 for v in tracealg.square_zero_rays(A, 50, 0)]
 
 
 def test_decompose_command(tmp_path, capsys):
@@ -212,6 +232,8 @@ MALFORMED = {
     "float-index": json.dumps({"dim": 2, "structure": [[0, 1.0, 0, "1"]]}),
     "string-index": json.dumps({"dim": 2, "structure": [[0, "1", 0, "1"]]}),
     "bool-index": json.dumps({"dim": 2, "structure": [[True, 0, 0, "1"]]}),
+    "gram-ragged": json.dumps({"dim": 2, "structure": [[0, 0, 0, "1"], [1, 1, 1, "1"]],
+                               "metric": {"gram": [["1", "0"], ["0"]]}}),
 }
 
 COMMANDS = {
@@ -272,12 +294,42 @@ CONSTRUCT_ARGS = {
     "herm-n1": (["herm", "--n", "1", "--level", "c"], 0),
     "talg-n0": (["talg", "--n", "0", "--alpha", "1"], 2),
     "talg-n1": (["talg", "--n", "1", "--alpha", "1"], 0),
+    # octonions only at size 3; lie-so needs n >= 3, lie-su and su-circle n >= 2
+    "herm-octonion-n2": (["herm", "--n", "2", "--level", "o"], 2),
+    "herm0-octonion-n4": (["herm0", "--n", "4", "--level", "o"], 2),
+    "lie-so-n2": (["lie-so", "--n", "2"], 2),
+    "lie-so-n3": (["lie-so", "--n", "3"], 0),
+    "lie-su-n1": (["lie-su", "--n", "1"], 2),
+    "lie-su-n2": (["lie-su", "--n", "2"], 0),
+    "su-circle-n1": (["su-circle", "--n", "1"], 2),
+    "su-circle-n2": (["su-circle", "--n", "2"], 0),
+    # derived builds from the base files of test_construct_exit_codes:
+    # nahm needs a Lie algebra, dsum and tensor two operands of one kind,
+    # deunitalize a unit that is not null
+    "nahm-commutative": (["nahm", "--base", "@e3"], 2),
+    "dsum-exact-float": (["dsum", "--base", "@e3", "--base2", "@e3f"], 2),
+    "tensor-exact-float": (["tensor", "--base", "@e3", "--base2", "@e3f"], 2),
+    "deunitalize-no-unit": (["deunitalize", "--base", "@e3"], 2),
+    "deunitalize-null-unit": (["deunitalize", "--base", "@null"], 2),
 }
+
+# base files: ealg(3), its float copy, and R + R with the metric diag(1, -1),
+# whose unit e_1 + e_2 is null
+BASES = {"@e3": ["ealg", "--n", "3"], "@e3f": ["ealg", "--n", "3", "--scalar", "float"]}
+NULL_UNIT = {"dim": 2, "structure": [[0, 0, 0, "1"], [1, 1, 1, "1"]],
+             "metric": {"gram": [["1", "0"], ["0", "-1"]]}}
 
 
 @pytest.mark.parametrize("case", sorted(CONSTRUCT_ARGS))
 def test_construct_exit_codes(tmp_path, capsys, case):
     argv, code = CONSTRUCT_ARGS[case]
+    for stem, family in BASES.items():
+        if stem in argv:
+            assert main(["construct"] + family + ["-o", str(tmp_path / stem[1:])]) == 0
+    if "@null" in argv:
+        (tmp_path / "null").write_text(json.dumps(NULL_UNIT))
+    capsys.readouterr()
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
     out = str(tmp_path / "out.json")
     assert exit_code(["construct"] + argv + ["-o", out]) == code
     err = capsys.readouterr().err

@@ -271,6 +271,18 @@ def test_deunitalization_round_trip():
         assert max_abs(np.asarray(D.gram) - np.asarray(A.gram)) == 0
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_float_deunitalization_matches_the_exact_one(n):
+    """A float algebra finds its unit by least squares: the round trip on
+    floats agrees with the float view of the exact one."""
+    A = ta.simplicial(n)
+    fl = deunitalization(unitalization(ta.as_float(A)))
+    ex = ta.as_float(deunitalization(unitalization(A)))
+    assert fl.backend == FLOAT and fl.dim == ex.dim == n
+    assert np.max(np.abs(fl.structure - ex.structure)) <= 1e-12
+    assert np.max(np.abs(fl.gram - ex.gram)) <= 1e-12
+
+
 def test_deunitalization_ignores_the_sign_of_the_metric():
     """Negating the metric of a unital algebra negates h(e, e) and the
     restricted Gram matrix together: the deunitalization is unchanged, in

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 import tracealg
 from tracealg import linalg
 from tracealg.linalg import (FLOAT, RATIONAL, Subspace, SymBilinearForm, _echelon,
-                             _fractions, _numerators, _reduce_rows, as_backend, inertia,
+                             _fractions, _integers, _numerators, _reduce_integer_rows,
+                             _reduce_rows, as_backend, inertia,
                              inv, nullspace, orthogonal_complement, parse_scalar,
                              rational_eigenvalues, solve, to_float, zeros)
 
@@ -275,6 +276,17 @@ def rref(M):
     return _fractions(*_echelon(R, pivots)), pivots
 
 
+def ref_row_numerators(M):
+    """Each row of a Fraction matrix times the lcm of its denominators, as
+    integers: the per-row scaling _reduce_rows applied before it read M as
+    numerators over one common denominator."""
+    nums = []
+    for row in M.tolist():
+        D = math.lcm(*(x.denominator for x in row))
+        nums += [x.numerator * (D // x.denominator) for x in row]
+    return _integers(nums, M.shape)
+
+
 def assert_reduces_like_fractions(M):
     R, pivots = rref(M)
     ref, ref_pivots = ref_reduce_rows(M)
@@ -282,6 +294,10 @@ def assert_reduces_like_fractions(M):
     assert all(isinstance(x, Fraction) for x in R.flat)
     assert np.array_equal(R, ref)
     assert np.array_equal(nullspace(M), ref_nullspace(M))
+    # positive row scaling changes no row that elimination returns
+    rows, row_pivots = _reduce_rows(M)
+    ref_rows, ref_row_pivots = _reduce_integer_rows(ref_row_numerators(M))
+    assert row_pivots == ref_row_pivots and np.array_equal(rows, ref_rows)
 
 
 # far above 2**62, so that even the scaled rows are Python ints
