@@ -91,8 +91,11 @@ def _pair_times_identity(X):
 
 def is_projectively_associative(alg):
     """Check [x,y,z] = c(y,z) x - c(x,y) z with c = -ric/(dim-1) on basis
-    triples, plus the cyclic commutator identity it implies."""
+    triples, plus the cyclic commutator identity it implies.  c needs
+    dim >= 2; a smaller dim raises ValueError."""
     n = alg.dim
+    if n < 2:
+        raise ValueError("projective associativity needs dim >= 2, not %d" % n)
     R, E = alg._ricci()                                  # c = -R / (E (n - 1))
     P, Q = _residual(*alg._associator(), _pair_times_identity(R), E * (n - 1))
 
@@ -121,12 +124,14 @@ def constant_sect_check(alg, kappa=None):
     """Check [x,y,z] = kappa (h(x,y) z - h(y,z) x) on basis triples.
 
     If kappa is None it is inferred from ric = kappa (dim-1) h at the
-    first anisotropic diagonal entry, and a metric with none raises
-    ValueError.  Returns (verdict, kappa, residual).
+    first anisotropic diagonal entry, and a metric with none, or dim below
+    2, raises ValueError.  Returns (verdict, kappa, residual).
     """
     n = alg.dim
     G, DG = alg.form._G, alg.form._DG
     if kappa is None:
+        if n < 2:
+            raise ValueError("a constant sectional value needs dim >= 2, not %d" % n)
         R, E = alg._ricci()
         k0 = _first_anisotropic(alg.form)
         kappa = _fractions(R[k0, k0], E) / ((n - 1) * _fractions(G[k0, k0], DG))

@@ -5,6 +5,7 @@ An input error is an OSError or a ValueError; main prints it as one line.
 """
 import argparse
 import functools
+import itertools
 import json
 import sys
 
@@ -39,8 +40,48 @@ def _metrized(alg):
     return core._with_metric(alg, tau)
 
 
+_NESTED = (list, tuple, dict)
+
+
+def _leaves(items):
+    """Whether no item is a list, tuple or dict."""
+    return not any(issubclass(t, _NESTED) for t in set(map(type, items)))
+
+
+def _dumps(doc, level=0):
+    """json.dumps(doc, indent=1), byte for byte, written by json's C encoder.
+
+    json.dumps runs its pure-Python encoder when indent is set, but the C
+    encoder takes any item separator: a list of leaves is one call with
+    "," + newline + indent between items, and a list of such lists is one
+    call with the inner separator, whose row boundaries "]," + inner + "["
+    are then re-indented.  The encoder escapes every newline in a string,
+    so a raw newline occurs only in a separator.  Dicts, and lists with
+    any other nesting, recurse.
+    """
+    if not isinstance(doc, _NESTED) or not doc:
+        return json.dumps(doc)
+    ind, end = "\n" + " " * (level + 1), "\n" + " " * level
+    if isinstance(doc, dict):
+        # each key as json.dumps writes a key, which converts non-str keys
+        items = [json.dumps({k: 0})[1:-4] + ": " + _dumps(v, level + 1) for k, v in doc.items()]
+        return "{" + ind + ("," + ind).join(items) + end + "}"
+    if _leaves(doc):
+        return "[" + ind + json.dumps(doc, separators=("," + ind, ": "))[1:-1] + end + "]"
+    if (all(issubclass(t, (list, tuple)) for t in set(map(type, doc))) and all(doc)
+            and _leaves(itertools.chain.from_iterable(doc))):
+        # every item a nonempty list of leaves; an empty one is written "[]"
+        inner = ind + " "
+        text = json.dumps(doc, separators=("," + inner, ": "))[2:-2]
+        text = text.replace("]," + inner + "[", ind + "]," + ind + "[" + inner)
+        return "[" + ind + "[" + inner + text + ind + "]" + end + "]"
+    return "[" + ind + ("," + ind).join(_dumps(x, level + 1) for x in doc) + end + "]"
+
+
 def _emit(doc, out):
-    text = json.dumps(doc, indent=1)
+    """Write doc as json.dumps(doc, indent=1) does, through _dumps: to the
+    file out, with a final newline, or to stdout."""
+    text = _dumps(doc)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")

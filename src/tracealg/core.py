@@ -451,8 +451,14 @@ def _commutant(alg):
         R = _contract(lambda t, l: t @ l.T - l.T @ t, 2 * n, K.reshape(-1, n, n), L)
         R, pivots = linalg._reduce_rows(R.reshape(len(K), -1).T)
         if pivots:                      # else every T in K commutes with L_i
-            Z, _ = linalg._kernel(R, pivots)
-            K = linalg._divide_content(_contract(np.matmul, len(K), Z.T, K), axis=1)
+            # the kernel Z is D at the free rows and -E at the pivot rows, so
+            # Z^T K = D K[free] - E[:, free]^T K[pivots] multiplies only by
+            # the rank: len(pivots) + 1 products per entry
+            E, D = linalg._echelon(R, pivots)
+            free = np.delete(np.arange(len(K)), pivots)
+            K = linalg._divide_content(_contract(
+                lambda e, k, d: d * k[free] - e[:, free].T @ k[pivots],
+                len(pivots) + 1, E, K, D), axis=1)
     K = np.vstack([np.eye(n, dtype=np.int64).reshape(1, -1), K])
     E, D = linalg._echelon(*linalg._reduce_rows(K[:, ::-1]))
     return list(_fractions(E[::-1, ::-1], D).reshape(-1, n, n))
@@ -543,8 +549,8 @@ def from_json(doc):
     """Algebra of a JSON document; malformed input raises KeyError,
     IndexError, TypeError or ValueError.
 
-    Every value is read as an integer pair (p, q), except a JSON float in a
-    float file, which is kept as it is.  An exact file's values become
+    Every value is read as an integer pair (p, q), each distinct string
+    once, except a JSON float in a float file, which is kept as it is.  An exact file's values become
     numerators over the lcm of the q, with no Fraction made; a float file's
     become floats, p / q rounded as float(Fraction(p, q)) rounds it.  A
     later entry overwrites an earlier one at each position it sets, its
@@ -559,7 +565,16 @@ def from_json(doc):
     symmetry = doc.get("symmetry", COMMUTATIVE)
     sign = 1 if symmetry == COMMUTATIVE else -1
 
+    # each distinct string is parsed once; only strings are keys, as
+    # 1 == 1.0 == True and 0.0 == -0.0 would merge values a file tells apart
+    parsed = {}
+
     def scalar(v):
+        if isinstance(v, str):
+            pair = parsed.get(v)
+            if pair is None:
+                pair = parsed[v] = linalg._parse_ratio(v)
+            return pair
         return (v, 1) if backend == FLOAT and isinstance(v, float) else linalg._parse_ratio(v)
 
     def numerators(ratios):

@@ -236,14 +236,16 @@ def _parse_ratio(s):
 def _json_values(N, D):
     """The entries of the 1-D N / D as JSON values, read back by parse_scalar:
     "p/q" in lowest terms, or "p" when q = 1, for integer N, and floats
-    for float N."""
+    for float N.  An algebra repeats few values, so each distinct
+    numerator is formatted once and the entries are looked up."""
     if N.dtype.kind == "f":
         return (N / D).tolist()
-    out = []
-    for p in N.tolist():
+    nums = N.tolist()
+    text = {}
+    for p in set(nums):
         g = math.gcd(p, D)
-        out.append(str(p // g) if g == D else "%d/%d" % (p // g, D // g))
-    return out
+        text[p] = str(p // g) if g == D else "%d/%d" % (p // g, D // g)
+    return list(map(text.__getitem__, nums))
 
 
 def solve(A, b):

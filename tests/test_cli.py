@@ -8,9 +8,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tracealg
-from tracealg.cli import main, run_suite
+from tracealg.cli import _dumps, main, run_suite
 
 
 def run(capsys, *argv):
@@ -116,9 +117,13 @@ def test_decompose_refuses_degenerate_killing_form(tmp_path, capsys):
 
 
 # files the loader reads but the command cannot use; each ended in a
-# traceback (exit 1) instead of one error line and exit 2
+# traceback (exit 1) instead of one error line and exit 2, except the float
+# dim-one const-sect, which reported a NaN residual: proj-assoc and
+# const-sect divide by dim - 1
 UNUSABLE = {
     "dim-zero": {"dim": 0, "structure": []},
+    "dim-one": {"dim": 1, "structure": [[0, 0, 0, "1"]]},
+    "dim-one-float": {"dim": 1, "scalar": "float", "structure": [[0, 0, 0, 1.0]]},
     "null-diagonal": {"dim": 2, "structure": [],
                       "metric": {"gram": [["0", "1"], ["1", "0"]]}},
     "degenerate-metric": {"dim": 2, "structure": [[0, 0, 0, "1"], [1, 1, 1, "1"]],
@@ -130,6 +135,8 @@ UNUSABLE_RUNS = ([("dim-zero", ["decompose"])]
                  + [("dim-zero", ["report", "--suite", s])
                     for s in ("ideals", "const-sect", "einstein")]
                  + [("null-diagonal", ["report", "--suite", s]) for s in ("einstein", "const-sect")]
+                 + [(source, ["report", "--suite", s]) for source in ("dim-one", "dim-one-float")
+                    for s in ("proj-assoc", "const-sect")]
                  + [("degenerate-metric", ["decompose"]),
                     ("degenerate-metric", ["report", "--suite", "ideals"])])
 
@@ -581,6 +588,48 @@ def test_matrix_constructions_are_byte_identical(tmp_path, argv):
     out = tmp_path / "out.json"
     assert main(["construct"] + argv.split() + ["-o", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CONSTRUCT_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(CONSTRUCT_SHA256))
+def test_construct_files_rewrite_byte_identical(tmp_path, monkeypatch, argv):
+    """construct writes with no indented json.dumps, and each file, read
+    back and rewritten by _dumps, keeps its SHA-256."""
+    dumps = json.dumps
+
+    def no_indent(obj, **kw):
+        assert kw.get("indent") is None
+        return dumps(obj, **kw)
+    monkeypatch.setattr(json, "dumps", no_indent)
+    out = tmp_path / "out.json"
+    assert main(["construct"] + argv.split() + ["-o", str(out)]) == 0
+    text = _dumps(json.loads(out.read_text())) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == CONSTRUCT_SHA256[argv]
+
+
+# every leaf json.dumps writes: non-ASCII and control characters, text that
+# looks like a row boundary, ints beyond 2**63, nan, infinities, -0.0 and a
+# float subclass, bools and None
+JSON_LEAVES = st.one_of(
+    st.text(max_size=6), st.sampled_from(["],\n   [", "]", "[", ",\n ", "\u00e9\u2028\x00"]),
+    st.integers(), st.integers(2 ** 63, 2 ** 80), st.integers(-2 ** 80, -2 ** 63),
+    st.floats(), st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0]),
+    st.floats().map(np.float64), st.booleans(), st.none())
+
+
+def json_documents(children):
+    """Lists, tuples and str-keyed dicts of children, empty ones among them,
+    and lists of rows of leaves, some of them empty."""
+    return st.one_of(
+        st.lists(children, max_size=4), st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+        st.lists(st.lists(JSON_LEAVES, max_size=4), max_size=4),
+        st.lists(st.lists(JSON_LEAVES, min_size=1, max_size=4).map(tuple), max_size=4))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.recursive(JSON_LEAVES, json_documents, max_leaves=40))
+def test_dumps_equals_indented_json_dumps(doc):
+    assert _dumps(doc) == json.dumps(doc, indent=1)
 
 
 def test_sect_with_only_degenerate_starts_is_an_input_error(tmp_path, capsys):

@@ -504,7 +504,16 @@ def test_loader_edge_cases():
                 {"dim": 2, "symmetry": "anticommutative",
                  "structure": [[0, 1, 0, "1"], [1, 0, 0, "2"], [0, 1, 1, "2/4"]]},
                 {"dim": 1, "structure": [[0, 0, 0, "%d" % 2 ** 70]],
-                 "metric": {"gram": [["%d/3" % 2 ** 64]]}}):
+                 "metric": {"gram": [["%d/3" % 2 ** 64]]}},
+                # repeated strings, read through the loader's parse cache
+                {"dim": 2, "structure": [[0, 0, 0, "1/2"], [0, 1, 0, "-0"], [1, 1, 1, "1/2"],
+                                         [0, 1, 1, "0"], [1, 1, 0, "-0"], [0, 0, 1, "2/4"],
+                                         [0, 1, 1, "1/2"], [1, 1, 1, 1]],
+                 "metric": {"gram": [["1/2", "-0"], ["0", "1/2"]]}},
+                {"dim": 2, "scalar": "float",
+                 "structure": [[0, 0, 0, "-0"], [0, 1, 0, -0.0], [1, 1, 1, "0"], [0, 1, 1, "1"],
+                               [1, 1, 0, 1.0], [0, 0, 1, 1], [1, 1, 1, "-0"]],
+                 "metric": {"gram": [["1", "-0"], ["-0", 1.0]]}}):
         assert load_outcome(from_json, doc) == load_outcome(ref_from_json, doc)
     A = from_json({"dim": 2, "structure": [[0, 1, 0, "1"], [1, 0, 0, "2"]]})
     assert A.structure[0, 1, 0] == A.structure[1, 0, 0] == 2
