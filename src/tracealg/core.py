@@ -550,11 +550,11 @@ def from_json(doc):
     IndexError, TypeError or ValueError.
 
     Every value is read as an integer pair (p, q), each distinct string
-    once, except a JSON float in a float file, which is kept as it is.  An exact file's values become
-    numerators over the lcm of the q, with no Fraction made; a float file's
-    become floats, p / q rounded as float(Fraction(p, q)) rounds it.  A
-    later entry overwrites an earlier one at each position it sets, its
-    transpose included.
+    once, except a JSON float in a float file, which is kept as it is.  An
+    exact file's values become numerators over the lcm of the q, with no
+    Fraction made; a float file's become floats, p / q rounded as
+    float(Fraction(p, q)) rounds it.  A later entry overwrites an earlier
+    one at each position it sets, its transpose included.
     """
     n = doc["dim"]
     if n < 1:
