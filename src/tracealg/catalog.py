@@ -45,11 +45,12 @@ def gamma_vectors(n):
 
 def cyclic3():
     """3-dim algebra e_i e_i = 0, e_1 e_2 = e_3 (cyclically); metric Killing."""
-    s = zeros((3, 3, 3))
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        s[i, j, k] = s[j, i, k] = Fraction(1)
-    base = Algebra(s, COMMUTATIVE)
-    return MetrizedAlgebra(s, base.killing_form().gram, COMMUTATIVE, name="cyclic3")
+    N = np.zeros((3, 3, 3), dtype=np.int64)
+    i, j, k = (0, 1, 2), (1, 2, 0), (2, 0, 1)
+    N[i, j, k] = N[j, i, k] = 1
+    base = Algebra._from_numerators(N, 1, COMMUTATIVE)
+    return MetrizedAlgebra._from_numerators(N, 1, base.killing_form(), COMMUTATIVE,
+                                            name="cyclic3")
 
 
 def simplicial_reflection(n, i, j):
@@ -210,33 +211,22 @@ def algebra_from_matrix_basis(mats, mul, coords, name=""):
 
 
 def lie_so(n):
-    """so(n), n >= 3; for n = 3 the cyclic basis with [L1, L2] = L3."""
+    """so(n), n >= 3, on the basis L_ab = E_ab - E_ba, a < b; for n = 3 the
+    cyclic basis with [L1, L2] = L3, (-L_12, L_02, -L_01)."""
     if n < 3:
         raise ValueError("lie-so needs n >= 3")
+    a, b = np.triu_indices(n, 1)
+    c = np.ones(len(a), dtype=np.int64)
     if n == 3:
-        mats = -np.array([[[_eps(k, i, j) for j in range(3)] for i in range(3)]
-                          for k in range(3)], dtype=np.int64)
+        a, b, c = a[::-1], b[::-1], np.array([-1, 1, -1])
+    mats = np.zeros((len(a), n, n), dtype=np.int64)
+    mats[np.arange(len(a)), a, b] = c
+    mats[np.arange(len(a)), b, a] = -c
 
-        def coords(M):
-            return np.stack([-M[..., 1, 2], M[..., 0, 2], -M[..., 0, 1]], axis=-1)
-    else:
-        a, b = np.triu_indices(n, 1)
-        mats = np.zeros((len(a), n, n), dtype=np.int64)
-        mats[np.arange(len(a)), a, b] = 1
-        mats[np.arange(len(a)), b, a] = -1
-
-        def coords(M):
-            return M[..., a, b]
+    def coords(M):
+        return c * M[..., a, b]
 
     return algebra_from_matrix_basis(mats, np.matmul, coords, name="lie-so(%d)" % n)
-
-
-def _eps(i, j, k):
-    if (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        return 1
-    if (i, j, k) in ((0, 2, 1), (2, 1, 0), (1, 0, 2)):
-        return -1
-    return 0
 
 
 def _times_j(M):

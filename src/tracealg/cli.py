@@ -1,7 +1,10 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or input error.
-An input error is an OSError or a ValueError; main prints it as one line.
+Each command cmd_<name> returns (document, passed).  main writes every
+document, through _dumps, to --out or stdout, and decides every exit code:
+0 when the command passed, 1 on a verification failure, 2 on a usage or
+input error.  An input error is an OSError or a ValueError, raised while
+the command runs or its document is written; main prints it as one line.
 """
 import argparse
 import functools
@@ -78,17 +81,6 @@ def _dumps(doc, level=0):
     return "[" + ind + ("," + ind).join(_dumps(x, level + 1) for x in doc) + end + "]"
 
 
-def _emit(doc, out):
-    """Write doc as json.dumps(doc, indent=1) does, through _dumps: to the
-    file out, with a final newline, or to stdout."""
-    text = _dumps(doc)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
 def cmd_construct(args):
     kw = {}
     if args.n is not None:
@@ -96,9 +88,9 @@ def cmd_construct(args):
     if args.level is not None:
         kw["level"] = LEVEL_OF_LETTER[args.level]
     if args.base:
-        kw["base"] = _load(args.base)
+        kw["base"] = _metrized(_load(args.base))
     if args.base2:
-        kw["base2"] = _load(args.base2)
+        kw["base2"] = _metrized(_load(args.base2))
     if args.alpha is not None:
         kw["alpha"] = linalg.parse_scalar(args.alpha)
     alg = catalog.build_by_name(args.family, **kw)
@@ -106,8 +98,7 @@ def cmd_construct(args):
         alg = core.as_float(alg)
     elif args.scalar and alg.backend != args.scalar:
         raise ValueError("%s builds a float algebra; it has no exact form" % args.family)
-    _emit(core.to_json(alg), args.out)
-    return 0
+    return core.to_json(alg), True
 
 
 def run_suite(alg, suite, seed=0):
@@ -160,8 +151,7 @@ def run_suite(alg, suite, seed=0):
 
 def cmd_report(args):
     rep = run_suite(_load(args.infile), args.suite, args.seed)
-    _emit(rep, args.out)
-    return 0 if rep["verdict"] else 1
+    return rep, rep["verdict"]
 
 
 def cmd_idempotents(args):
@@ -171,33 +161,28 @@ def cmd_idempotents(args):
     doc = {"schema": 1, "idempotents": [list(map(float, v)) for v in idems],
            "szero_rays": [list(map(float, v)) for v in szero],
            "count": len(idems) + len(szero), "seed": args.seed}
-    _emit(doc, args.out)
-    return 0
+    return doc, True
 
 
 def cmd_sect(args):
     alg = _metrized(_load(args.infile))
     est = analysis.sect_extremize(alg, args.seed, n_starts=max(args.trials, 8))
-    doc = {"schema": 1, "lower": est["lower"], "upper": est["upper"],
-           "seed": args.seed}
-    _emit(doc, args.out)
-    return 0
+    return {"schema": 1, "lower": est["lower"], "upper": est["upper"],
+            "seed": args.seed}, True
 
 
 def cmd_decompose(args):
     parts, verdict = core.decompose_ideals(_metrized(_load(args.infile)))
-    doc = {"schema": 1, "verdict": verdict,
-           "component_dims": [S.dim for S, _ in parts]}
-    _emit(doc, args.out)
-    return 0
+    return {"schema": 1, "verdict": verdict,
+            "component_dims": [S.dim for S, _ in parts]}, True
 
 
 def cmd_check(args):
     alg = _load(args.infile)
     reports = {suite: run_suite(alg, suite, args.seed)
                for suite in ("exact", "killing-invariant", "ricci-invariant")}
-    _emit({"schema": 1, "reports": reports}, args.out)
-    return 0 if all(rep["verdict"] for rep in reports.values()) else 1
+    return ({"schema": 1, "reports": reports},
+            all(rep["verdict"] for rep in reports.values()))
 
 
 @functools.cache
@@ -247,10 +232,17 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        return globals()["cmd_" + args.cmd](args)
+        doc, passed = globals()["cmd_" + args.cmd](args)
+        text = _dumps(doc)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -330,9 +330,7 @@ def intrinsic_unitalization(alg):
     n = alg.dim
     R, E = alg._ricci()
     c = SymBilinearForm._from_numerators(-R, E * (n - 1))
-    base = (alg if isinstance(alg, MetrizedAlgebra)
-            else _with_metric(alg, SymBilinearForm(linalg.eye(n, alg.backend))))
-    return unitalization(base, c, name="iunit(%s)" % alg.name)
+    return unitalization(alg, c, name="iunit(%s)" % alg.name)
 
 
 def retraction(alg, basis):

@@ -68,18 +68,18 @@ def backend_of(a):
     return RATIONAL if np.asarray(a).dtype.kind in "Oiu" else FLOAT
 
 
-def _is_zero(x, tol=EPS0, scale=None):
+def _is_zero(x, scale=None):
     """Entrywise zero test of a scalar or an array: the one rule behind
     every verdict, pivot and read-off in the package.
 
     Exact data (Fractions or integer numerators) is zero when it equals 0.
-    Float data is zero when abs(x) <= tol * max(1, scale()); scale is
+    Float data is zero when abs(x) <= EPS0 * max(1, scale()); scale is
     called only on float data, so no exact array is ever scanned for a
     tolerance.
     """
     if np.asarray(x).dtype.kind in "Oiu":       # Fractions or integers
         return x == 0
-    return np.abs(x) <= tol * max(1.0, scale() if scale else 1.0)
+    return np.abs(x) <= EPS0 * max(1.0, scale() if scale else 1.0)
 
 
 def is_zero(x):
@@ -249,18 +249,13 @@ def _json_values(N, D):
 
 
 def solve(A, b):
-    """Solve the square system A x = b exactly (exact A) or via numpy.
-
-    The exact path reduces [A | b] once; a missing pivot among the columns
-    of A means A is singular.
-    """
-    if backend_of(A) == FLOAT:
-        return np.linalg.solve(to_float(A), to_float(b))
+    """Solve the square system A x = b exactly (exact A) or via numpy
+    (float A), through _solve_numerators."""
     n = len(A)
     if np.shape(A) != (n, n):
         raise np.linalg.LinAlgError("A of shape %s is not square" % (np.shape(A),))
     b = np.asarray(b)
-    S = as_backend(np.column_stack([A, b]), RATIONAL)
+    S = as_backend(np.column_stack([A, b]), backend_of(A))
     X = _fractions(*_solve_numerators(S[:, :n], S[:, n:]))
     return X[:, 0] if b.ndim == 1 else X
 
@@ -505,7 +500,7 @@ def _reduce_rows(M):
         return _reduce_integer_rows(M.astype(np.int64 if max_abs(M) < _INT64_LIMIT else object))
     M = np.array(M, dtype=float)                      # a copy
     m, n = M.shape
-    bound = EPS0 * max(1.0, max_abs(M))
+    peak = max_abs(M)
     pivots = []
     for col in range(n):
         row = len(pivots)
@@ -513,7 +508,7 @@ def _reduce_rows(M):
             break
         nonzero = M[:, col] != 0                   # the rows to eliminate
         live = row + np.flatnonzero(nonzero[row:])
-        live = live[~_is_zero(M[live, col], bound)]
+        live = live[~_is_zero(M[live, col], scale=lambda: peak)]
         if not live.size:
             continue
         piv = live[np.argmax(np.abs(M[live, col]))]

@@ -1,6 +1,7 @@
 """Catalogue constructions: permutation-invariant families, Hermitian
 Jordan algebras, Lie algebras, triples, conformal extensions."""
 from fractions import Fraction
+import hashlib
 import itertools
 import random
 
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 import tracealg as ta
-from tracealg.core import (MetrizedAlgebra, tensor_product, verify_homomorphism,
+from tracealg.cli import _dumps
+from tracealg.core import (MetrizedAlgebra, tensor_product, to_json, verify_homomorphism,
                            verify_isometric, einstein_fit)
 from tracealg.linalg import (FLOAT, RATIONAL, Subspace, SymBilinearForm,
                              max_abs, to_float)
@@ -196,6 +198,10 @@ def test_cyclic3():
     assert np.all(C.multiply(e1, e2) == e3)
     assert np.all(C.multiply(e2, e3) == e1)
     assert np.all(np.asarray(C.killing_form().gram) == 2 * np.asarray(ident(3)))
+    # the file of its structure and Killing metric, as first recorded
+    text = _dumps(to_json(C))
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == "e4998a15ffacd60fa22d222697d105d69a663c9f339475f8c068646b995b8016")
 
 
 # ------------------------------------------------------ tensor witnesses

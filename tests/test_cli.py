@@ -318,11 +318,19 @@ CONSTRUCT_ARGS = {
     "tensor-exact-float": (["tensor", "--base", "@e3", "--base2", "@e3f"], 2),
     "deunitalize-no-unit": (["deunitalize", "--base", "@e3"], 2),
     "deunitalize-null-unit": (["deunitalize", "--base", "@null"], 2),
+    # a base without a metric is metrized by its Killing form, and
+    # talg(3, 1/2)'s is degenerate; each of these ended in a traceback
+    "dsum-degenerate-killing": (["dsum", "--base", "@t", "--base2", "@t"], 2),
+    "tensor-degenerate-killing": (["tensor", "--base", "@t", "--base2", "@t"], 2),
+    "unitalize-degenerate-killing": (["unitalize", "--base", "@t"], 2),
+    "triple-degenerate-killing": (["triple", "--base", "@t"], 2),
+    "confext-degenerate-killing": (["confext", "--base", "@t"], 2),
 }
 
-# base files: ealg(3), its float copy, and R + R with the metric diag(1, -1),
-# whose unit e_1 + e_2 is null
-BASES = {"@e3": ["ealg", "--n", "3"], "@e3f": ["ealg", "--n", "3", "--scalar", "float"]}
+# base files: ealg(3), its float copy, talg(3, 1/2) (no metric), and R + R
+# with the metric diag(1, -1), whose unit e_1 + e_2 is null
+BASES = {"@e3": ["ealg", "--n", "3"], "@e3f": ["ealg", "--n", "3", "--scalar", "float"],
+         "@t": ["talg", "--n", "3", "--alpha", "1/2"]}
 NULL_UNIT = {"dim": 2, "structure": [[0, 0, 0, "1"], [1, 1, 1, "1"]],
              "metric": {"gram": [["1", "0"], ["0", "-1"]]}}
 
@@ -372,12 +380,27 @@ def test_construct_names_the_missing_option(tmp_path, capsys, argv, option):
     assert capsys.readouterr().err == "error: %s needs %s\n" % (argv[0], option)
 
 
+def test_construct_base_without_metric_uses_its_killing_form(tmp_path, capsys):
+    """ealg(3)'s metric is its Killing form, so dsum writes the same file
+    whether or not the base carries it."""
+    with_metric, bare = tmp_path / "e3.json", tmp_path / "bare.json"
+    main(["construct", "ealg", "--n", "3", "-o", str(with_metric)])
+    doc = json.loads(with_metric.read_text())
+    del doc["metric"]
+    bare.write_text(json.dumps(doc))
+    for base in (with_metric, bare):
+        out = str(tmp_path / ("dsum-" + base.name))
+        assert main(["construct", "dsum", "--base", str(base), "--base2", str(base), "-o", out]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "dsum-e3.json").read_bytes() == (tmp_path / "dsum-bare.json").read_bytes()
+
+
 def test_main_dispatches_through_the_module_at_call_time(tmp_path, capsys, monkeypatch):
     """The parser is built once; a command function replaced after that
     (as a tracer does) is the one main runs."""
     main(["construct", "ealg", "--n", "2", "-o", str(tmp_path / "e2.json")])
     calls = []
-    monkeypatch.setattr(tracealg.cli, "cmd_construct", lambda args: calls.append(args) or 0)
+    monkeypatch.setattr(tracealg.cli, "cmd_construct", lambda args: calls.append(args) or ({}, True))
     assert main(["construct", "ealg", "--n", "2"]) == 0
     assert [a.family for a in calls] == ["ealg"]
 
@@ -573,13 +596,17 @@ def test_exact_report_computes_the_trace_once(monkeypatch):
 
 
 # SHA-256 of the `construct` output of the matrix catalogue algebras, as
-# recorded when their Cayley-Dickson products were one einsum over (j, b)
+# recorded when their Cayley-Dickson products were one einsum over (j, b),
+# and lie-so's when so(3) had its own epsilon-table basis
 CONSTRUCT_SHA256 = {
     "herm0 --n 4 --level h": "77b3067a8c205da9e498c93525d16addaebf3a66ececad6608d4464daa121831",
     "herm0 --n 3 --level o": "b29e1dd6877a3144466be0b79d6cc82034a70c70609594e4de2aa06cfd0dcdb4",
     "herm --n 3 --level o": "fff88c49bfc0827825e20eab830b743e68e72e734180a502055b12bd664af34a",
     "lie-su --n 4": "2c720b373848b798583265be3e5b9700b09f5f80694dc44d4c99193d1561ba97",
     "su-circle --n 3": "caac75e7a952ca7f0576d75cd999de29cf7251fa36c91ace4d7b02bb373b318a",
+    "lie-so --n 3": "35119a5e9142c5ca8cc82b1f920ab3a694d418afa349aa07a0fa577df9d15a79",
+    "lie-so --n 4": "aa38a7f1941dfa61db337e24828d2002c404753f55fc802c04c166dc706b7ad0",
+    "lie-so --n 5": "bcb3d73102abcf187fe8cd8ac7f899385eb69eae264b31d682c6cc81ded4599a",
 }
 
 

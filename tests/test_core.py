@@ -259,6 +259,17 @@ def test_intrinsic_unitalization_ricci_flat():
         assert max_abs(np.asarray(V.ricci_form().gram)) == 0
 
 
+def test_intrinsic_unitalization_reads_no_metric():
+    """c = -ric / (dim - 1) is built from the structure alone: an algebra
+    without a metric unitalizes to the same file as with one, exact and
+    float."""
+    rng = random.Random(8)
+    for A in [ta.simplicial(3), ta.herm0(3, 2)] + [random_metrized(rng, n) for n in (2, 3, 4)]:
+        for B in (A, ta.as_float(A)):
+            bare = Algebra._from_numerators(B._N, B._D, B.symmetry, B.name)
+            assert to_json(intrinsic_unitalization(bare)) == to_json(intrinsic_unitalization(B))
+
+
 def test_deunitalization_round_trip():
     rng = random.Random(7)
     for _ in range(6):
@@ -401,7 +412,7 @@ def ref_from_json(doc):
         gram = [[scalar(v) for v in row] for row in doc["metric"]["gram"]]
         alg = MetrizedAlgebra(s, as_backend(gram, backend), symmetry, name=doc.get("name", ""))
         G, _ = _numerators(alg.gram)
-        if not np.all(_is_zero(G - G.T, 1e-9, lambda: max_abs(G))):
+        if not np.all(_is_zero(G - G.T, scale=lambda: max_abs(G))):
             raise ValueError("Gram matrix is not symmetric")
         return alg
     return Algebra(s, symmetry, name=doc.get("name", ""))
