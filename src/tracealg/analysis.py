@@ -335,7 +335,10 @@ def sect_extremize(alg, seed, n_starts=40):
         vals = []
         for _ in range(n_starts):
             z0 = rng.standard_normal(2 * fl.dim)
-            res = optimize.minimize(obj, z0, method="Powell",
+            # sect is constant along x -> c x and y -> c y, where no line search
+            # brackets; a box, which every plane meets, stops the drift to overflow
+            b = 10 * np.max(np.abs(z0))
+            res = optimize.minimize(obj, z0, method="Powell", bounds=[(-b, b)] * len(z0),
                                     options={"maxiter": _POWELL_MAXITER,
                                              "xtol": 1e-12, "ftol": 1e-14})
             if res.fun < 1e8:

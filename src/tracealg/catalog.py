@@ -125,15 +125,6 @@ def _jordan_table(B, level):
     return J, hmat_re_tr(J)
 
 
-def _traceless_jordan(B, n, level):
-    """Numerators over 2n of the structure tensor and Gram matrix of
-    x y = x o y - re tr(x o y) I / n, h(x, y) = re tr(xy) / n on B."""
-    J, t = _jordan_table(B, level)
-    s = n * _herm_coords(J, n, level, traceless=True)
-    s[..., :n - 1] -= t[..., None]
-    return s, t
-
-
 class _MatrixAlgebra(MetrizedAlgebra):
     """A metrized algebra on a basis of matrices, kept as an integer stack;
     its Fractions, `matrices`, are made on first read, as `structure` is."""
@@ -174,8 +165,11 @@ def herm0(n, level):
     if level == 8 and n != 3:
         raise ValueError("octonionic Hermitian matrices only at size 3")
     B = _herm_basis(n, level, traceless=True)
-    s, g = _traceless_jordan(B, n, level)
-    return _matrix_algebra(s, 2 * n, SymBilinearForm._from_numerators(g, 2 * n), COMMUTATIVE,
+    J, t = _jordan_table(B, level)
+    # numerators over 2n of x o y - re tr(x o y) I / n and of re tr(xy) / n
+    s = n * _herm_coords(J, n, level, traceless=True)
+    s[..., :n - 1] -= t[..., None]
+    return _matrix_algebra(s, 2 * n, SymBilinearForm._from_numerators(t, 2 * n), COMMUTATIVE,
                            "herm0(%d,%d)" % (n, level), B)
 
 
@@ -254,15 +248,13 @@ def lie_su(n):
 
 def su_circle(n):
     """Commutative product x o y = (j/2)(xy + yx - 2 tr(xy) I / n) on su(n),
-    with h(x, y) = -re tr(xy)/n; exact rational."""
+    with h(x, y) = -re tr(xy)/n; exact rational.  It is herm0(n, 2) on the
+    su basis, herm0(n, 2)'s times a unit imaginary scalar c, c^2 = -1: the
+    product and form above undo the sign c^2 gives its Jordan table and traces."""
     if n < 2:
         raise ValueError("su-circle needs n >= 2")
-    mats = _su_basis(n)
-    # the traceless Jordan product of two skew-Hermitian basis matrices is
-    # Hermitian; j/2 of it has the su coordinates -(its herm0 coordinates)
-    s, g = _traceless_jordan(mats, n, 2)
-    return _matrix_algebra(-s, 2 * n, SymBilinearForm._from_numerators(-g, 2 * n), COMMUTATIVE,
-                           "su-circle(%d)" % n, mats)
+    h = herm0(n, 2)
+    return _matrix_algebra(h._N, h._D, h.form, COMMUTATIVE, "su-circle(%d)" % n, _su_basis(n))
 
 
 def triple(alg, name=""):
@@ -338,6 +330,8 @@ def conformal_extension(alg):
     irrational for every n >= 1, with Killing metric again; it is built
     from the float view of the input.  Carries `.canonical_idempotent`.
     """
+    if alg.symmetry != COMMUTATIVE:
+        raise ValueError("the conformal extension needs a commutative algebra")
     n = alg.dim
     fl = as_float(alg)
     G = fl.gram

@@ -19,20 +19,15 @@ import numpy as np
 from . import linalg
 from .linalg import (FLOAT, RATIONAL, SymBilinearForm, Subspace, _contract,
                      _fractions, _is_zero, _lowest_terms, _numerators,
-                     _residual, _view, as_backend, backend_of, is_zero, max_abs, zeros)
+                     _read, _residual, _view, as_backend, backend_of, is_zero, max_abs, zeros)
 
 COMMUTATIVE = "commutative"
 ANTICOMMUTATIVE = "anticommutative"
 
 
-def _structure_numerators(structure):
-    """(N, D) of a structure tensor given as nested lists or an array."""
-    return _numerators(as_backend(structure, backend_of(structure)))
-
-
 class Algebra:
     def __init__(self, structure, symmetry=COMMUTATIVE, name=""):
-        self._init(*_structure_numerators(structure), symmetry, name)
+        self._init(*_read(structure), symmetry, name)
 
     @classmethod
     def _from_numerators(cls, N, D, *args, **kwargs):
@@ -199,7 +194,7 @@ def _twice_killing(a, b):
 class MetrizedAlgebra(Algebra):
     def __init__(self, structure, gram, symmetry=COMMUTATIVE, name=""):
         form = SymBilinearForm(as_backend(gram, backend_of(structure)))
-        self._init(*_structure_numerators(structure), form, symmetry, name)
+        self._init(*_read(structure), form, symmetry, name)
 
     def _init(self, N, D, form, symmetry=COMMUTATIVE, name=""):
         """The algebra N / D with the metric form, a SymBilinearForm of its kind."""
@@ -308,6 +303,8 @@ def unitalization(alg, c=None, name=""):
     c defaults to the metric of alg; the returned metric is c + (last
     coordinates product), which is invariant iff c is.
     """
+    if alg.symmetry != COMMUTATIVE:
+        raise ValueError("unitalization needs a commutative algebra")
     if c is None:
         c = alg.form
     n = alg.dim

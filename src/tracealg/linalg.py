@@ -248,6 +248,12 @@ def _json_values(N, D):
     return list(map(text.__getitem__, nums))
 
 
+def _read(data):
+    """(N, D) of nested lists or an array, read in its own kind (backend_of):
+    the one reader of the matrices and tensors a caller passes in."""
+    return _numerators(as_backend(data, backend_of(data)))
+
+
 def solve(A, b):
     """Solve the square system A x = b exactly (exact A) or via numpy
     (float A), through _solve_numerators."""
@@ -275,9 +281,7 @@ def _solve_numerators(A, B):
 
 
 def inv(A):
-    if backend_of(A) == FLOAT:
-        return np.linalg.inv(to_float(A))
-    return solve(A, eye(len(A)))
+    return solve(A, eye(len(A), backend_of(A)))
 
 
 def inertia(gram):
@@ -354,12 +358,10 @@ class SymBilinearForm:
     """
 
     def __init__(self, gram):
-        g = as_backend(gram, backend_of(gram))
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ValueError("Gram matrix of shape %s is not square" % (g.shape,))
-        self._init(*_numerators(g))
-        g.setflags(write=False)
-        self._gram = g
+        G, DG = _read(gram)
+        if np.ndim(G) != 2 or G.shape[0] != G.shape[1]:
+            raise ValueError("Gram matrix of shape %s is not square" % (np.shape(G),))
+        self._init(G, DG)
 
     @classmethod
     def _from_numerators(cls, G, DG):

@@ -2,6 +2,7 @@
 from fractions import Fraction
 import itertools
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,17 @@ def test_sect_extremize_constant_case():
     est = ta.sect_extremize(M, seed=0, n_starts=10)
     assert abs(est["lower"] + 0.5) < 1e-5
     assert abs(est["upper"] + 0.5) < 1e-5
+
+
+def test_sect_extremize_stays_in_a_box():
+    """sect is constant along x -> c x and y -> c y; on su-circle(2) (+)
+    ealg(3) an unbounded Powell search drifted towards overflow, warned,
+    and missed -1/2 or ended every start on a degenerate plane."""
+    A = ta.direct_sum(ta.su_circle(2), ta.simplicial(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = ta.sect_extremize(A, seed=0, n_starts=3)
+    assert abs(est["lower"] + 0.5) < 1e-9 and abs(est["upper"]) < 1e-9
 
 
 def test_sect_extremize_raises_when_every_start_is_degenerate():

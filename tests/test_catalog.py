@@ -417,6 +417,17 @@ def test_su_circle_isomorphic_to_herm0_complex():
         assert verify_isometric(I, A, B) == 0
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_su_circle_is_herm0_complex_on_the_su_basis(n):
+    """su_circle(n) is built as herm0(n, 2): the same numerators and form,
+    named su-circle(n), on the su basis."""
+    A, B = ta.su_circle(n), ta.herm0(n, 2)
+    assert A.name == "su-circle(%d)" % n and A._D == B._D
+    assert np.array_equal(A._N, B._N) and A._N.dtype == B._N.dtype
+    assert A.form._DG == B.form._DG and np.array_equal(A.form._G, B.form._G)
+    assert np.array_equal(A.matrices, ta.catalog._su_basis(n))
+
+
 # ------------------------------------------------ loop builds (reference)
 # The catalogue forms all k^2 basis products in one contraction and reads
 # coordinates off by index; these build one basis pair at a time.

@@ -355,6 +355,20 @@ def test_construct_exit_codes(tmp_path, capsys, case):
         assert err == ""
 
 
+@pytest.mark.parametrize("build, message", [
+    ("unitalize", "unitalization needs a commutative algebra"),
+    ("confext", "the conformal extension needs a commutative algebra")])
+@pytest.mark.parametrize("family", ["lie-so", "lie-su"])
+def test_construct_names_what_an_anticommutative_base_lacks(tmp_path, capsys, family, build,
+                                                            message):
+    base, out = str(tmp_path / "lie.json"), str(tmp_path / "out.json")
+    assert main(["construct", family, "--n", "3", "-o", base]) == 0
+    capsys.readouterr()
+    assert exit_code(["construct", build, "--base", base, "-o", out]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not os.path.exists(out)
+
+
 # each family run without an option it needs, and the option to name
 MISSING_OPTIONS = [
     (["talg", "--n", "3"], "--alpha"), (["talg", "--alpha", "1"], "--n"),
@@ -603,7 +617,9 @@ CONSTRUCT_SHA256 = {
     "herm0 --n 3 --level o": "b29e1dd6877a3144466be0b79d6cc82034a70c70609594e4de2aa06cfd0dcdb4",
     "herm --n 3 --level o": "fff88c49bfc0827825e20eab830b743e68e72e734180a502055b12bd664af34a",
     "lie-su --n 4": "2c720b373848b798583265be3e5b9700b09f5f80694dc44d4c99193d1561ba97",
+    "su-circle --n 2": "ee0ad1e32ef41a265ef77ecff348b9b7c7d2afd09feb6a4fdecb79642937f057",
     "su-circle --n 3": "caac75e7a952ca7f0576d75cd999de29cf7251fa36c91ace4d7b02bb373b318a",
+    "su-circle --n 4": "a94d1c2206b26c4393305b521becd714aa09f04979f712bf0c7c42de0afad4ed",
     "lie-so --n 3": "35119a5e9142c5ca8cc82b1f920ab3a694d418afa349aa07a0fa577df9d15a79",
     "lie-so --n 4": "aa38a7f1941dfa61db337e24828d2002c404753f55fc802c04c166dc706b7ad0",
     "lie-so --n 5": "bcb3d73102abcf187fe8cd8ac7f899385eb69eae264b31d682c6cc81ded4599a",

@@ -49,6 +49,17 @@ def test_solve_rejects_a_matrix_that_is_not_square():
                 solve(M, M[:, 0])
 
 
+def test_float_inv_equals_numpy_inv_bit_for_bit():
+    """inv is a solve against the identity; on floats that is the LAPACK
+    call numpy's inv makes, so every bit agrees."""
+    for n in range(1, 30):
+        for e in range(-5, 5):
+            A = np.random.default_rng(10 * n + e + 5).standard_normal((n, n)) * 10.0 ** e
+            X = inv(A)
+            assert X.dtype == float
+            assert np.array_equal(X.view(np.int64), np.linalg.inv(A).view(np.int64))
+
+
 def test_inv_singular_raises():
     A = frac_matrix([[1, 2], [2, 4]])
     with pytest.raises(Exception):
@@ -171,6 +182,22 @@ def test_sym_bilinear_form():
     assert f.inertia() == (2, 0, 0)
     assert f.is_nondegenerate()
     assert f.rank() == 2
+
+
+def test_sym_bilinear_form_makes_its_gram_view_when_read():
+    """The public constructor keeps only the numerators: the read-only Gram
+    view is made from them on first read and equals the input."""
+    for g in (frac_matrix([[2, Fraction(1, 3)], [Fraction(1, 3), -1]]),
+              [[2, 1], [1, 0]], np.array([[0.5, -2.0], [-2.0, 1e-3]])):
+        f = SymBilinearForm(g)
+        assert f._gram is None
+        assert np.array_equal(f.gram, np.asarray(g)) and f.gram is f.gram
+        assert f.gram.dtype == (float if f.backend == FLOAT else object)
+        with pytest.raises(ValueError):
+            f.gram[0, 0] = 7
+    for g in (Fraction(1, 2), 1.5, [1, 2], [[1, 2]], np.zeros((2, 3))):
+        with pytest.raises(ValueError, match=r"Gram matrix of shape \(.*\) is not square"):
+            SymBilinearForm(g)
 
 
 def test_subspace_canonical_form():
