@@ -137,7 +137,13 @@ def frobenius(X, Y):
     """Real Frobenius pairing f(X, Y) = re tr(conj(X)^t Y)."""
     NX, DX = _numerators(X)
     NY, DY = _numerators(Y)
-    return _fractions(_contract(lambda x, y: np.sum(x * y), NX.size, NX, NY), DX * DY)
+    return _fractions(_frobenius(NX, NY), DX * DY)
+
+
+def _frobenius(X, Y):
+    """f(X, Y) of numerator stacks X and Y: the sum of their entrywise
+    products, a Python number."""
+    return _contract(lambda x, y: np.sum(x * y), X.size, X, Y)
 
 
 def is_hermitian(X):

@@ -3,15 +3,22 @@ import numpy as np
 
 from . import linalg
 from .core import _with_metric, as_float
-from .hurwitz import frobenius, hmat_commutator
+from .hurwitz import _frobenius, _mul, frobenius, hmat_commutator
 
 
 def cdk_residual(X, Y, level):
     """Residual of 2 (|X|^2 |Y|^2 - f(X,Y)^2) >= |[X,Y]|^2 for Hermitian
-    X, Y in the Frobenius pairing f; nonnegative on the proved domain."""
-    C = hmat_commutator(X, Y, level)
-    return (2 * (frobenius(X, X) * frobenius(Y, Y) - frobenius(X, Y) ** 2)
-            - frobenius(C, C))
+    X, Y in the Frobenius pairing f; nonnegative on the proved domain.
+
+    With X = NX / DX and Y = NY / DY, [X, Y] = C / (DX DY) for the integer
+    C = NX NY - NY NX, so the residual is one integer over (DX DY)^2: a
+    Fraction on exact input, a float on float input.
+    """
+    (NX, DX), (NY, DY) = linalg._numerators(X), linalg._numerators(Y)
+    C = _mul(NX, NY, level) - _mul(NY, NX, level)      # each below 2**62, so the difference fits
+    return linalg._fractions(2 * (_frobenius(NX, NX) * _frobenius(NY, NY)
+                                  - _frobenius(NX, NY) ** 2) - _frobenius(C, C),
+                             (DX * DY) ** 2)
 
 
 def bw_reduction_check(X, Y, level):

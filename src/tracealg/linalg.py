@@ -15,7 +15,8 @@ go through them; a Subspace is that pair, canonical when exact.
 
 Exact contractions do not multiply Fractions.  They run on integer
 numerators N over one common denominator D (_numerators), in a dtype that
-rules out overflow before they start (_contract), and only their results
+rules out overflow before they start (_contract: float64 BLAS for large
+products below 2**53, else int64 or Python ints), and only their results
 become Fractions (_fractions, or _view for a read-only array).  A float
 array is its own numerator over D = 1, so the same code serves both kinds.
 """
@@ -100,6 +101,10 @@ def max_abs(a):
 # that reach this are Python ints instead, so the sum or difference of two
 # int64 numerators still fits
 _INT64_LIMIT = 2 ** 62
+# float64 holds every integer below this exactly; _contract runs a product
+# bounded below it on float64 BLAS when its work reaches _FLOAT64_WORK
+_FLOAT64_LIMIT = 2 ** 53
+_FLOAT64_WORK = 2 ** 14
 
 
 def _numerators(a):
@@ -177,10 +182,27 @@ def _contract(fn, terms, *operands):
     sum of at most `terms` products that take at most one factor from each
     operand (a coefficient is a scalar operand; pass an array once per
     factor it supplies).  Its magnitude is then at most terms times the
-    product of max(1, max |operand|).  Below 2**62 the operands go in as
-    int64, otherwise as Python ints, which are exact at any size.  Float
-    operands go in as they are.  A scalar result comes back as a Python
-    number.
+    product of max(1, max |operand|), the bound.  Integer operands take one
+    of three tiers:
+
+    - float64, when the bound is below 2**53 and the work, terms times the
+      size of the largest operand, reaches _FLOAT64_WORK.  Every integer
+      below 2**53 is a float64, so the sums are exact in any order BLAS
+      takes them (Dumas, Giorgi and Pernet, ACM TOMS 35, 2008); the result
+      comes back as int64.  Smaller work stays on int64, where the float64
+      copies of the operands cost more than BLAS saves.
+    - int64, when the bound is below 2**62.
+    - Python ints otherwise, which are exact at any size.
+
+    So fn may only add, subtract, multiply, trace, sum or take max_abs (or
+    the largest of several) of its operands, with no division, other
+    comparison or dtype test; an array it closes over must hold entries
+    within +-1 (an identity, a 0/1 mask), as they are not in the bound;
+    `terms` must be a true bound, as a float64 sum past 2**53 rounds where
+    int64 had headroom to 2**62; and an array fn returns is new, or a view
+    of a new array or of an operand, as the float64 tier may cast it in
+    place.  Float operands go in as they are.  A scalar result comes back
+    as a Python number.
     """
     arrays = [np.asarray(op) for op in operands]
     if any(a.dtype.kind == "f" for a in arrays):
@@ -189,9 +211,29 @@ def _contract(fn, terms, *operands):
         bound = terms
         for a in arrays:
             bound *= max(1, int(max_abs(a)))
+        if bound < _FLOAT64_LIMIT and terms * max(a.size for a in arrays) >= _FLOAT64_WORK:
+            out = fn(*(a.astype(np.float64) for a in arrays))
+            return int(out) if np.ndim(out) == 0 else _as_int64(out)
         dtype = np.int64 if bound < _INT64_LIMIT else object
         out = fn(*(a.astype(dtype, copy=False) for a in arrays))
     return np.asarray(out).item() if np.ndim(out) == 0 else out
+
+
+def _as_int64(out):
+    """The integer-valued float64 array out as int64.  When out views a
+    writeable contiguous float64 array, the values are cast in that
+    array's own buffer: a second array of its size can cost more in page
+    faults than the BLAS product saved (herm0(4,4)'s 373 KB table of
+    products).  Otherwise out is copied."""
+    owner = out
+    while isinstance(owner.base, np.ndarray):
+        owner = owner.base
+    if (owner.base is not None or owner.dtype != np.float64 or out.dtype != np.float64
+            or not (owner.flags.c_contiguous and owner.flags.writeable)):
+        return out.astype(np.int64)
+    flat = owner.reshape(-1)            # a view; a 1-D cast onto itself needs no buffer
+    np.copyto(flat.view(np.int64), flat, casting="unsafe")
+    return out.view(np.int64)
 
 
 def _residual(X, DX, Y, DY, c=1):
@@ -207,8 +249,8 @@ def _residual(X, DX, Y, DY, c=1):
 
 def parse_scalar(s):
     """The exact Fraction of a string ("p/q", an integer, a decimal) or an
-    int.  A float, which JSON reads as a binary expansion, and a zero
-    denominator raise ValueError."""
+    int.  A float, which JSON reads as a binary expansion, a bool, which
+    JSON reads from true and false, and a zero denominator raise ValueError."""
     return Fraction(*_parse_ratio(s))
 
 
@@ -227,8 +269,8 @@ def _parse_ratio(s):
         if q == 0:
             raise ValueError("zero denominator in %r" % (s,))
         return (p, q) if q > 0 else (-p, -q)
-    if isinstance(s, float):
-        raise ValueError("float %r where an exact value is needed" % (s,))
+    if isinstance(s, (float, bool)):
+        raise ValueError("%s %r where an exact value is needed" % (type(s).__name__, s))
     s = Fraction(s)
     return s.numerator, s.denominator
 

@@ -1,5 +1,6 @@
 """Algebra container, trace forms, unitalization, serialization."""
 from fractions import Fraction
+import hashlib
 import inspect
 import itertools
 import json
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tracealg as ta
+from tracealg import analysis, catalog, core, hurwitz, linalg
 from tracealg.analysis import (conformal_tensor, constant_sect_check,
                                is_conformally_associative,
                                is_projectively_associative)
@@ -508,7 +510,8 @@ def test_loader_equals_the_fraction_tensor_loader(doc):
 
 def test_loader_edge_cases():
     """Float and string indices raise as the Fraction loader does; a later
-    entry sets both positions of its transpose; a bool index is refused."""
+    entry sets both positions of its transpose; a bool index, and a bool
+    value in the structure or the Gram matrix, is refused."""
     for doc in ({"dim": 2, "structure": [[0, 1.0, 0, "1"]]},
                 {"dim": 2, "structure": [[0, "1", 0, "1"]]},
                 {"dim": 2, "structure": [[0, 1, 0, "1"], [1, 0, 0, "2"]]},
@@ -539,6 +542,11 @@ def test_loader_edge_cases():
     assert to_json(B)["metric"] == doc["metric"]
     with pytest.raises(IndexError):
         from_json({"dim": 2, "structure": [[True, 0, 0, "1"]]})
+    for doc in ({"dim": 1, "structure": [[0, 0, 0, True]]},
+                {"dim": 1, "scalar": "float", "structure": [[0, 0, 0, False]]},
+                {"dim": 1, "structure": [[0, 0, 0, "1"]], "metric": {"gram": [[True]]}}):
+        with pytest.raises(ValueError, match="bool"):
+            from_json(doc)
 
 
 def test_decompose_ideals_tensor_square():
@@ -1162,11 +1170,15 @@ def test_numerators_near_the_int64_limit_do_not_wrap():
 
 
 @pytest.mark.parametrize("signs", ["positive", "mixed"])
-def test_contraction_bounds_at_the_int64_switch(signs):
+def test_contraction_bounds_at_the_int64_switch(signs, monkeypatch):
     """Every contraction, on numerators of every magnitude from 2**8 to 2**62:
-    each crosses from int64 to Python ints somewhere in the sweep, and an
-    undercounted bound wraps on inputs just below its switch.  All-positive
-    entries make the sums of products as large as they can be."""
+    each crosses from float64 to int64 and from int64 to Python ints
+    somewhere in the sweep, and an undercounted bound rounds or wraps on
+    inputs just below its switch.  The work gate is off, so every
+    contraction bounded below 2**53 runs on float64, however small.
+    All-positive entries make the sums of products as large as they can be."""
+    monkeypatch.setattr(linalg, "_FLOAT64_WORK", 0)
+    tiers = record_tiers(monkeypatch)
     rng = random.Random(11)
     C = zeros((3, 3, 3))
     for i, j, k in itertools.combinations_with_replacement(range(3), 3):
@@ -1180,17 +1192,22 @@ def test_contraction_bounds_at_the_int64_switch(signs):
         for M in (2 ** e - 1, 2 ** e - 2 ** (e // 2)):
             A = MetrizedAlgebra(C * M, H * M)
             assert_equals_fraction_kernel(A)
+    # the Killing form's bound 2 n^2 M^2 passes 2**53 next to this M
+    killing = math.isqrt(2 ** 53 // 18)
+    for M in (killing - 1, killing, killing + 1):
+        assert_equals_fraction_kernel(MetrizedAlgebra(C * M, H * M))
     # hmat_mul bounds an entry by n * level products: sweep every magnitude
-    # and the integers next to each level's switch, where XY + YX of the
-    # Jordan product is largest
+    # and the integers next to each level's switches, to float64 and to
+    # Python ints, where XY + YX of the Jordan product is largest
     for level in LEVELS:
         X, Y = hermitian_extremes(rng, signs, level)
         XY, YX = hmat_mul(X, Y, level), hmat_mul(Y, X, level)
-        switch = math.isqrt(2 ** 62 // (3 * level))
-        for M in [2 ** e - 1 for e in range(8, 63)] + [switch - 1, switch, switch + 1]:
+        switches = [math.isqrt(limit // (3 * level)) for limit in (2 ** 53, 2 ** 62)]
+        for M in [2 ** e - 1 for e in range(8, 63)] + [s + d for s in switches for d in (-1, 0, 1)]:
             assert np.array_equal(hmat_mul(X * M, Y * M, level), XY * M * M)
             assert np.array_equal(hmat_jordan(X * M, Y * M, level), (XY + YX) * M * M / 2)
             assert np.array_equal(hmat_commutator(X * M, Y * M, level), (XY - YX) * M * M)
+    assert set(tiers) == {"float64", "int64", "object"}
 
 
 def test_elimination_bounds_at_the_int64_switch():
@@ -1225,6 +1242,166 @@ def hermitian_extremes(rng, signs, level):
     if signs == "mixed":
         X = X * np.array([rng.choice((-1, 1)) for _ in range(X.size)]).reshape(X.shape)
     return X, Y
+
+
+# -- the float64 tier of _contract --
+
+CONTRACTING = (analysis, catalog, core, hurwitz, linalg)       # the modules that call it
+
+
+def same_result(a, b):
+    """Equal in value and dtype (arrays) or type (scalars)."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+def record_tiers(monkeypatch, compare=False):
+    """Route every _contract call through a spy; return the list to which
+    it appends the tier of each call on integer operands, the dtype its fn
+    received: "float64", "int64" or "object".  With compare, each such call
+    runs again with the float64 tier off, and the two results must be the
+    same in value and dtype."""
+    real = linalg._contract
+    tiers = []
+
+    def spy(fn, terms, *operands):
+        def traced(*ops):
+            tiers.append(np.asarray(ops[0]).dtype.name)
+            return fn(*ops)
+        if any(np.asarray(op).dtype.kind == "f" for op in operands):
+            return real(fn, terms, *operands)
+        # fn may write to its operands
+        copies = [op.copy() if isinstance(op, np.ndarray) else op for op in operands]
+        out = real(traced, terms, *operands)
+        if compare:
+            limit, linalg._FLOAT64_LIMIT = linalg._FLOAT64_LIMIT, 0
+            try:
+                ref = real(fn, terms, *copies)
+            finally:
+                linalg._FLOAT64_LIMIT = limit
+            assert same_result(out, ref), (fn, tiers[-1])
+        return out
+    for module in CONTRACTING:
+        monkeypatch.setattr(module, "_contract", spy)
+    return tiers
+
+
+def fingerprint(x):
+    """A comparable form of a result: every array with its dtype, and every
+    number with its type."""
+    if isinstance(x, Algebra):
+        return ["algebra", fingerprint(x._N), x._D, fingerprint(getattr(x, "form", None))]
+    if isinstance(x, SymBilinearForm):
+        return ["form", fingerprint(x._G), x._DG]
+    if isinstance(x, Subspace):
+        return ["subspace", fingerprint(x._R), x._DR, x.pivots]
+    if isinstance(x, np.ndarray):
+        return [x.dtype.str, x.shape, [fingerprint(v) for v in x.ravel().tolist()]]
+    if isinstance(x, dict):
+        return {k: fingerprint(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [fingerprint(v) for v in x]
+    return [type(x).__name__, x]
+
+
+def unimodular_conjugate(rng, n, eigenvalues):
+    """U diag U^-1 with diagonal entries drawn from eigenvalues and U = I + S,
+    S superdiagonal in {-1, 0, 1}: an integer matrix, as U^-1 = sum (-S)^k
+    has entries in {-1, 0, 1}, whose minimal polynomial has small degree."""
+    S = np.diag([rng.choice((-1, 0, 1)) for _ in range(n - 1)], 1)
+    U_inv, P = np.eye(n, dtype=np.int64), np.eye(n, dtype=np.int64)
+    for _ in range(n - 1):
+        P = -P @ S
+        U_inv = U_inv + P
+    d = np.diag([rng.choice(eigenvalues) for _ in range(n)])
+    return (np.eye(n, dtype=np.int64) + S) @ d @ U_inv
+
+
+def symmetric_integers(rng, n, zero_diagonal=False):
+    A = np.array([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+    A = A + A.T
+    if zero_diagonal:
+        np.fill_diagonal(A, 0)
+    return A
+
+
+def exact_computations(tmp_path):
+    """(name, computation) pairs: every exact report suite on six
+    algebras, decompose_ideals on the DECOMPOSITIONS table,
+    rational_eigenvalues, inertia, retraction, the CONSTRUCT_SHA256 builds,
+    herm0(3,8)'s Killing form and one 6 x 6 product."""
+    from test_cli import CONSTRUCT_SHA256
+    from tracealg.cli import SUITES, main, run_suite
+
+    def reports(build):
+        out = []
+        for suite in SUITES:
+            try:
+                out.append(run_suite(build(), suite))
+            except ValueError as exc:
+                out.append(type(exc).__name__)
+        return out
+
+    def construct(argv):
+        path = tmp_path / "construct.json"
+        assert main(["construct"] + argv.split() + ["-o", str(path)]) == 0
+        return path.read_bytes()
+
+    rng = random.Random(21)
+    eigen = [unimodular_conjugate(rng, n, (-2, 1, 3)) for n in (6, 30)]
+    symmetric = [symmetric_integers(rng, 20), symmetric_integers(rng, 12, zero_diagonal=True)]
+    A, H = random_metrized(random.Random(3), 5), ta.herm0(3, 2)
+    bases = [(X, B) for X in (A, H) for B in retraction_bases(random.Random(4), X)]
+    octonionic = ta.herm0(3, 8)
+    X6 = np.arange(36, dtype=np.int64).reshape(6, 6) % 7
+    return ([("report " + name, lambda build=build: reports(build))
+             for name, build in (("ealg(4)", lambda: ta.simplicial(4)),
+                                 ("herm0(3,1)", lambda: ta.herm0(3, 1)),
+                                 ("herm0(3,2)", lambda: ta.herm0(3, 2)),
+                                 ("herm0(3,8)", lambda: ta.herm0(3, 8)),
+                                 ("lie-su(3)", lambda: ta.lie_su(3)),
+                                 ("talg(3,1/2)", lambda: ta.talg(3, F(1, 2))))]
+            + [("decompose " + name, lambda build=build: ta.decompose_ideals(build()))
+               for name, (build, _, _) in sorted(DECOMPOSITIONS.items())]
+            + [("rational_eigenvalues", lambda: [rational_eigenvalues(M) for M in eigen]
+                + [rational_eigenvalues(as_backend(M, RATIONAL) / 3) for M in eigen]),
+               ("inertia", lambda: [inertia(octonionic.killing_form()._G)]
+                + [inertia(M) for M in symmetric]),
+               ("retraction", lambda: [retraction(X, B) for X, B in bases]),
+               ("herm0(3,8) Killing form", lambda: octonionic._killing()),
+               ("matmul 6x6", lambda: linalg._contract(np.matmul, 6, X6, X6))]
+            + [("construct " + argv, lambda argv=argv: construct(argv))
+               for argv in sorted(CONSTRUCT_SHA256)])
+
+
+@pytest.mark.parametrize("work", ["gated", "every-call"])
+def test_float64_tier_equals_int64_tier(work, monkeypatch, tmp_path):
+    """Each exact computation runs with the float64 tier, every _contract
+    call in it compared with the int64 tier's result (_FLOAT64_LIMIT = 0)
+    in value and dtype, and then again with the float64 tier off; the two
+    results must be the same.  "every-call" turns the work gate off, so
+    every contraction bounded below 2**53 runs on float64: each fn passed
+    to _contract obeys its rule.  With the gate, the large products of the
+    herm0(4,4) build and of herm0(3,8)'s Killing form run on float64, and
+    a 6 x 6 product stays on int64."""
+    from test_cli import CONSTRUCT_SHA256
+    if work == "every-call":
+        monkeypatch.setattr(linalg, "_FLOAT64_WORK", 0)
+    computations = exact_computations(tmp_path)
+    results, tiers = {}, {}
+    for name, compute in computations:
+        with monkeypatch.context() as patch:
+            tiers[name] = record_tiers(patch, compare=True)
+            results[name] = fingerprint(compute())
+    monkeypatch.setattr(linalg, "_FLOAT64_LIMIT", 0)
+    for name, compute in computations:
+        assert fingerprint(compute()) == results[name], name
+    for argv, digest in CONSTRUCT_SHA256.items():
+        assert hashlib.sha256(results["construct " + argv][1]).hexdigest() == digest
+    assert "float64" in tiers["construct herm0 --n 4 --level h"]
+    assert "float64" in tiers["herm0(3,8) Killing form"]
+    assert tiers["matmul 6x6"] == ["float64" if work == "every-call" else "int64"]
 
 
 # -- the float view: one conversion, from the numerators --

@@ -5,6 +5,7 @@ import random
 import numpy as np
 
 import tracealg as ta
+from tracealg.hurwitz import LEVELS, frobenius, hmat_commutator
 from tracealg.inequalities import bw_lie_estimate, bw_reduction_check, cdk_residual
 
 F = Fraction
@@ -20,6 +21,40 @@ def rand_herm(rng, n, level):
                 X[i, j, a] = v
                 X[j, i, a] = v if a == 0 else -v
     return X
+
+
+def rand_rational_herm(rng, n, level):
+    """A Hermitian matrix with entries p / q, |p| <= 3, 1 <= q <= 4."""
+    X = rand_herm(rng, n, level)
+    for i in range(n):
+        X[i, i, 0] /= rng.randint(1, 4)
+        for j in range(i + 1, n):
+            for a in range(level):
+                X[i, j, a] /= (q := rng.randint(1, 4))
+                X[j, i, a] /= q
+    return X
+
+
+def cdk_by_definition(X, Y, level):
+    """2 (f(X,X) f(Y,Y) - f(X,Y)^2) - f(C,C), C = [X, Y], from the public
+    pairing and commutator."""
+    C = hmat_commutator(X, Y, level)
+    return 2 * (frobenius(X, X) * frobenius(Y, Y) - frobenius(X, Y) ** 2) - frobenius(C, C)
+
+
+def test_cdk_residual_equals_its_definition():
+    """Exactly, as a Fraction, on rational pairs at every level; within
+    1e-12, as a float, on their float views."""
+    rng = random.Random(8)
+    for level in LEVELS:
+        for n in (2, 3):
+            for _ in range(10):
+                X, Y = rand_rational_herm(rng, n, level), rand_rational_herm(rng, n, level)
+                r = cdk_residual(X, Y, level)
+                assert type(r) is F and r == cdk_by_definition(X, Y, level)
+                Xf, Yf = X.astype(float), Y.astype(float)
+                r = cdk_residual(Xf, Yf, level)
+                assert isinstance(r, float) and abs(r - cdk_by_definition(Xf, Yf, level)) <= 1e-12
 
 
 def test_cdk_nonnegative_exact_samples():

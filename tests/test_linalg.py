@@ -568,3 +568,23 @@ def test_form_inertia_makes_no_fraction_gram(monkeypatch):
     monkeypatch.setattr(linalg, "_fractions", spy)
     assert form.inertia() == want == (8, 0, 0)
     assert shapes == [] and form._gram is None
+
+
+def test_float64_results_become_int64_in_their_own_buffer():
+    """_as_int64 casts a view of a writeable contiguous float64 array in
+    that array's buffer, and copies anything else; the values are the
+    same either way."""
+    ints = np.arange(-12, 12, dtype=np.int64) * (2 ** 52 // 12)
+    owner = ints.astype(float).reshape(2, 3, 4)
+    view = np.swapaxes(owner, 0, 2)[1:]
+    out = linalg._as_int64(view)
+    assert out.dtype == np.int64 and np.shares_memory(out, owner)
+    assert np.array_equal(out, np.swapaxes(ints.reshape(2, 3, 4), 0, 2)[1:])
+    read_only = ints.astype(float)
+    read_only.setflags(write=False)
+    foreign = np.frombuffer(ints.astype(float).tobytes())
+    strided = np.asfortranarray(ints.astype(float).reshape(4, 6))
+    for a in (read_only, foreign, strided):
+        out = linalg._as_int64(a)
+        assert out.dtype == np.int64 and not np.shares_memory(out, a)
+        assert np.array_equal(out, ints.reshape(a.shape))
