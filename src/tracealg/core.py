@@ -10,6 +10,7 @@ nondegenerate invariant symmetric bilinear form of the same kind.
 `as_float` is the one float view of an algebra, made from the numerators;
 the numeric searches compute on it.
 """
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -48,8 +49,9 @@ class Algebra:
             raise ValueError("structure tensor of shape %s is not n x n x n" % (N.shape,))
         if symmetry not in (COMMUTATIVE, ANTICOMMUTATIVE):
             raise ValueError("unknown symmetry %r" % (symmetry,))
-        sign = 1 if symmetry == COMMUTATIVE else -1
-        if not np.all(_is_zero(N - sign * np.swapaxes(N, 0, 1), scale=lambda: max_abs(N))):
+        T = np.swapaxes(N, 0, 1)
+        if not np.all(_is_zero(N - T if symmetry == COMMUTATIVE else N + T,
+                               scale=lambda: max_abs(N))):
             raise ValueError("structure tensor is not %s" % symmetry)
 
     @property
@@ -544,12 +546,21 @@ def from_json(doc):
     """Algebra of a JSON document; malformed input raises KeyError,
     IndexError, TypeError or ValueError.
 
-    Every value is read as an integer pair (p, q), each distinct string
-    once, except a JSON float in a float file, which is kept as it is.  An
-    exact file's values become numerators over the lcm of the q, with no
-    Fraction made; a float file's become floats, p / q rounded as
+    The file is read in columns, not entry by entry.  The structure
+    indices are checked as whole tuples (all ints, all in range), each
+    distinct string value of the structure and the Gram matrix is parsed
+    once, and every entry is mapped to its parse by lookup (_parsed).  A
+    value is read as an integer pair (p, q), except a JSON float in a
+    float file, which is kept as it is.  An exact file's distinct values
+    become integer numerators over the lcm of their q, with no Fraction
+    made; a float file's become floats, p / q rounded as
     float(Fraction(p, q)) rounds it.  A later entry overwrites an earlier
     one at each position it sets, its transpose included.
+
+    When a whole-column check fails, the entries are scanned in order and
+    the first faulty one raises (_first_fault): within an entry, an index
+    out of range before a bad value before an index that is not an int,
+    and the structure before the Gram matrix.
     """
     n = doc["dim"]
     if n < 1:
@@ -558,53 +569,85 @@ def from_json(doc):
     if backend not in (RATIONAL, FLOAT):
         raise ValueError("unknown scalar kind %r" % (backend,))
     symmetry = doc.get("symmetry", COMMUTATIVE)
-    sign = 1 if symmetry == COMMUTATIVE else -1
+    parse = linalg._parse_ratio
+    if backend == FLOAT:
+        def parse(v):
+            return (v, 1) if isinstance(v, float) else linalg._parse_ratio(v)
 
-    # each distinct string is parsed once; only strings are keys, as
-    # 1 == 1.0 == True and 0.0 == -0.0 would merge values a file tells apart
-    parsed = {}
-
-    def scalar(v):
-        if isinstance(v, str):
-            pair = parsed.get(v)
-            if pair is None:
-                pair = parsed[v] = linalg._parse_ratio(v)
-            return pair
-        return (v, 1) if backend == FLOAT and isinstance(v, float) else linalg._parse_ratio(v)
-
-    def numerators(ratios):
-        """(N, D) of the pairs: floats over 1 in a float file."""
-        if backend == FLOAT:
-            return np.array([p / q for p, q in ratios], dtype=float), 1
-        return _ratio_numerators(ratios)
-    entries = {}                # flat position: (p, q)
-    for i, j, k, v in doc["structure"]:
-        if not 0 <= min(i, j, k) <= max(i, j, k) < n:
-            raise IndexError("structure index (%s, %s, %s) out of range for dim %d"
-                             % (i, j, k, n))
-        p, q = scalar(v)
-        if not type(i) is type(j) is type(k) is int:
-            raise IndexError("structure index (%s, %s, %s) is not an integer" % (i, j, k))
-        entries[(i * n + j) * n + k] = p, q
-        if i != j:
-            entries[(j * n + i) * n + k] = sign * p, q
-    nums, D = numerators(list(entries.values()))
+    rows, metric = doc["structure"], doc.get("metric")
+    try:
+        I, J, K, V = zip(*rows, strict=True) if len(rows) else ((),) * 4
+        ijk = I + J + K
+        if set(map(type, ijk)) - {int}:
+            raise IndexError("structure index is not an integer")
+        ijk = np.fromiter(ijk, np.intp, len(ijk)).reshape(3, -1)
+        if ijk.view(np.uintp).max(initial=0) >= n:     # a negative index reads as huge
+            raise IndexError("structure index out of range")
+        gram = () if metric is None else metric["gram"]
+        codes, ratios = _parsed(V + tuple(itertools.chain.from_iterable(gram)), parse)
+    except (IndexError, KeyError, OverflowError, TypeError, ValueError):
+        _first_fault(rows, n, parse)
+        for row in () if metric is None else metric["gram"]:
+            for v in row:
+                parse(v)
+        raise
+    m = len(V)
+    # each entry writes its transpose, then itself, so that i == j keeps
+    # its own value: the flat write positions, and the codes of the values
+    # written, where on an anticommutative algebra the transpose's (-p, q)
+    # follow the distinct pairs
+    at = (ijk.T @ np.array([[n, n * n], [n * n, n], [1, 1]])).ravel()
+    writes = codes[:m].repeat(2)
+    if symmetry != COMMUTATIVE:
+        writes[::2] += len(ratios)
+        ratios = ratios + [(-p, q) for p, q in ratios]
+    nums, D = _ratio_numerators(ratios) if backend == RATIONAL else (
+        np.array([p / q for p, q in ratios], dtype=float), 1)
+    # a later write overwrites an earlier one: every write to a position
+    # sets the value of the last write there
+    last = np.zeros(n ** 3, np.intp)
+    np.maximum.at(last, at, np.arange(len(at)))
     N = np.zeros((n, n, n), nums.dtype)
-    np.put(N, np.fromiter(entries, np.intp, len(entries)), nums)
+    np.put(N, at, nums[writes[last[at]]])
     name = doc.get("name", "")
-    if "metric" not in doc or doc["metric"] is None:
+    if metric is None:
         return Algebra._from_numerators(N, D, symmetry, name=name)
-    gram = [[scalar(v) for v in row] for row in doc["metric"]["gram"]]
     if not gram or any(len(row) != len(gram) for row in gram):
         raise ValueError("Gram matrix with rows of lengths %s is not square"
                          % [len(row) for row in gram])
-    nums, DG = numerators([x for row in gram for x in row])
-    form = SymBilinearForm._from_numerators(nums.reshape(len(gram), -1), DG)
+    form = SymBilinearForm._from_numerators(nums[codes[m:]].reshape(len(gram), -1), D)
     alg = MetrizedAlgebra._from_numerators(N, D, form, symmetry, name=name)
     G = form._G
     if not np.all(_is_zero(G - G.T, scale=lambda: max_abs(G))):
         raise ValueError("Gram matrix is not symmetric")
     return alg
+
+
+def _parsed(values, parse):
+    """(codes, ratios) with parse(values[e]) == ratios[codes[e]]: each
+    distinct string is parsed once, and every value is looked up.  Only
+    strings are keys, as 1 == 1.0 == True and 0.0 == -0.0 would merge
+    values a file tells apart; any other value is parsed on its own."""
+    keys = values
+    distinct = list(dict.fromkeys(keys))
+    if set(map(type, distinct)) - {str}:
+        keys = [v if type(v) is str else e for e, v in enumerate(values)]
+        distinct = list(dict.fromkeys(keys))
+    ratios = [parse(k if type(k) is str else values[k]) for k in distinct]
+    code = dict(zip(distinct, range(len(distinct))))
+    return np.fromiter(map(code.__getitem__, keys), np.intp, len(keys)), ratios
+
+
+def _first_fault(rows, n, parse):
+    """Raise the error of the first faulty structure entry, its checks in
+    order: index range, value, integer index type."""
+    for i, j, k, v in rows:
+        if not 0 <= min(i, j, k) <= max(i, j, k) < n:
+            raise IndexError("structure index (%s, %s, %s) out of range for dim %d"
+                             % (i, j, k, n))
+        parse(v)
+        if not type(i) is type(j) is type(k) is int:
+            raise IndexError("structure index (%s, %s, %s) is not an integer" % (i, j, k))
 
 
 def _ratio_numerators(ratios):

@@ -21,6 +21,7 @@ become Fractions (_fractions, or _view for a read-only array).  A float
 array is its own numerator over D = 1, so the same code serves both kinds.
 """
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -135,7 +136,9 @@ def _lowest_terms(N, D):
     """(N / g, D / g) for g the gcd of D and every entry of integer N, N in
     the dtype _numerators gives it.  Of integer numerators over any common
     denominator, this makes the pair _numerators returns for N / D.  Float
-    N comes back divided by D, over 1."""
+    N comes back divided by D, over 1.  An int64 N already in lowest terms
+    comes back as it is, not copied: the algebras, forms and subspaces
+    that keep it never write to it."""
     N = np.asarray(N)
     if N.dtype.kind == "f":
         return N / D, 1
@@ -143,7 +146,7 @@ def _lowest_terms(N, D):
     g = math.gcd(D, int(np.gcd.reduce(nonzero)))
     if g != 1:
         N, nonzero = N // g, nonzero // g
-    return N.astype(np.int64 if max_abs(nonzero) < _INT64_LIMIT else object), D // g
+    return N.astype(np.int64 if max_abs(nonzero) < _INT64_LIMIT else object, copy=False), D // g
 
 
 def _fractions(N, D):
@@ -264,6 +267,7 @@ def _parse_ratio(s):
             # Fraction's parser, which reads decimals as well
             p, q = int(p), int(q) if slash else 1
         except ValueError:
+            _check_exponent(s)
             s = Fraction(s)
             return s.numerator, s.denominator
         if q == 0:
@@ -273,6 +277,24 @@ def _parse_ratio(s):
         raise ValueError("%s %r where an exact value is needed" % (type(s).__name__, s))
     s = Fraction(s)
     return s.numerator, s.denominator
+
+
+def _check_exponent(s):
+    """Refuse a decimal string whose exponent has a magnitude above
+    sys.get_int_max_str_digits() (when it is nonzero), with ValueError.
+    Fraction would build 10**exponent, which takes seconds and more as
+    the exponent grows, while Python already refuses an integer string of
+    that many digits."""
+    limit = sys.get_int_max_str_digits()
+    _, e, exponent = s.lower().rpartition("e")
+    if not (limit and e):
+        return
+    try:
+        exponent = int(exponent)
+    except ValueError:
+        return                          # not a decimal: Fraction says so
+    if abs(exponent) > limit:
+        raise ValueError("decimal exponent above %d in magnitude in %.40r" % (limit, s))
 
 
 def _json_values(N, D):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -677,6 +678,19 @@ def json_documents(children):
 @given(st.recursive(JSON_LEAVES, json_documents, max_leaves=40))
 def test_dumps_equals_indented_json_dumps(doc):
     assert _dumps(doc) == json.dumps(doc, indent=1)
+
+
+def test_a_huge_decimal_exponent_exits_2_at_once(tmp_path, capsys):
+    """A 14-byte value whose exponent is past the int-string digit limit is
+    an input error, raised before any power of ten is built."""
+    path = str(tmp_path / "a.json")
+    with open(path, "w") as fh:
+        json.dump({"dim": 1, "structure": [[0, 0, 0, "1e100000000"]]}, fh)
+    start = time.perf_counter()
+    assert exit_code(["report", "--in", path, "--suite", "exact"]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "exponent" in err
 
 
 def test_sect_with_only_degenerate_starts_is_an_input_error(tmp_path, capsys):

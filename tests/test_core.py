@@ -5,7 +5,9 @@ import inspect
 import itertools
 import json
 import math
+import os
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -470,11 +472,11 @@ def json_values(draw, kinds):
 
 @st.composite
 def json_docs(draw):
-    """Algebra documents of dim 0 to 3 whose entries repeat positions, set
-    transposes, carry float or string indices, or fall out of range, with
-    an optional Gram matrix that may be asymmetric, ragged or of the wrong
-    size."""
-    n = draw(st.integers(0, 3))
+    """Algebra documents of dim 0 to 5 with up to 40 entries, which repeat
+    positions and set transposes of earlier entries, or carry float or
+    string indices, or fall out of range, with an optional Gram matrix that
+    may be asymmetric, ragged or of the wrong size."""
+    n = draw(st.integers(0, 5))
     doc = {"dim": n, "name": "doc"}
     doc["scalar"] = draw(st.sampled_from(["rational"] * 3 + ["float"]))
     doc["symmetry"] = draw(st.sampled_from(["commutative", "anticommutative"]))
@@ -486,7 +488,13 @@ def json_docs(draw):
         index = st.sampled_from(list(range(n)) * 6 + [-1, n, 1.0, "1"])
     value = json_values(kinds)
     entry = st.tuples(index, index, index, value).map(list)
-    doc["structure"] = draw(st.lists(entry, max_size=8))
+    rows = draw(st.lists(entry, max_size=25))
+    # later entries at an earlier entry's position or at its transpose
+    for e, transpose, v in draw(st.lists(st.tuples(st.integers(0, 24), st.booleans(), value),
+                                         max_size=15 if rows else 0)):
+        i, j, k, _ = rows[e % len(rows)]
+        rows.append([j, i, k, v] if transpose else [i, j, k, v])
+    doc["structure"] = rows
     metric = draw(st.sampled_from(["absent", "none", "square", "square", "square"]
                                   + (["asymmetric", "ragged", "wrong-dim"] if faulty else [])))
     if metric == "none":
@@ -547,6 +555,76 @@ def test_loader_edge_cases():
                 {"dim": 1, "structure": [[0, 0, 0, "1"]], "metric": {"gram": [[True]]}}):
         with pytest.raises(ValueError, match="bool"):
             from_json(doc)
+
+
+@pytest.mark.parametrize("rows, exc, message", [
+    pytest.param([[0, 0, 0, "one"], [0, 2, 0, "1"]], ValueError,
+                 "Invalid literal for Fraction: 'one'", id="value-before-range"),
+    pytest.param([[0, 2, 0, "1"], [0, 0, 0, "one"]], IndexError,
+                 r"structure index \(0, 2, 0\) out of range for dim 2", id="range-before-value"),
+    pytest.param([[0, 0, 0, "1/0"], [0, 1.0, 0, "1"]], ValueError,
+                 "zero denominator in '1/0'", id="zero-denominator-before-float-index"),
+    # within one entry: range before value before index type
+    pytest.param([[0, 1.0, 2, "1/0"]], IndexError, "out of range", id="one-entry-range"),
+    pytest.param([[0, 1.0, 0, "1/0"]], ValueError, "zero denominator", id="one-entry-value"),
+])
+def test_loader_raises_the_first_faulty_entry(rows, exc, message):
+    """With two faulty entries, the first one's error is raised, as an
+    entry-by-entry read raises it; a bad Gram value comes after them all."""
+    for metric in (None, {"gram": [["1", "x"], ["x", "1"]]}):
+        doc = {"dim": 2, "structure": rows, "metric": metric}
+        with pytest.raises(exc, match=message):
+            from_json(doc)
+        assert load_outcome(from_json, doc) == load_outcome(ref_from_json, doc)
+
+
+def _construct_files(tmp_path):
+    """{label: path} of the CONSTRUCT_SHA256 builds and the benchmark's
+    input algebras, each written by `construct` into tmp_path."""
+    from test_cli import CONSTRUCT_SHA256
+    from tracealg.cli import main
+    sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+    try:
+        from workloads import INPUTS
+    finally:
+        sys.path.pop(0)
+    builds = {argv: argv.split() for argv in CONSTRUCT_SHA256}
+    builds.update(INPUTS)                   # in order: "@stem" names an earlier input
+    paths = {}
+    for label, argv in builds.items():
+        paths[label] = str(tmp_path / ("%d.json" % len(paths)))
+        argv = [paths[a[1:]] if a.startswith("@") else a for a in argv]
+        assert main(["construct"] + argv + ["-o", paths[label]]) == 0
+    return paths
+
+
+def test_loader_equals_the_fraction_tensor_loader_on_constructed_files(tmp_path):
+    for label, path in _construct_files(tmp_path).items():
+        with open(path) as fh:
+            doc = json.load(fh)
+        assert load_outcome(from_json, doc) == load_outcome(ref_from_json, doc), label
+
+
+@pytest.mark.parametrize("argv", [["herm0", "--n", "3", "--level", "o"],
+                                  ["herm0", "--n", "4", "--level", "h"]])
+def test_loader_parses_each_distinct_string_once(tmp_path, monkeypatch, argv):
+    from tracealg.cli import main
+    path = str(tmp_path / "a.json")
+    assert main(["construct"] + argv + ["-o", path]) == 0
+    with open(path) as fh:
+        doc = json.load(fh)
+    values = [row[3] for row in doc["structure"]] + [v for row in doc["metric"]["gram"]
+                                                    for v in row]
+    calls = []
+    real = linalg._parse_ratio
+
+    def spy(v):
+        calls.append(v)
+        return real(v)
+    monkeypatch.setattr(linalg, "_parse_ratio", spy)
+    A = core.load_json(path)
+    assert sorted(calls) == sorted(set(values))
+    assert A.dim == doc["dim"] and len(values) > 10 * len(calls)
 
 
 def test_decompose_ideals_tensor_square():

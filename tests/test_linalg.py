@@ -1,6 +1,7 @@
 """Exact/float linear algebra helpers."""
 from fractions import Fraction
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +26,31 @@ def test_parse_scalar():
     assert parse_scalar("3/4") == Fraction(3, 4)
     assert parse_scalar("-2") == Fraction(-2)
     assert parse_scalar(Fraction(1, 3)) == Fraction(1, 3)
+    assert parse_scalar("2.5e-3") == Fraction(1, 400)
+    assert parse_scalar("1e5") == parse_scalar("1E+5") == 100000
+
+
+def test_parse_scalar_refuses_a_huge_exponent():
+    """A decimal exponent above the int-string digit limit is refused at
+    once, as an integer string of that many digits is; Fraction would
+    build 10**exponent.  Within the limit, it is read exactly."""
+    limit = sys.get_int_max_str_digits()
+    for s in ("1e10000000", "1e100000000", "-3.5E-100000000", "1e%d" % (limit + 1)):
+        with pytest.raises(ValueError, match="exponent"):
+            parse_scalar(s)
+    assert parse_scalar("1e%d" % limit) == 10 ** limit
+    with pytest.raises(ValueError):
+        parse_scalar("e5")
+
+
+def test_lowest_terms_keeps_an_int64_array_in_lowest_terms():
+    """An int64 array already in lowest terms is returned, not copied;
+    anything else comes back as a new array."""
+    N = np.array([[2, 3], [0, -5]], dtype=np.int64)
+    assert linalg._lowest_terms(N, 7)[0] is N
+    M, D = linalg._lowest_terms(2 * N, 14)
+    assert M is not N and np.array_equal(M, N) and D == 7
+    assert linalg._lowest_terms(N.astype(object), 7)[0].dtype == np.int64
 
 
 def test_solve_exact():
