@@ -370,7 +370,9 @@ def deunitalization(alg):
     e = alg.find_unit()
     if e is None:
         raise ValueError("algebra has no unit")
-    gee = alg.h(e, e)
+    X, DX = _numerators(e)
+    gee = _fractions(_contract(lambda x, g, y: x @ g @ y, alg.dim ** 2, X, alg.form._G, X),
+                     DX ** 2 * alg.form._DG)                # n^2 products: h(e, e)
     if is_zero(gee):
         raise ValueError("unit is null for the metric")
     comp = linalg.orthogonal_complement(Subspace.from_spanning([e]), alg.form)
@@ -425,9 +427,8 @@ def _commutant(alg):
     T with T[0, 0] = 0, which K refines one generator at a time: L(e_i)
     replaces K by K Z, Z the kernel of T -> T L(e_i) - L(e_i) T on K, so no
     system exceeds n^2 x n^2, and an empty K proves that the centroid is
-    the scalars.  The basis returned is that of the whole n^3 x n^2
-    system's nullspace, whose free variables are the last nonzero
-    positions of its elements: it is read off the reversed echelon form.
+    the scalars.  The basis returned is the whole n^3 x n^2 system's
+    nullspace basis (_canonical_maps).
     """
     n = alg.dim
     # m and each K Z divided by their content: the kernels stay, and float
@@ -456,9 +457,26 @@ def _commutant(alg):
             K = linalg._divide_content(_contract(
                 lambda e, k, d: d * k[free] - e[:, free].T @ k[pivots],
                 len(pivots) + 1, E, K, D), axis=1)
-    K = np.vstack([np.eye(n, dtype=np.int64).reshape(1, -1), K])
+    return _canonical_maps(np.vstack([np.eye(n, dtype=np.int64).reshape(1, -1), K]), n)
+
+
+def _canonical_maps(K, n):
+    """The basis of the span of the rows of K, flattened n x n maps, read off
+    the reversed echelon form: unique to the span, as a nullspace basis is."""
     E, D = linalg._echelon(*linalg._reduce_rows(K[:, ::-1]))
     return list(_fractions(E[::-1, ::-1], D).reshape(-1, n, n))
+
+
+def _restricted_commutant(commutant, piece):
+    """The commutant of the retraction onto a certified piece, as the
+    restrictions of the T in commutant (decompose_ideals): in piece.basis,
+    the pivot rows of T B.  None when some T maps the piece outside itself."""
+    X, _ = _numerators(np.stack(commutant))
+    n = piece.ambient_dim
+    TB = _contract(np.matmul, n, X, piece._R.T)                   # n products per entry
+    if len(piece._outside(np.swapaxes(TB, 1, 2).reshape(-1, n))):
+        return None
+    return _canonical_maps(TB[:, piece.pivots].reshape(len(X), -1), piece.dim)
 
 
 def _certified_split(alg, commutant):
@@ -497,24 +515,28 @@ def decompose_ideals(alg):
     "decomposed" when a certified split was found, "indecomposable" when
     the commutant is one-dimensional (a proof), and "undetermined" when no
     commutant eigenspace passed the certificate.  A degenerate metric
-    raises ValueError.
+    raises ValueError.  A piece B's commutant is its parent's, restricted:
+    B and its complement C are ideals meeting in 0, so BC = 0 and S + 0 is
+    in the parent's for each S in B's; once every T maps B into B, the T|B
+    are all of B's.  Else (on a zero product, say) B's is computed.
     """
     if not alg.form.is_nondegenerate():
         raise ValueError("metric is degenerate (inertia %s)" % (alg.form.inertia(),))
 
-    def recurse(sub_alg, embed):
-        C = _commutant(sub_alg)
+    def recurse(sub_alg, embed, C):
         pieces = None if len(C) == 1 else _certified_split(sub_alg, C)
         if pieces is None:
             return [(Subspace(embed), sub_alg)], len(C)
-        # embed @ piece._R.T, a multiple of the piece's basis in the original
-        # coordinates, spans it; each entry sums sub_alg.dim products
-        parts = [part for piece in pieces
-                 for part in recurse(retraction(sub_alg, piece.basis),
-                                     _contract(np.matmul, sub_alg.dim, embed, piece._R.T))[0]]
+        parts = []
+        for piece in pieces:
+            # embed @ piece._R.T, a multiple of the piece's basis in the
+            # original coordinates, spans it; each entry sums sub_alg.dim products
+            part = retraction(sub_alg, piece.basis)
+            parts += recurse(part, _contract(np.matmul, sub_alg.dim, embed, piece._R.T),
+                             _restricted_commutant(C, piece) or _commutant(part))[0]
         return parts, len(C)
 
-    parts, commutant_dim = recurse(alg, np.eye(alg.dim, dtype=np.int64))
+    parts, commutant_dim = recurse(alg, np.eye(alg.dim, dtype=np.int64), _commutant(alg))
     if len(parts) > 1:
         verdict = "decomposed"
     else:
@@ -553,9 +575,9 @@ def from_json(doc):
     value is read as an integer pair (p, q), except a JSON float in a
     float file, which is kept as it is.  An exact file's distinct values
     become integer numerators over the lcm of their q, with no Fraction
-    made; a float file's become floats, p / q rounded as
-    float(Fraction(p, q)) rounds it.  A later entry overwrites an earlier
-    one at each position it sets, its transpose included.
+    made; a float file's become floats, p / q rounded as float(Fraction(p, q))
+    rounds it (ValueError past the float range).  A later entry overwrites
+    an earlier one at each position it sets, its transpose included.
 
     When a whole-column check fails, the entries are scanned in order and
     the first faulty one raises (_first_fault): within an entry, an index
@@ -572,7 +594,12 @@ def from_json(doc):
     parse = linalg._parse_ratio
     if backend == FLOAT:
         def parse(v):
-            return (v, 1) if isinstance(v, float) else linalg._parse_ratio(v)
+            p, q = (v, 1) if isinstance(v, float) else linalg._parse_ratio(v)
+            try:
+                p / q                   # made below, where -v is (-p) / q: 0.0 at p = 0
+            except OverflowError:
+                raise ValueError("value beyond the float range in %.40r" % (v,)) from None
+            return p, q
 
     rows, metric = doc["structure"], doc.get("metric")
     try:

@@ -596,15 +596,19 @@ def _reduce_integer_rows(M):
 
     Each pivot column is nonzero in its own row only, and row i divided by
     its entry in column pivots[i] is row i of the reduced row echelon form
-    (_echelon).  Pivots are the first nonzero entry of a column.  A pivot row
-    is divided by its content (_divide_content, the gcd of its entries);
-    every other row with c != 0 in the pivot column becomes
+    (_echelon).  Pivots are the first nonzero entry of a column.  Every row
+    is divided by its content (_divide_content, the gcd of its entries)
+    once, first; a row with c != 0 in the pivot column becomes
     p * row - c * (pivot row), with p the pivot, on whole rows, and is
     divided by its content, so entries stay small (Bareiss, Math. Comp. 22,
-    1968, divides by the previous pivot instead).  A step runs on int64 when
-    its bound |p| max|rows| + max|c| max|pivot row| is below 2**62, on
-    Python ints otherwise.  Zero rows sink and are dropped.
+    1968, divides by the previous pivot instead).  So every row, pivot rows
+    too, is primitive at every step, and the rows returned are those that
+    dividing each pivot row at its step gives: g r updates to g (p r - c' P).
+    A step runs on int64 when its bound |p| max|rows| + max|c| max|pivot row|
+    is below 2**62, on Python ints otherwise.  Zero rows sink and are dropped.
     """
+    live = np.flatnonzero(M.any(axis=1))      # zero rows, often most, stay
+    M[live] = _divide_content(M[live], axis=1)
     m, n = M.shape
     pivots = []
     for col in range(n):
@@ -619,7 +623,7 @@ def _reduce_integer_rows(M):
         others = nonzero[nonzero != piv]
         if piv != row:                  # row has a 0 in col: it is not in others
             M[[row, piv]] = M[[piv, row]]
-        P = M[row] = _divide_content(M[row])
+        P = M[row]
         if others.size:
             C, c = M[others], M[others, col]
             p = int(P[col])

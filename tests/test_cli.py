@@ -246,6 +246,11 @@ MALFORMED = {
     "bool-index": json.dumps({"dim": 2, "structure": [[True, 0, 0, "1"]]}),
     "gram-ragged": json.dumps({"dim": 2, "structure": [[0, 0, 0, "1"], [1, 1, 1, "1"]],
                                "metric": {"gram": [["1", "0"], ["0"]]}}),
+    # values beyond the float range in a float file
+    "float-int-overflow": json.dumps({"dim": 1, "scalar": "float",
+                                      "structure": [[0, 0, 0, 10 ** 400]]}),
+    "float-ratio-overflow": json.dumps({"dim": 1, "scalar": "float",
+                                        "structure": [[0, 0, 0, "%d/3" % 10 ** 400]]}),
 }
 
 COMMANDS = {

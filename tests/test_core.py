@@ -808,6 +808,133 @@ def test_commutant_refinement_equals_full_system(drawn):
             assert max_abs(Tf - to_float(T)) <= 1e-12
 
 
+def zero_algebra(n):
+    """The n-dim algebra with zero product, metrized by the identity: its
+    commutant is all of gl(n)."""
+    return MetrizedAlgebra(zeros((n, n, n)), eye(n))
+
+
+SPLIT_INPUTS = {name: build for name, (build, verdict, _) in DECOMPOSITIONS.items()
+                if verdict == "decomposed"}
+SPLIT_INPUTS.update({
+    "ealg(3)(+)ealg(3)(+)ealg(2)": lambda: direct_sum(
+        direct_sum(ta.simplicial(3), ta.simplicial(3)), ta.simplicial(2)),
+    "herm0(3,2)(+)herm0(3,1)": lambda: direct_sum(ta.herm0(3, 2), ta.herm0(3, 1)),
+    "ealg(4)(+)ealg(4)": lambda: direct_sum(ta.simplicial(4), ta.simplicial(4)),
+    "herm0(3,8)(+)herm0(3,4)": lambda: direct_sum(ta.herm0(3, 8), ta.herm0(3, 4)),
+})
+FLOAT_SPLIT_INPUTS = ["lie_so(4)", "ealg(3)(+)ealg(3)", "herm0(3,1)(+)ealg(2)",
+                      "ealg(3)(+)ealg(3)(+)ealg(2)", "ealg(4)(+)ealg(4)"]
+SPLIT_CASES = ([(name, "exact") for name in sorted(SPLIT_INPUTS)]
+               + [(name, "float") for name in FLOAT_SPLIT_INPUTS])
+
+
+def split_input(name, kind):
+    alg = SPLIT_INPUTS[name]()
+    return ta.as_float(alg) if kind == "float" else alg
+
+
+def certified_splits(alg):
+    """Each (algebra, its commutant, piece) of the splits decompose_ideals
+    makes, with every piece's commutant computed afresh."""
+    C = core._commutant(alg)
+    pieces = None if len(C) == 1 else core._certified_split(alg, C)
+    for piece in pieces or ():
+        yield alg, C, piece
+        yield from certified_splits(retraction(alg, piece.basis))
+
+
+def ref_decompose_ideals(alg):
+    """decompose_ideals with every piece's commutant computed afresh."""
+    def recurse(sub_alg, embed):
+        C = core._commutant(sub_alg)
+        pieces = None if len(C) == 1 else core._certified_split(sub_alg, C)
+        if pieces is None:
+            return [(Subspace(embed), sub_alg)], len(C)
+        return [part for piece in pieces
+                for part in recurse(retraction(sub_alg, piece.basis),
+                                    embed @ piece._R.T)[0]], len(C)
+    parts, dim = recurse(alg, np.eye(alg.dim, dtype=np.int64))
+    return parts, ("decomposed" if len(parts) > 1 else
+                   "indecomposable" if dim == 1 else "undetermined")
+
+
+def decomposition_state(parts_verdict):
+    """A decomposition's verdict and every number of its parts, with dtypes."""
+    parts, verdict = parts_verdict
+    return verdict, [(S.pivots, S._DR, S._R.dtype, S._R.tolist(), P._D, P._N.dtype,
+                      P._N.tolist(), P.form._DG, P.form._G.tolist()) for S, P in parts]
+
+
+@pytest.mark.parametrize("name, kind", SPLIT_CASES)
+def test_restricted_centroid_equals_piece_commutant(name, kind):
+    """The commutant of an algebra restricted to a certified piece is the
+    commutant of the piece's retraction, entry for entry (to 1e-12 on
+    floats), at every split decompose_ideals makes; and the decomposition
+    equals the one that computes every piece's commutant afresh."""
+    alg = split_input(name, kind)
+    splits = list(certified_splits(alg))
+    assert len(splits) >= 2
+    for parent, C, piece in splits:
+        restricted = core._restricted_commutant(C, piece)
+        own = core._commutant(retraction(parent, piece.basis))
+        assert restricted is not None and len(restricted) == len(own)
+        for T, U in zip(restricted, own):
+            if kind == "exact":
+                assert all(isinstance(x, F) for x in T.flat) and np.array_equal(T, U)
+            else:
+                assert T.dtype == float and max_abs(T - U) <= 1e-12
+    assert (decomposition_state(ta.decompose_ideals(alg))
+            == decomposition_state(ref_decompose_ideals(alg)))
+
+
+def spy_on_commutant(monkeypatch):
+    """The dims of the algebras core._commutant is called on, as a list that
+    grows with each call."""
+    dims, real = [], core._commutant
+
+    def spy(alg):
+        dims.append(alg.dim)
+        return real(alg)
+    monkeypatch.setattr(core, "_commutant", spy)
+    return dims
+
+
+@pytest.mark.parametrize("name", sorted(n for n, (_, verdict, _) in DECOMPOSITIONS.items()
+                                        if verdict == "decomposed"))
+def test_decompose_ideals_computes_one_commutant(monkeypatch, name):
+    """Every piece's commutant is the input's, restricted: none is computed."""
+    alg = DECOMPOSITIONS[name][0]()
+    dims = spy_on_commutant(monkeypatch)
+    parts, verdict = ta.decompose_ideals(alg)
+    assert verdict == "decomposed" and len(parts) >= 2
+    assert dims == [alg.dim]
+
+
+@pytest.mark.parametrize("build, commutant_dim, refused, calls, part_dims", [
+    (lambda: zero_algebra(2), 4, [True, True], [2, 1, 1], [1, 1]),
+    (lambda: direct_sum(zero_algebra(2), ta.simplicial(2)), 5,
+     [True, False, False, True], [4, 3, 1], [2, 1, 1]),
+], ids=["zero(2)", "zero(2)(+)ealg(2)"])
+def test_restriction_falls_back_on_zero_products(monkeypatch, build, commutant_dim, refused,
+                                                 calls, part_dims):
+    """On the zero product of dim 2 the commutant holds all of gl(2), which
+    maps no line of it into itself.  A piece that cuts it (a line, or a
+    line plus ealg(2)) is refused the restriction and gets its own
+    commutant; the line plus ealg(2) then splits by restriction.  The
+    decomposition is the one that computes every piece's commutant afresh."""
+    alg = build()
+    assert len(core._commutant(alg)) == commutant_dim
+    assert [core._restricted_commutant(C, piece) is None
+            for _, C, piece in certified_splits(alg)] == refused
+    ref = decomposition_state(ref_decompose_ideals(alg))
+    dims = spy_on_commutant(monkeypatch)
+    out = ta.decompose_ideals(alg)
+    assert [S.dim for S, _ in out[0]] == part_dims and out[1] == "decomposed"
+    assert dims == calls
+    assert decomposition_state(out) == ref
+
+
 def test_rational_eigenvalues():
     P = np.array([[F(1), F(2), F(0)], [F(0), F(1), F(3)], [F(1), F(0), F(1)]],
                  dtype=object)

@@ -341,16 +341,21 @@ def ref_row_numerators(M):
 
 
 def assert_reduces_like_fractions(M):
+    """Fractions or integers M reduce as Fraction Gauss-Jordan reduces them;
+    every row elimination returns is primitive, and M is left as it is."""
+    before = M.copy()
     R, pivots = rref(M)
-    ref, ref_pivots = ref_reduce_rows(M)
+    ref, ref_pivots = ref_reduce_rows(frac_matrix(M))
     assert pivots == ref_pivots and R.shape == ref.shape
     assert all(isinstance(x, Fraction) for x in R.flat)
     assert np.array_equal(R, ref)
-    assert np.array_equal(nullspace(M), ref_nullspace(M))
+    assert np.array_equal(nullspace(M), ref_nullspace(frac_matrix(M)))
     # positive row scaling changes no row that elimination returns
     rows, row_pivots = _reduce_rows(M)
     ref_rows, ref_row_pivots = _reduce_integer_rows(ref_row_numerators(M))
     assert row_pivots == ref_row_pivots and np.array_equal(rows, ref_rows)
+    assert all(math.gcd(*row) == 1 for row in rows.tolist())
+    assert np.array_equal(M, before)
 
 
 # far above 2**62, so that even the scaled rows are Python ints
@@ -388,8 +393,20 @@ def exact_matrices(draw):
     return M
 
 
+@st.composite
+def integer_matrices(draw):
+    """int64 matrices of up to 6 x 7 small entries, some rows of which are
+    multiplied by 6 or -4, so that they are not primitive."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    M = np.array(draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                               min_size=m, max_size=m)), dtype=np.int64)
+    for i in draw(st.lists(st.integers(0, m - 1), max_size=m)):
+        M[i] *= draw(st.sampled_from([6, -4]))
+    return M
+
+
 @settings(max_examples=100, deadline=None)
-@given(exact_matrices())
+@given(st.one_of(exact_matrices(), integer_matrices()))
 def test_integer_elimination_equals_fraction_gauss_jordan(M):
     assert_reduces_like_fractions(M)
 
