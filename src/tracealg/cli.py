@@ -1,15 +1,18 @@
 """Command line interface.
 
 Each command cmd_<name> returns (document, passed).  main writes every
-document, through _dumps, to --out or stdout, and decides every exit code:
-0 when the command passed, 1 on a verification failure, 2 on a usage or
-input error.  An input error is an OSError or a ValueError, raised while
-the command runs or its document is written; main prints it as one line.
+document, through _dumps, to stdout or, through _write, to --out, and
+decides every exit code: 0 when the command passed, 1 on a verification
+failure, 2 on a usage or input error.  An input error is an OSError or a
+ValueError, raised while the command runs or its document is written;
+main prints it as one line.
 """
 import argparse
 import functools
 import itertools
 import json
+import os
+import stat
 import sys
 
 from . import analysis, core, catalog, linalg
@@ -79,6 +82,18 @@ def _dumps(doc, level=0):
         text = text.replace("]," + inner + "[", ind + "]," + ind + "[" + inner)
         return "[" + ind + "[" + inner + text + ind + "]" + end + "]"
     return "[" + ind + ("," + ind).join(_dumps(x, level + 1) for x in doc) + end + "]"
+
+
+def _write(path, text):
+    """Write text over path in place.  open(path, "w") truncates first, and
+    ext4 (auto_da_alloc) flushes a file truncated to zero and rewritten on
+    close; so a regular file that held bytes is cut to length after the
+    write, and a new file, device or FIFO is not cut."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+        old = os.fstat(fh.fileno())
+        fh.write(text)
+        if stat.S_ISREG(old.st_mode) and old.st_size:
+            fh.truncate()
 
 
 def cmd_construct(args):
@@ -185,6 +200,14 @@ def cmd_check(args):
             all(rep["verdict"] for rep in reports.values()))
 
 
+def _trials(s):
+    """A --trials value: an int of at least 0."""
+    k = int(s)
+    if k < 0:
+        raise argparse.ArgumentTypeError("must be at least 0, not %d" % k)
+    return k
+
+
 @functools.cache
 def _parser():
     """The argument parser, built once.  It names each command, and main
@@ -225,7 +248,7 @@ def _parser():
     # report and check run no search.  decompose reads neither --seed nor
     # --trials; it accepts both because the benchmark workloads pass them
     for q in (pi, ps, pd):
-        q.add_argument("--trials", type=int, default=200)
+        q.add_argument("--trials", type=_trials, default=200)
     return p
 
 
@@ -235,8 +258,7 @@ def main(argv=None):
         doc, passed = globals()["cmd_" + args.cmd](args)
         text = _dumps(doc)
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
+            _write(args.out, text + "\n")
         else:
             print(text)
     except (OSError, ValueError) as exc:

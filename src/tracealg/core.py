@@ -50,8 +50,10 @@ class Algebra:
         if symmetry not in (COMMUTATIVE, ANTICOMMUTATIVE):
             raise ValueError("unknown symmetry %r" % (symmetry,))
         T = np.swapaxes(N, 0, 1)
-        if not np.all(_is_zero(N - T if symmetry == COMMUTATIVE else N + T,
-                               scale=lambda: max_abs(N))):
+        if symmetry == ANTICOMMUTATIVE:
+            T = -T                      # |N| < 2^62 on int64, so no entry wraps
+        if not (np.all(_is_zero(N - T, scale=lambda: max_abs(N))) if N.dtype.kind == "f"
+                else np.array_equal(N, T)):
             raise ValueError("structure tensor is not %s" % symmetry)
 
     @property
@@ -487,15 +489,20 @@ def _certified_split(alg, commutant):
     below certify the split rather than trust it.
     """
     n = alg.dim
-    I = linalg.eye(n, alg.backend)
+    I = np.eye(n, dtype=np.int64)
     G = alg.form._G
     for T in commutant:
+        # T = X / E, so an exact lam is mu / E for an eigenvalue mu of the
+        # integer X, and ker(T - lam I) = ker(X - mu I); a float T is X
+        X, _ = _numerators(T)
         if alg.backend == RATIONAL:
-            eigenvalues = linalg.rational_eigenvalues(T)
+            eigenvalues = [int(mu) for mu in linalg.rational_eigenvalues(X)]
         else:
-            eigenvalues = linalg.general_real_eigenvalues(T)[0]
-        for lam in eigenvalues:
-            S = Subspace(linalg._kernel(*linalg._reduce_rows(T - lam * I))[0])
+            eigenvalues = linalg.general_real_eigenvalues(X)[0]
+        for mu in eigenvalues:
+            # two products per entry
+            S = Subspace(linalg._kernel(*linalg._reduce_rows(
+                _contract(lambda x, m: x - m * I, 2, X, mu)))[0])
             if not 0 < S.dim < n:
                 continue
             # the restricted form R G R^T / (DR^2 DG): n^2 products per entry

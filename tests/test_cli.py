@@ -298,6 +298,18 @@ def test_exit_codes(tmp_path, capsys, cmd, source, code):
         assert err == ""
 
 
+@pytest.mark.parametrize("cmd", ["idempotents", "sect", "decompose"])
+def test_negative_trials_is_a_usage_error(tmp_path, capsys, cmd):
+    """--trials below 0 exits 2 before the command runs; idempotents once
+    ran 0 Newton trials and 50 square-zero ones, and sect 8 starts."""
+    path, out = str(tmp_path / "in.json"), tmp_path / "out.json"
+    main(["construct", "ealg", "--n", "3", "-o", path])
+    capsys.readouterr()
+    assert exit_code([cmd, "--in", path, "--trials", "-1", "-o", str(out)]) == 2
+    assert "--trials" in capsys.readouterr().err and not out.exists()
+    assert exit_code([cmd, "--in", path, "--trials", "0", "-o", str(out)]) == 0
+
+
 # construct arguments: --alpha is read exactly ("0.5" is 1/2), and a bad
 # value or size is a usage error
 CONSTRUCT_ARGS = {
@@ -495,6 +507,87 @@ def test_exact_commands_do_not_import_scipy(tmp_path):
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.load(open(rep))["verdict"] is True
+
+
+def construct_text(family, **kw):
+    """json.dumps(doc, indent=1) + newline for the document construct writes."""
+    doc = tracealg.core.to_json(tracealg.catalog.build_by_name(family, **kw))
+    return json.dumps(doc, indent=1) + "\n"
+
+
+def test_out_over_a_longer_or_shorter_file_holds_the_new_document(tmp_path, capsys):
+    """-o overwrites a file in place and cuts it to the new length: a
+    shorter document leaves no tail of the old one, a longer one all of it."""
+    out = tmp_path / "out.json"
+    for n in (8, 2, 8):
+        assert main(["construct", "ealg", "--n", str(n), "-o", str(out)]) == 0
+        assert out.read_text() == construct_text("ealg", n=n)
+    assert main(["report", "--in", str(out), "--suite", "exact", "-o", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["verdict"] is True
+    assert out.read_text() == json.dumps(rep, indent=1) + "\n"
+
+
+def test_out_through_a_symlink_writes_its_target(tmp_path, capsys):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("x" * 10000)
+    link.symlink_to(target)
+    assert main(["construct", "ealg", "--n", "3", "-o", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text() == construct_text("ealg", n=3)
+
+
+def test_out_keeps_the_mode_of_an_existing_file(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    out.write_text("old")
+    out.chmod(0o640)
+    assert main(["construct", "ealg", "--n", "3", "-o", str(out)]) == 0
+    assert out.stat().st_mode & 0o777 == 0o640
+    assert out.read_text() == construct_text("ealg", n=3)
+
+
+def test_out_to_a_device_is_written_as_a_stream(capsys):
+    """A device cannot be truncated; /dev/null is written, with no cut."""
+    assert main(["construct", "ealg", "--n", "3", "-o", os.devnull]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == captured.err == ""
+
+
+def test_out_to_a_directory_exits_2(tmp_path, capsys):
+    assert main(["construct", "ealg", "--n", "3", "-o", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "Is a directory" in err
+
+
+def test_out_is_opened_without_truncating(tmp_path, capsys, monkeypatch):
+    """-o opens its file with no O_TRUNC: ext4 flushes a file truncated to
+    zero and rewritten when it is closed, inside the writer's close()."""
+    flags, real = [], os.open
+
+    def spy(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real(path, flag, *args, **kwargs)
+    monkeypatch.setattr(tracealg.cli.os, "open", spy)
+    out = tmp_path / "out.json"
+    for n in (4, 3):
+        assert main(["construct", "ealg", "--n", str(n), "-o", str(out)]) == 0
+    assert len(flags) == 2 and not any(f & os.O_TRUNC for f in flags)
+    assert all(f & os.O_WRONLY and f & os.O_CREAT for f in flags)
+    assert out.read_text() == construct_text("ealg", n=3)
+
+
+def test_rerunning_a_command_into_the_same_file(tmp_path):
+    """Two runs of python -m tracealg.cli into one file, the second
+    shorter, as a user re-running a command leaves it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tracealg.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = tmp_path / "out.json"
+    for n in (6, 3):
+        proc = subprocess.run([sys.executable, "-m", "tracealg.cli", "construct", "ealg",
+                               "--n", str(n), "-o", str(out)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0 and proc.stdout == proc.stderr == ""
+        assert out.read_text() == construct_text("ealg", n=n)
 
 
 def fraction_shapes(monkeypatch):

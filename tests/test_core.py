@@ -888,6 +888,26 @@ def test_restricted_centroid_equals_piece_commutant(name, kind):
             == decomposition_state(ref_decompose_ideals(alg)))
 
 
+@pytest.mark.parametrize("name", sorted(SPLIT_INPUTS))
+def test_certified_split_reduces_integer_eigen_systems(monkeypatch, name):
+    """_certified_split eliminates X - mu I, for T = X / E in the commutant,
+    on integers: no Fraction reaches _reduce_rows.  Each piece it returns
+    is the Fraction kernel of T - lam I, lam = mu / E, for some T and lam
+    (and its orthocomplement), entry for entry."""
+    alg = SPLIT_INPUTS[name]()
+    n, C = alg.dim, core._commutant(alg)
+    systems, real = [], linalg._reduce_rows
+    monkeypatch.setattr(linalg, "_reduce_rows", lambda M: systems.append(M) or real(M))
+    S, comp = core._certified_split(alg, C)
+    monkeypatch.undo()
+    assert systems and not any(isinstance(x, F) for M in systems for x in M.flat)
+    kernels = [Subspace(linalg.nullspace(T - lam * eye(n)))
+               for T in C for lam in rational_eigenvalues(T)]
+    assert any((K.pivots, K._DR, K._R.tolist()) == (S.pivots, S._DR, S._R.tolist())
+               for K in kernels)
+    assert comp.equals(linalg.orthogonal_complement(S, alg.form))
+
+
 def spy_on_commutant(monkeypatch):
     """The dims of the algebras core._commutant is called on, as a list that
     grows with each call."""
