@@ -182,8 +182,8 @@ class Algebra:
         if self.backend == RATIONAL:
             # one product per entry
             M = _contract(lambda a, d: np.column_stack([a, -d * b]), 1, A, self._D)
-            v = next((v for v in linalg.nullspace(M).T if v[n] != 0), None)
-            return None if v is None else v[:n] / v[n]
+            v = next((v for v in linalg._kernel(*linalg._reduce_rows(M))[0].T if v[n] != 0), None)
+            return None if v is None else _fractions(v[:n] if v[n] > 0 else -v[:n], abs(int(v[n])))
         e, *_ = np.linalg.lstsq(A, b, rcond=None)
         return e if np.all(_is_zero(A @ e - b, scale=lambda: max_abs(A))) else None
 
@@ -377,7 +377,7 @@ def deunitalization(alg):
                      DX ** 2 * alg.form._DG)                # n^2 products: h(e, e)
     if is_zero(gee):
         raise ValueError("unit is null for the metric")
-    comp = linalg.orthogonal_complement(Subspace.from_spanning([e]), alg.form)
+    comp = linalg.orthogonal_complement(Subspace(X), alg.form)
     # the coordinates do not depend on the metric's scale, so the form is
     # rescaled afterwards, by p / q = 1 / gee with q > 0: one product per entry
     out = retraction(alg, comp.basis)
@@ -430,7 +430,7 @@ def _commutant(alg):
     replaces K by K Z, Z the kernel of T -> T L(e_i) - L(e_i) T on K, so no
     system exceeds n^2 x n^2, and an empty K proves that the centroid is
     the scalars.  The basis returned is the whole n^3 x n^2 system's
-    nullspace basis (_canonical_maps).
+    nullspace basis, as (X, E) (_canonical_maps).
     """
     n = alg.dim
     # m and each K Z divided by their content: the kernels stay, and float
@@ -463,26 +463,27 @@ def _commutant(alg):
 
 
 def _canonical_maps(K, n):
-    """The basis of the span of the rows of K, flattened n x n maps, read off
-    the reversed echelon form: unique to the span, as a nullspace basis is."""
-    E, D = linalg._echelon(*linalg._reduce_rows(K[:, ::-1]))
-    return list(_fractions(E[::-1, ::-1], D).reshape(-1, n, n))
+    """(X, E): the basis X / E of the span of the rows of K as n x n maps, read
+    off the reversed echelon form: unique to the span, as a nullspace basis is."""
+    X, E = linalg._echelon(*linalg._reduce_rows(K[:, ::-1]))
+    return X[::-1, ::-1].reshape(-1, n, n), E
 
 
-def _restricted_commutant(commutant, piece):
-    """The commutant of the retraction onto a certified piece, as the
-    restrictions of the T in commutant (decompose_ideals): in piece.basis,
-    the pivot rows of T B.  None when some T maps the piece outside itself."""
-    X, _ = _numerators(np.stack(commutant))
-    n = piece.ambient_dim
+def _restricted_commutant(X, piece):
+    """The commutant of the retraction onto a certified piece, from the stack X
+    of its parent's (decompose_ideals): in piece.basis, the pivot rows of T B
+    for the T in X's span with T B in B, the kernel of T B's residuals."""
+    n, k = piece.ambient_dim, len(X)
     TB = _contract(np.matmul, n, X, piece._R.T)                   # n products per entry
-    if len(piece._outside(np.swapaxes(TB, 1, 2).reshape(-1, n))):
-        return None
-    return _canonical_maps(TB[:, piece.pivots].reshape(len(X), -1), piece.dim)
+    residuals = piece._residuals(np.swapaxes(TB, 1, 2).reshape(-1, n)).reshape(k, -1)
+    Z, _ = linalg._kernel(*linalg._reduce_rows(residuals.T))
+    # each entry sums k products of Z and T B
+    return _canonical_maps(_contract(lambda z, t: z.T @ t, k, Z,
+                                     TB[:, piece.pivots].reshape(k, -1)), piece.dim)
 
 
 def _certified_split(alg, commutant):
-    """First eigenspace S = ker(T - lam I), T in the commutant, that is a
+    """First eigenspace S = ker(X - mu I), X in the stack commutant, that is a
     proper nondegenerate ideal with an ideal orthocomplement C; (S, C) or None.
 
     Every such eigenspace is an ideal, since T(x v) = x (T v); the checks
@@ -491,10 +492,9 @@ def _certified_split(alg, commutant):
     n = alg.dim
     I = np.eye(n, dtype=np.int64)
     G = alg.form._G
-    for T in commutant:
+    for X in commutant:
         # T = X / E, so an exact lam is mu / E for an eigenvalue mu of the
         # integer X, and ker(T - lam I) = ker(X - mu I); a float T is X
-        X, _ = _numerators(T)
         if alg.backend == RATIONAL:
             eigenvalues = [int(mu) for mu in linalg.rational_eigenvalues(X)]
         else:
@@ -522,28 +522,28 @@ def decompose_ideals(alg):
     "decomposed" when a certified split was found, "indecomposable" when
     the commutant is one-dimensional (a proof), and "undetermined" when no
     commutant eigenspace passed the certificate.  A degenerate metric
-    raises ValueError.  A piece B's commutant is its parent's, restricted:
-    B and its complement C are ideals meeting in 0, so BC = 0 and S + 0 is
-    in the parent's for each S in B's; once every T maps B into B, the T|B
-    are all of B's.  Else (on a zero product, say) B's is computed.
+    raises ValueError.  The commutant is computed once, of the input; a
+    piece B's is {T|B : T in its parent's, T(B) in B}: B and its
+    complement C are ideals meeting in 0, so BC = 0 and S + 0 is in the
+    parent's, and maps B into B, for each S in B's.
     """
     if not alg.form.is_nondegenerate():
         raise ValueError("metric is degenerate (inertia %s)" % (alg.form.inertia(),))
 
-    def recurse(sub_alg, embed, C):
-        pieces = None if len(C) == 1 else _certified_split(sub_alg, C)
+    def recurse(sub_alg, embed, X):
+        pieces = None if len(X) == 1 else _certified_split(sub_alg, X)
         if pieces is None:
-            return [(Subspace(embed), sub_alg)], len(C)
+            return [(Subspace(embed), sub_alg)], len(X)
         parts = []
         for piece in pieces:
             # embed @ piece._R.T, a multiple of the piece's basis in the
             # original coordinates, spans it; each entry sums sub_alg.dim products
-            part = retraction(sub_alg, piece.basis)
-            parts += recurse(part, _contract(np.matmul, sub_alg.dim, embed, piece._R.T),
-                             _restricted_commutant(C, piece) or _commutant(part))[0]
-        return parts, len(C)
+            parts += recurse(retraction(sub_alg, piece.basis),
+                             _contract(np.matmul, sub_alg.dim, embed, piece._R.T),
+                             _restricted_commutant(X, piece)[0])[0]
+        return parts, len(X)
 
-    parts, commutant_dim = recurse(alg, np.eye(alg.dim, dtype=np.int64), _commutant(alg))
+    parts, commutant_dim = recurse(alg, np.eye(alg.dim, dtype=np.int64), _commutant(alg)[0])
     if len(parts) > 1:
         verdict = "decomposed"
     else:
@@ -592,8 +592,8 @@ def from_json(doc):
     and the structure before the Gram matrix.
     """
     n = doc["dim"]
-    if n < 1:
-        raise ValueError("dim %s is below 1" % (n,))
+    if type(n) is not int or n < 1:
+        raise ValueError("dim %r is not an integer of at least 1" % (n,))
     backend = doc.get("scalar", RATIONAL)
     if backend not in (RATIONAL, FLOAT):
         raise ValueError("unknown scalar kind %r" % (backend,))

@@ -550,10 +550,10 @@ def _reduce_rows(M):
     """Echelon rows of M in M's kind: (the nonzero rows, their pivot columns).
 
     Row i divided by its entry in column pivots[i] is row i of the reduced
-    row echelon form (_echelon).  Exact M gives the rows of _reduce_integer_rows:
-    integer M is copied, and Fractions are read as their numerators over one
-    common denominator (_numerators); elimination divides every row it
-    returns by its content, so no positive scaling of a row changes them.
+    row echelon form (_echelon).  Exact M gives the rows of _reduce_integer_rows,
+    Fractions read as their numerators over one common denominator
+    (_numerators); elimination divides every row it returns by its
+    content, so no positive scaling of a row changes them.
     Float M gives its reduced form, with pivots
     the largest entry above EPS0 times the largest |entry| of M.  The
     tolerance only chooses pivots: every row with a nonzero entry in a pivot
@@ -563,7 +563,8 @@ def _reduce_rows(M):
     if M.dtype.kind == "O":
         return _reduce_integer_rows(_numerators(M)[0])
     if M.dtype.kind in "iu":
-        return _reduce_integer_rows(M.astype(np.int64 if max_abs(M) < _INT64_LIMIT else object))
+        return _reduce_integer_rows(M.astype(np.int64 if max_abs(M) < _INT64_LIMIT else object,
+                                             copy=False))
     M = np.array(M, dtype=float)                      # a copy
     m, n = M.shape
     peak = max_abs(M)
@@ -591,8 +592,8 @@ def _reduce_rows(M):
 
 def _reduce_integer_rows(M):
     """Fraction-free Gauss-Jordan elimination of an integer matrix, int64 or
-    an object array of Python ints, which it overwrites: (rows, pivots),
-    the integer rows spanning the row space of M.
+    an object array of Python ints, which it leaves as it is: (rows,
+    pivots), the integer rows spanning the row space of M.
 
     Each pivot column is nonzero in its own row only, and row i divided by
     its entry in column pivots[i] is row i of the reduced row echelon form
@@ -605,10 +606,9 @@ def _reduce_integer_rows(M):
     too, is primitive at every step, and the rows returned are those that
     dividing each pivot row at its step gives: g r updates to g (p r - c' P).
     A step runs on int64 when its bound |p| max|rows| + max|c| max|pivot row|
-    is below 2**62, on Python ints otherwise.  Zero rows sink and are dropped.
+    is below 2**62, on Python ints otherwise.  Zero rows are dropped first.
     """
-    live = np.flatnonzero(M.any(axis=1))      # zero rows, often most, stay
-    M[live] = _divide_content(M[live], axis=1)
+    M = _divide_content(M[M.any(axis=1)], axis=1)
     m, n = M.shape
     pivots = []
     for col in range(n):
@@ -709,21 +709,23 @@ class Subspace:
     def dim(self):
         return self._R.shape[0]
 
-    def _outside(self, V):
-        """The residuals DR v - v[p] @ R of the rows v of V that lie outside
-        the subspace, each up to a positive factor.  Exact rows (Fractions,
-        or integer numerators over any common denominator) are tested on
-        integers.  When V or the subspace is float, both are read as floats
-        and zero-tested at the scale of the largest entry of V."""
+    def _residuals(self, V):
+        """The residuals DR v - v[p] @ R of the rows v of V, each up to a
+        positive factor, zero when v lies in the subspace: integers for exact
+        rows (Fractions, or integer numerators over any common denominator),
+        floats when V or the subspace is float."""
         if self.backend == FLOAT or V.dtype.kind == "f":
             V = np.asarray(V, dtype=float)
-            r = V - V[:, self.pivots] @ _floats(self._R, self._DR)
-            return r[~np.all(_is_zero(r, scale=lambda: max_abs(V)), axis=1)]
+            return V - V[:, self.pivots] @ _floats(self._R, self._DR)
         X = V if V.dtype.kind in "iu" else _numerators(V)[0]
         # an entry sums dim products of X and R, and one of X and DR
-        r = _contract(lambda x, rows, d: d * x - x[:, self.pivots] @ rows,
-                      self.dim + 1, X, self._R, self._DR)
-        return r[np.any(r != 0, axis=1)]
+        return _contract(lambda x, rows, d: d * x - x[:, self.pivots] @ rows,
+                         self.dim + 1, X, self._R, self._DR)
+
+    def _outside(self, V):
+        """The residuals of the rows of V that lie outside the subspace."""
+        r = self._residuals(V)
+        return r[~np.all(_is_zero(r, scale=lambda: max_abs(V)), axis=1)]
 
     def contains(self, V):
         """True when the vector V, or every row of the stack V, lies in the

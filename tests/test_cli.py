@@ -230,6 +230,12 @@ MALFORMED = {
     "short-row": json.dumps({"dim": 2, "structure": [[0, 1, "1"]]}),
     "bad-value": json.dumps({"dim": 2, "structure": [[0, 1, 1, "one"]]}),
     "dim-not-int": json.dumps({"dim": "2", "structure": []}),
+    # a dim that is not a JSON integer is refused before any arithmetic:
+    # 1e400 reads as inf, whose index arithmetic once warned on stderr
+    "dim-bool": json.dumps({"dim": True, "structure": [[0, 0, 0, "1"]]}),
+    "dim-float": json.dumps({"dim": 2.0, "structure": [[0, 0, 0, "1"]]}),
+    "dim-inf": '{"dim": 1e400, "structure": [[0, 0, 0, "1"]]}',
+    "dim-null": json.dumps({"dim": None, "structure": [[0, 0, 0, "1"]]}),
     "unknown-scalar": json.dumps({"dim": 1, "scalar": "complex", "structure": []}),
     "unknown-symmetry": json.dumps({"dim": 1, "symmetry": "jordan", "structure": []}),
     "wrong-symmetry": json.dumps({"dim": 1, "symmetry": "anticommutative",

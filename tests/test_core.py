@@ -713,12 +713,17 @@ def test_decompose_ideals_undetermined_without_rational_eigenvalues():
                                        ("ealg(2)(x)ealg(3)", 1)])
 def test_commutant_commutes_with_left_multiplications(name, dim):
     alg = DECOMPOSITIONS[name][0]()
-    C = ta.core._commutant(alg)
+    C = linalg._fractions(*ta.core._commutant(alg))
     assert len(C) == dim
     for T in C:
         for i in range(alg.dim):
             L = alg.left_mult_matrix(alg.basis_vector(i))
             assert max_abs(T @ L - L @ T) == 0
+
+
+def assert_integer_numerators(X):
+    """X holds integer numerators: int64, or Python ints past 2**62."""
+    assert X.dtype == np.int64 or all(type(x) is int for x in X.flat)
 
 
 def full_commutant_system(alg):
@@ -743,15 +748,16 @@ def test_commutant_equals_full_system_nullspace(build):
     alg = build()
     n = alg.dim
     N = ref_nullspace(full_commutant_system(alg))
-    C = ta.core._commutant(alg)
+    X, E = ta.core._commutant(alg)
+    assert_integer_numerators(X)
+    C = linalg._fractions(X, E)
     assert len(C) == N.shape[1] >= 1
     for j, T in enumerate(C):
-        assert all(isinstance(x, F) for x in T.flat)
         assert np.array_equal(T, N[:, j].reshape(n, n))
-    Cf = ta.core._commutant(ta.as_float(alg))
-    assert len(Cf) == len(C)
+    Cf, Ef = ta.core._commutant(ta.as_float(alg))
+    assert len(Cf) == len(C) and Cf.dtype == float and Ef == 1
     for T, Tf in zip(C, Cf):
-        assert Tf.dtype == float and max_abs(Tf - to_float(T)) <= 1e-12
+        assert max_abs(Tf - to_float(T)) <= 1e-12
 
 
 def random_structure(rng, n, big):
@@ -795,13 +801,14 @@ def test_commutant_refinement_equals_full_system(drawn):
     alg, big = drawn
     n = alg.dim
     N = ref_nullspace(full_commutant_system(alg))
-    C = ta.core._commutant(alg)
+    X, E = ta.core._commutant(alg)
+    assert_integer_numerators(X)
+    C = linalg._fractions(X, E)
     assert len(C) == N.shape[1]
     for j, T in enumerate(C):
-        assert all(isinstance(x, F) for x in T.flat)
         assert np.array_equal(T, N[:, j].reshape(n, n))
-    Cf = ta.core._commutant(ta.as_float(alg))
-    assert len(Cf) >= 1
+    Cf, Ef = ta.core._commutant(ta.as_float(alg))
+    assert len(Cf) >= 1 and Cf.dtype == float and Ef == 1
     if not big:
         assert len(Cf) == len(C)
         for T, Tf in zip(C, Cf):
@@ -822,9 +829,13 @@ SPLIT_INPUTS.update({
     "herm0(3,2)(+)herm0(3,1)": lambda: direct_sum(ta.herm0(3, 2), ta.herm0(3, 1)),
     "ealg(4)(+)ealg(4)": lambda: direct_sum(ta.simplicial(4), ta.simplicial(4)),
     "herm0(3,8)(+)herm0(3,4)": lambda: direct_sum(ta.herm0(3, 8), ta.herm0(3, 4)),
+    # zero products: the commutant holds maps that leave a piece
+    "zero(2)": lambda: zero_algebra(2),
+    "zero(2)(+)ealg(2)": lambda: direct_sum(zero_algebra(2), ta.simplicial(2)),
 })
 FLOAT_SPLIT_INPUTS = ["lie_so(4)", "ealg(3)(+)ealg(3)", "herm0(3,1)(+)ealg(2)",
-                      "ealg(3)(+)ealg(3)(+)ealg(2)", "ealg(4)(+)ealg(4)"]
+                      "ealg(3)(+)ealg(3)(+)ealg(2)", "ealg(4)(+)ealg(4)",
+                      "zero(2)", "zero(2)(+)ealg(2)"]
 SPLIT_CASES = ([(name, "exact") for name in sorted(SPLIT_INPUTS)]
                + [(name, "float") for name in FLOAT_SPLIT_INPUTS])
 
@@ -835,25 +846,25 @@ def split_input(name, kind):
 
 
 def certified_splits(alg):
-    """Each (algebra, its commutant, piece) of the splits decompose_ideals
-    makes, with every piece's commutant computed afresh."""
-    C = core._commutant(alg)
-    pieces = None if len(C) == 1 else core._certified_split(alg, C)
+    """Each (algebra, the numerators of its commutant, piece) of the splits
+    decompose_ideals makes, with every piece's commutant computed afresh."""
+    X, _ = core._commutant(alg)
+    pieces = None if len(X) == 1 else core._certified_split(alg, X)
     for piece in pieces or ():
-        yield alg, C, piece
+        yield alg, X, piece
         yield from certified_splits(retraction(alg, piece.basis))
 
 
 def ref_decompose_ideals(alg):
     """decompose_ideals with every piece's commutant computed afresh."""
     def recurse(sub_alg, embed):
-        C = core._commutant(sub_alg)
-        pieces = None if len(C) == 1 else core._certified_split(sub_alg, C)
+        X, _ = core._commutant(sub_alg)
+        pieces = None if len(X) == 1 else core._certified_split(sub_alg, X)
         if pieces is None:
-            return [(Subspace(embed), sub_alg)], len(C)
+            return [(Subspace(embed), sub_alg)], len(X)
         return [part for piece in pieces
                 for part in recurse(retraction(sub_alg, piece.basis),
-                                    embed @ piece._R.T)[0]], len(C)
+                                    embed @ piece._R.T)[0]], len(X)
     parts, dim = recurse(alg, np.eye(alg.dim, dtype=np.int64))
     return parts, ("decomposed" if len(parts) > 1 else
                    "indecomposable" if dim == 1 else "undetermined")
@@ -870,20 +881,21 @@ def decomposition_state(parts_verdict):
 def test_restricted_centroid_equals_piece_commutant(name, kind):
     """The commutant of an algebra restricted to a certified piece is the
     commutant of the piece's retraction, entry for entry (to 1e-12 on
-    floats), at every split decompose_ideals makes; and the decomposition
-    equals the one that computes every piece's commutant afresh."""
+    floats), at every split decompose_ideals makes, pieces that some T
+    leaves (on a zero product) included; and the decomposition equals the
+    one that computes every piece's commutant afresh."""
     alg = split_input(name, kind)
     splits = list(certified_splits(alg))
     assert len(splits) >= 2
-    for parent, C, piece in splits:
-        restricted = core._restricted_commutant(C, piece)
-        own = core._commutant(retraction(parent, piece.basis))
-        assert restricted is not None and len(restricted) == len(own)
-        for T, U in zip(restricted, own):
-            if kind == "exact":
-                assert all(isinstance(x, F) for x in T.flat) and np.array_equal(T, U)
-            else:
-                assert T.dtype == float and max_abs(T - U) <= 1e-12
+    for parent, X, piece in splits:
+        T, E = core._restricted_commutant(X, piece)
+        U, EU = core._commutant(retraction(parent, piece.basis))
+        assert len(T) == len(U)
+        if kind == "exact":
+            assert_integer_numerators(T)
+            assert np.array_equal(linalg._fractions(T, E), linalg._fractions(U, EU))
+        else:
+            assert T.dtype == float and E == 1 and max_abs(T - U) <= 1e-12
     assert (decomposition_state(ta.decompose_ideals(alg))
             == decomposition_state(ref_decompose_ideals(alg)))
 
@@ -895,14 +907,15 @@ def test_certified_split_reduces_integer_eigen_systems(monkeypatch, name):
     is the Fraction kernel of T - lam I, lam = mu / E, for some T and lam
     (and its orthocomplement), entry for entry."""
     alg = SPLIT_INPUTS[name]()
-    n, C = alg.dim, core._commutant(alg)
+    n, (X, E) = alg.dim, core._commutant(alg)
+    assert_integer_numerators(X)
     systems, real = [], linalg._reduce_rows
     monkeypatch.setattr(linalg, "_reduce_rows", lambda M: systems.append(M) or real(M))
-    S, comp = core._certified_split(alg, C)
+    S, comp = core._certified_split(alg, X)
     monkeypatch.undo()
     assert systems and not any(isinstance(x, F) for M in systems for x in M.flat)
     kernels = [Subspace(linalg.nullspace(T - lam * eye(n)))
-               for T in C for lam in rational_eigenvalues(T)]
+               for T in linalg._fractions(X, E) for lam in rational_eigenvalues(T)]
     assert any((K.pivots, K._DR, K._R.tolist()) == (S.pivots, S._DR, S._R.tolist())
                for K in kernels)
     assert comp.equals(linalg.orthogonal_complement(S, alg.form))
@@ -920,39 +933,48 @@ def spy_on_commutant(monkeypatch):
     return dims
 
 
-@pytest.mark.parametrize("name", sorted(n for n, (_, verdict, _) in DECOMPOSITIONS.items()
-                                        if verdict == "decomposed"))
+@pytest.mark.parametrize("name", sorted(SPLIT_INPUTS))
 def test_decompose_ideals_computes_one_commutant(monkeypatch, name):
-    """Every piece's commutant is the input's, restricted: none is computed."""
-    alg = DECOMPOSITIONS[name][0]()
+    """Every piece's commutant is the input's, restricted: none is computed,
+    also where some T leaves a piece (on a zero product)."""
+    alg = SPLIT_INPUTS[name]()
     dims = spy_on_commutant(monkeypatch)
     parts, verdict = ta.decompose_ideals(alg)
     assert verdict == "decomposed" and len(parts) >= 2
     assert dims == [alg.dim]
 
 
-@pytest.mark.parametrize("build, commutant_dim, refused, calls, part_dims", [
-    (lambda: zero_algebra(2), 4, [True, True], [2, 1, 1], [1, 1]),
-    (lambda: direct_sum(zero_algebra(2), ta.simplicial(2)), 5,
-     [True, False, False, True], [4, 3, 1], [2, 1, 1]),
+@pytest.mark.parametrize("name", sorted(SPLIT_INPUTS))
+def test_decompose_ideals_keeps_the_commutant_on_integers(monkeypatch, name):
+    """The commutant reaches the restriction and the split as integer
+    numerators: _canonical_maps, _restricted_commutant and _certified_split
+    make no Fraction view and read no Fractions back."""
+    callers = []
+    for helper in ("_fractions", "_numerators"):
+        def spy(*args, real=getattr(core, helper)):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(*args)
+        monkeypatch.setattr(core, helper, spy)
+    parts, verdict = ta.decompose_ideals(SPLIT_INPUTS[name]())
+    assert verdict == "decomposed" and len(parts) >= 2
+    assert not {"_canonical_maps", "_restricted_commutant", "_certified_split"} & set(callers)
+
+
+@pytest.mark.parametrize("build, commutant_dim, part_dims", [
+    (lambda: zero_algebra(2), 4, [1, 1]),
+    (lambda: direct_sum(zero_algebra(2), ta.simplicial(2)), 5, [2, 1, 1]),
 ], ids=["zero(2)", "zero(2)(+)ealg(2)"])
-def test_restriction_falls_back_on_zero_products(monkeypatch, build, commutant_dim, refused,
-                                                 calls, part_dims):
+def test_zero_product_pieces_restrict_to_the_stabilizer(build, commutant_dim, part_dims):
     """On the zero product of dim 2 the commutant holds all of gl(2), which
     maps no line of it into itself.  A piece that cuts it (a line, or a
-    line plus ealg(2)) is refused the restriction and gets its own
-    commutant; the line plus ealg(2) then splits by restriction.  The
-    decomposition is the one that computes every piece's commutant afresh."""
+    line plus ealg(2)) gets the restrictions of the T that map it into
+    itself.  The decomposition is the one that computes every piece's
+    commutant afresh."""
     alg = build()
-    assert len(core._commutant(alg)) == commutant_dim
-    assert [core._restricted_commutant(C, piece) is None
-            for _, C, piece in certified_splits(alg)] == refused
-    ref = decomposition_state(ref_decompose_ideals(alg))
-    dims = spy_on_commutant(monkeypatch)
+    assert len(core._commutant(alg)[0]) == commutant_dim
     out = ta.decompose_ideals(alg)
     assert [S.dim for S, _ in out[0]] == part_dims and out[1] == "decomposed"
-    assert dims == calls
-    assert decomposition_state(out) == ref
+    assert decomposition_state(out) == decomposition_state(ref_decompose_ideals(alg))
 
 
 def test_rational_eigenvalues():

@@ -352,10 +352,12 @@ def assert_reduces_like_fractions(M):
     assert np.array_equal(nullspace(M), ref_nullspace(frac_matrix(M)))
     # positive row scaling changes no row that elimination returns
     rows, row_pivots = _reduce_rows(M)
-    ref_rows, ref_row_pivots = _reduce_integer_rows(ref_row_numerators(M))
+    numerators = ref_row_numerators(M)
+    ref_rows, ref_row_pivots = _reduce_integer_rows(numerators)
     assert row_pivots == ref_row_pivots and np.array_equal(rows, ref_rows)
     assert all(math.gcd(*row) == 1 for row in rows.tolist())
     assert np.array_equal(M, before)
+    assert np.array_equal(numerators, ref_row_numerators(M))
 
 
 # far above 2**62, so that even the scaled rows are Python ints
