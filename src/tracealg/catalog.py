@@ -5,10 +5,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import hurwitz
-from .core import (ANTICOMMUTATIVE, COMMUTATIVE, Algebra, MetrizedAlgebra, _blocks,
-                   as_float, deunitalization, direct_sum, tensor_product, unitalization)
+from .core import (ANTICOMMUTATIVE, COMMUTATIVE, Algebra, MetrizedAlgebra, _adjoin, _blocks,
+                   deunitalization, direct_sum, tensor_product, unitalization)
 from .hurwitz import hmat_re_tr
-from .linalg import SymBilinearForm, _contract, _view, eye, zeros
+from .linalg import SymBilinearForm, _contract, _made_once, _view, eye, zeros
 
 
 def talg(n, alpha):
@@ -129,11 +129,7 @@ class _MatrixAlgebra(MetrizedAlgebra):
     """A metrized algebra on a basis of matrices, kept as an integer stack;
     its Fractions, `matrices`, are made on first read, as `structure` is."""
 
-    @property
-    def matrices(self):
-        if self._matrices is None:
-            self._matrices = _view(self._mats, 1)
-        return self._matrices
+    matrices = _made_once("_matrices", lambda alg: _view(alg._mats, 1))
 
 
 def _matrix_algebra(N, D, form, symmetry, name, mats):
@@ -323,29 +319,23 @@ def s4_transposition_matrices(n):
 
 
 def conformal_extension(alg):
-    """One dimension up: (x,r)(y,s) = c ( a x y - s x - r y, n r s - tau(x,y) )
-    with c = 1/sqrt(n(n+1)), a = sqrt((n+2)(n-1)); metric blockdiag(tau, 1).
+    """One dimension up, in the rational basis e_i, f: with k = (n+2)(n-1),
+    (x,r)(y,s) = (x y - s x - r y, n r s - tau(x,y) / k), metric
+    n(n+1) (tau / k + r s), where tau is alg's metric.
 
-    Input must carry its Killing metric; output is float, since c is
-    irrational for every n >= 1, with Killing metric again; it is built
-    from the float view of the input.  Carries `.canonical_idempotent`.
+    Input must carry its Killing metric, and the metric built is the
+    Killing form again.  It is the extension c (a x y - s x - r y, n r s -
+    tau(x,y)) with metric tau + r s, c = 1/sqrt(n(n+1)), a = sqrt(k), in
+    the basis e_i / (c a), f = e_n / c.  Carries `.canonical_idempotent`, f / n.
     """
     if alg.symmetry != COMMUTATIVE:
         raise ValueError("the conformal extension needs a commutative algebra")
     n = alg.dim
-    fl = as_float(alg)
-    G = fl.gram
-    cn = 1 / math.sqrt(n * (n + 1))
-    s = np.zeros((n + 1, n + 1, n + 1))
-    s[:n, :n, :n] = cn * math.sqrt((n + 2) * (n - 1)) * fl.structure
-    s[:n, :n, n] = -cn * G
-    s[range(n), n, range(n)] = s[n, range(n), range(n)] = -cn
-    s[n, n, n] = n * cn
-    g = np.eye(n + 1)
-    g[:n, :n] = G
-    out = MetrizedAlgebra(s, g, COMMUTATIVE, name="confext(%s)" % alg.name)
-    out.canonical_idempotent = np.zeros(n + 1)
-    out.canonical_idempotent[n] = math.sqrt((n + 1) / n)
+    if n < 2:
+        raise ValueError("the conformal extension needs dim >= 2")
+    c = SymBilinearForm._from_numerators(-alg.form._G, alg.form._DG * (n + 2) * (n - 1))
+    out = _adjoin(alg, -1, n, c, n * (n + 1), "confext(%s)" % alg.name)
+    out.canonical_idempotent = out.basis_vector(n) / n
     return out
 
 

@@ -97,22 +97,18 @@ def _write(path, text):
 
 
 def cmd_construct(args):
-    kw = {}
-    if args.n is not None:
-        kw["n"] = args.n
-    if args.level is not None:
-        kw["level"] = LEVEL_OF_LETTER[args.level]
-    if args.base:
-        kw["base"] = _metrized(_load(args.base))
-    if args.base2:
-        kw["base2"] = _metrized(_load(args.base2))
+    kw = {"n": args.n, "level": LEVEL_OF_LETTER.get(args.level)}
+    for key in ("base", "base2"):
+        path = getattr(args, key)
+        if path:
+            kw[key] = _metrized(_load(path))
+            if args.scalar == RATIONAL and kw[key].backend == FLOAT:
+                raise ValueError("%s is a float algebra; --scalar rational needs exact input" % path)
     if args.alpha is not None:
         kw["alpha"] = linalg.parse_scalar(args.alpha)
     alg = catalog.build_by_name(args.family, **kw)
     if args.scalar == FLOAT:
         alg = core.as_float(alg)
-    elif args.scalar and alg.backend != args.scalar:
-        raise ValueError("%s builds a float algebra; it has no exact form" % args.family)
     return core.to_json(alg), True
 
 

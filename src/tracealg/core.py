@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import (FLOAT, RATIONAL, SymBilinearForm, Subspace, _contract,
-                     _fractions, _is_zero, _lowest_terms, _numerators,
+                     _fractions, _is_zero, _lowest_terms, _made_once, _numerators,
                      _read, _residual, _view, as_backend, backend_of, is_zero, max_abs, zeros)
 
 COMMUTATIVE = "commutative"
@@ -56,13 +56,9 @@ class Algebra:
                 else np.array_equal(N, T)):
             raise ValueError("structure tensor is not %s" % symmetry)
 
-    @property
-    def structure(self):
-        """m[i,j,k] = N / D, read-only: Fractions on an exact algebra, made
-        on first use and then kept, and N itself on a float one (D = 1)."""
-        if self._structure is None:
-            self._structure = _view(self._N, self._D)
-        return self._structure
+    # m[i,j,k] = N / D, read-only: Fractions on an exact algebra, made on
+    # first read and then kept, and N itself on a float one (D = 1)
+    structure = _made_once("_structure", lambda alg: _view(alg._N, alg._D))
 
     @property
     def backend(self):
@@ -304,26 +300,35 @@ def tensor_product(a, b):
 def unitalization(alg, c=None, name=""):
     """Adjoin a unit: (x,a)(y,b) = (xy + a y + b x, a b + c(x,y)).
 
-    c defaults to the metric of alg; the returned metric is c + (last
-    coordinates product), which is invariant iff c is.
+    c, a form of alg's kind, defaults to the metric of alg; the returned
+    metric is c + (last coordinates product), which is invariant iff c is.
     """
     if alg.symmetry != COMMUTATIVE:
         raise ValueError("unitalization needs a commutative algebra")
-    if c is None:
-        c = alg.form
+    c = alg.form if c is None else c
+    if c.backend != alg.backend:
+        raise ValueError("form c is %s on a %s algebra" % (c.backend, alg.backend))
+    return _adjoin(alg, 1, 1, c, 1, name or ("unit(%s)" % alg.name))
+
+
+def _adjoin(alg, t, u, c, w, name):
+    """alg plus one basis vector: (x,a)(y,b) = (xy + t(a y + b x), u a b + c(x,y))
+    for t = +-1, an integer u and a SymBilinearForm c of alg's kind.  The
+    metric is w t c + w (last coordinates product) for an integer w: h(xy, f)
+    = h(x, yf) forces the block w t c, and the sum is invariant iff c is."""
     n = alg.dim
-    C, DC = ((c._G, c._DG) if c.backend == alg.backend
-             else _numerators(as_backend(c.gram, alg.backend)))
+    C, DC = c._G, c._DG
     D = math.lcm(alg._D, DC)
     M, CD = _over(alg._N, alg._D, D), _over(C, DC, D)
-    unit = _over(np.eye(n + 1, dtype=np.int64), 1, D)
-    N = np.zeros((n + 1,) * 3, np.result_type(M, CD, unit))
+    act = _over(np.diag([t] * n + [u]), 1, D)       # the adjoined vector's product
+    N = np.zeros((n + 1,) * 3, np.result_type(M, CD, act))
     N[:n, :n, :n] = M
     N[:n, :n, n] = CD
-    N[n] = N[:, n] = unit               # the adjoined basis vector is the unit
-    form = SymBilinearForm._from_numerators(*_blocks(2, (C, DC), (np.ones((1, 1), np.int64), 1)))
-    return MetrizedAlgebra._from_numerators(N, D, form, COMMUTATIVE,
-                                            name=name or ("unit(%s)" % alg.name))
+    N[n] = N[:, n] = act
+    # one product per entry
+    form = SymBilinearForm._from_numerators(*_blocks(2, (_contract(np.multiply, 1, C, t * w), DC),
+                                                     (np.full((1, 1), w), 1)))
+    return MetrizedAlgebra._from_numerators(N, D, form, COMMUTATIVE, name=name)
 
 
 def intrinsic_unitalization(alg):

@@ -178,6 +178,16 @@ def _view(N, D):
     return out
 
 
+def _made_once(name, make):
+    """A read-only property of value make(obj), made on first read and kept
+    in obj's attribute `name`, which starts as None."""
+    def get(obj):
+        if getattr(obj, name) is None:
+            setattr(obj, name, make(obj))
+        return getattr(obj, name)
+    return property(get)
+
+
 def _contract(fn, terms, *operands):
     """fn(*operands), with integer operands in a dtype it cannot overflow.
 
@@ -439,11 +449,7 @@ class SymBilinearForm:
         self._G, self._DG = _lowest_terms(G, DG)
         self._gram = None
 
-    @property
-    def gram(self):
-        if self._gram is None:
-            self._gram = _view(self._G, self._DG)
-        return self._gram
+    gram = _made_once("_gram", lambda form: _view(form._G, form._DG))
 
     @property
     def backend(self):
@@ -678,7 +684,8 @@ class Subspace:
 
     R[:, p] is DR times the identity, so v lies in the subspace exactly when
     its residual DR v - v[p] @ R is zero.  An exact subspace is canonical:
-    every spanning set gives the same R, DR and p.  `rows` is R / DR, read-only.
+    every spanning set gives the same R, DR and p.  `rows` is R / DR,
+    read-only, made on first read.
     """
 
     def __init__(self, basis):
@@ -686,7 +693,9 @@ class Subspace:
         B = np.asarray(basis)
         R, self.pivots = _reduce_rows((B[:, None] if B.ndim == 1 else B).T)
         self._R, self._DR = _echelon(R, self.pivots)
-        self.rows = _view(self._R, self._DR)
+        self._rows = None
+
+    rows = _made_once("_rows", lambda S: _view(S._R, S._DR))
 
     @classmethod
     def from_spanning(cls, vectors):

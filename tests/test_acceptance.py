@@ -368,18 +368,19 @@ def test_criterion_10_unitalization_identities():
 
 
 def test_criterion_11_conformal_extension_battery():
-    """Float conformal extension of the n-simplex algebra, n in {2, 3}:
-    Killing relation, vanishing conformal tensor, ray counts, idempotent
-    norm formula, canonical idempotent data."""
+    """Conformal extension of the n-simplex algebra, n in {2, 3}, exact in
+    its rational basis: Killing relation, vanishing conformal tensor, ray
+    counts, idempotent norm formula, canonical idempotent data."""
     for n in (2, 3):
         E = ta.simplicial(n)
         C = ta.conformal_extension(E)
         tau = np.asarray(to_float(np.asarray(E.killing_form().gram)))
         tb = np.asarray(to_float(np.asarray(C.killing_form().gram)))
-        want = np.zeros((n + 1, n + 1))
-        want[:n, :n] = tau
-        want[n, n] = 1.0
-        assert np.abs(tb - want).max() < 1e-9
+        k = (n + 2) * (n - 1)
+        want = np.zeros((n + 1, n + 1), dtype=object)
+        want[:n, :n] = E.killing_form().gram / k
+        want[n, n] = 1
+        assert max_abs(C.killing_form().gram - n * (n + 1) * want) == 0
         M = MetrizedAlgebra(C.structure, C.killing_form().gram,
                             "commutative")
         assert np.abs(np.asarray(ta.conformal_tensor(M))).max() < 1e-9
@@ -387,8 +388,6 @@ def test_criterion_11_conformal_extension_battery():
         szs = ta.square_zero_rays(M, 400, seed=5)
         assert len(idems) + len(szs) == 2 ** (n + 1) - 1
         # norm formula for lifted idempotents
-        cn = 1 / np.sqrt((n + 2) * (n - 1))
-        beta = np.sqrt(n * (n + 1) / ((n + 2) * (n - 1)))
         e = np.zeros(n)
         e[0] = 1.0
         E2 = e @ tau @ e
@@ -397,7 +396,7 @@ def test_criterion_11_conformal_extension_battery():
             if abs(s) < 1e-12:  # degenerate branch (n = 2 minimal idempotent)
                 assert phi == np.inf
                 continue
-            eb = beta * np.concatenate(((1 + s) * e / s, [1 / (2 * cn * s)]))
+            eb = np.concatenate(((1 + s) * e / s, [1 / (2 * s)]))
             assert np.abs(C.multiply(eb, eb) - eb).max() < 1e-10
             assert abs(eb @ tb @ eb - phi) < 1e-8
         ce = np.asarray(C.canonical_idempotent, dtype=float)

@@ -745,18 +745,69 @@ def test_s4_transpositions_are_isometric_automorphisms():
 # ------------------------------------------------- conformal extension
 
 
+def ref_float_confext(alg):
+    """The conformal extension as it was built on floats, in the basis e_i,
+    e_n: (x,r)(y,s) = c (a x y - s x - r y, n r s - tau(x,y)), metric
+    tau + r s, c = 1/sqrt(n(n+1)), a = sqrt((n+2)(n-1))."""
+    n = alg.dim
+    G = np.asarray(to_float(alg.gram))
+    c, a = 1 / np.sqrt(n * (n + 1)), np.sqrt((n + 2) * (n - 1))
+    s = np.zeros((n + 1, n + 1, n + 1))
+    s[:n, :n, :n] = c * a * np.asarray(to_float(alg.structure))
+    s[:n, :n, n] = -c * G
+    s[range(n), n, range(n)] = s[n, range(n), range(n)] = -c
+    s[n, n, n] = n * c
+    g = np.eye(n + 1)
+    g[:n, :n] = G
+    return MetrizedAlgebra(s, g, "commutative")
+
+
+def confext_scaling(n):
+    """mu = 1/(c a) = sqrt(n(n+1)/((n+2)(n-1))): the exact build's e_i is
+    mu e_i of the float build, and its f is mu a e_n."""
+    return np.sqrt(n * (n + 1) / ((n + 2) * (n - 1)))
+
+
+CONFEXT_BASES = {"ealg2": lambda: ta.simplicial(2), "ealg3": lambda: ta.simplicial(3),
+                 "ealg5": lambda: ta.simplicial(5), "ealg6": lambda: ta.simplicial(6),
+                 "herm0-3-1": lambda: ta.herm0(3, 1), "herm0-3-2": lambda: ta.herm0(3, 2)}
+
+
+@pytest.mark.parametrize("base", sorted(CONFEXT_BASES))
+def test_conformal_extension_is_isometric_to_the_float_build(base):
+    """diag(mu, ..., mu, mu a) maps the exact build onto the float one."""
+    alg = CONFEXT_BASES[base]()
+    n = alg.dim
+    C = ta.conformal_extension(alg)
+    assert C.backend == RATIONAL
+    mu = confext_scaling(n)
+    P = np.diag([mu] * n + [mu * np.sqrt((n + 2) * (n - 1))])
+    assert verify_isometric(P, ta.as_float(C), ref_float_confext(alg)) <= 1e-12
+
+
+def test_conformal_extension_is_exact_over_simplicial():
+    """Over ealg(n) the metric is the Killing form, the canonical idempotent
+    f / n squares to itself and the conformal tensor vanishes, all exactly."""
+    for n in (2, 3, 5, 6):
+        C = ta.conformal_extension(ta.simplicial(n))
+        assert np.array_equal(C.killing_form().gram, C.gram)
+        e = C.canonical_idempotent
+        assert list(e) == [0] * n + [F(1, n)] and np.array_equal(C.multiply(e, e), e)
+        assert ta.is_conformally_associative(C) == (True, 0)
+
+
 def test_conformal_extension_basics():
     for n in (2, 3):
         E = ta.simplicial(n)
         C = ta.conformal_extension(E)
         assert C.dim == n + 1
         assert max_abs(C.trace_linear()) <= 1e-12
-        tau = np.asarray(to_float(np.asarray(E.killing_form().gram)))
-        tb = np.asarray(to_float(np.asarray(C.killing_form().gram)))
-        want = np.zeros((n + 1, n + 1))
-        want[:n, :n] = tau
-        want[n, n] = 1.0
-        assert np.abs(tb - want).max() < 1e-9
+        k = (n + 2) * (n - 1)
+        want = np.empty((n + 1, n + 1), dtype=object)
+        want[:n, :n] = E.killing_form().gram * F(n * (n + 1), k)
+        want[:n, n] = want[n, :n] = F(0)
+        want[n, n] = F(n * (n + 1))
+        assert np.array_equal(C.killing_form().gram, want)
 
 
 def test_conformal_extension_canonical_idempotent():
@@ -781,25 +832,18 @@ def test_conformal_extension_omega_vanishes_over_simplicial():
         assert np.abs(np.asarray(om)).max() < 1e-9
 
 
-def confext_scaling(n):
-    """Unit-leading-coefficient normalization factor for idempotent forms."""
-    return np.sqrt(n * (n + 1) / ((n + 2) * (n - 1)))
-
-
 def test_conformal_extension_idempotent_forms_and_spectrum():
     for n in (3, 4):
         E = ta.simplicial(n)
         C = ta.conformal_extension(E)
         tau = np.asarray(to_float(np.asarray(E.killing_form().gram)))
         tb = np.asarray(to_float(np.asarray(C.killing_form().gram)))
-        cn = 1 / np.sqrt((n + 2) * (n - 1))
-        beta = confext_scaling(n)
         e = np.zeros(n)
         e[0] = 1.0  # minimal idempotent, squared norm n/(n-1)
         E2 = e @ tau @ e
         sm, sp, phim, phip = ta.confext_idempotent_data(n, E2)
         for s, phi in ((sm, phim), (sp, phip)):
-            eb = beta * np.concatenate(((1 + s) * e / s, [1 / (2 * cn * s)]))
+            eb = np.concatenate(((1 + s) * e / s, [1 / (2 * s)]))
             assert np.abs(C.multiply(eb, eb) - eb).max() < 1e-12
             assert abs(eb @ tb @ eb - phi) < 1e-8
             vals = ta.orth_spectrum(C, eb)
@@ -817,15 +861,13 @@ def test_conformal_extension_szero_lift():
     C = ta.conformal_extension(E)
     tau = np.asarray(to_float(np.asarray(E.killing_form().gram)))
     tb = np.asarray(to_float(np.asarray(C.killing_form().gram)))
-    cn = 1 / np.sqrt((n + 2) * (n - 1))
-    beta = confext_scaling(n)
+    a = np.sqrt((n + 2) * (n - 1))
     gs = [np.asarray(to_float(np.asarray(g))) for g in ta.gamma_vectors(n)]
     z = gs[0] + gs[1]
     assert np.abs(E.multiply(z, z)).max() < 1e-12
     zn = z / np.sqrt(z @ tau @ z)
     for pm in (1, -1):
-        zb = beta * np.concatenate((pm * np.sqrt(n + 2) / (2 * cn) * zn,
-                                    [-1 / (2 * cn)]))
+        zb = np.concatenate((pm * np.sqrt(n + 2) * a / 2 * zn, [-1 / 2]))
         assert np.abs(C.multiply(zb, zb) - zb).max() < 1e-12
         assert abs(zb @ tb @ zb - n * (n + 1) * (n + 3) / 4) < 1e-8
 

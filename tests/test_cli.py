@@ -1,8 +1,11 @@
 """Command line interface: construction, reports, exit codes."""
+import argparse
 import hashlib
 import json
 import math
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -353,12 +356,15 @@ CONSTRUCT_ARGS = {
     "unitalize-degenerate-killing": (["unitalize", "--base", "@t"], 2),
     "triple-degenerate-killing": (["triple", "--base", "@t"], 2),
     "confext-degenerate-killing": (["confext", "--base", "@t"], 2),
+    # the rational basis divides by (n+2)(n-1), which is 0 at dim 1
+    "confext-dim-one": (["confext", "--base", "@t1"], 2),
 }
 
-# base files: ealg(3), its float copy, talg(3, 1/2) (no metric), and R + R
-# with the metric diag(1, -1), whose unit e_1 + e_2 is null
+# base files: ealg(3), its float copy, talg(3, 1/2) (no metric), talg(1, 0)
+# (e e = e, no metric), and R + R with the metric diag(1, -1), whose unit
+# e_1 + e_2 is null
 BASES = {"@e3": ["ealg", "--n", "3"], "@e3f": ["ealg", "--n", "3", "--scalar", "float"],
-         "@t": ["talg", "--n", "3", "--alpha", "1/2"]}
+         "@t": ["talg", "--n", "3", "--alpha", "1/2"], "@t1": ["talg", "--n", "1", "--alpha", "0"]}
 NULL_UNIT = {"dim": 2, "structure": [[0, 0, 0, "1"], [1, 1, 1, "1"]],
              "metric": {"gram": [["1", "0"], ["0", "-1"]]}}
 
@@ -447,19 +453,33 @@ def test_main_dispatches_through_the_module_at_call_time(tmp_path, capsys, monke
     assert [a.family for a in calls] == ["ealg"]
 
 
-def test_confext_is_float_and_refuses_scalar_rational(tmp_path, capsys):
-    """The conformal extension scales by 1/sqrt(n(n+1)), irrational for
-    every n >= 1: it is built on floats, and asking for it exact is a usage
-    error that names the construction."""
-    base, out = str(tmp_path / "e3.json"), str(tmp_path / "c.json")
+def test_confext_scalar_rational_writes_a_rational_file(tmp_path, capsys):
+    """The conformal extension of an exact base is built exactly, so
+    --scalar rational asks for what it builds anyway."""
+    base, out, plain = (str(tmp_path / name) for name in ("e3.json", "c.json", "plain.json"))
     main(["construct", "ealg", "--n", "3", "-o", base])
-    assert main(["construct", "confext", "--base", base, "-o", out]) == 0
-    assert json.load(open(out))["scalar"] == "float"
+    assert main(["construct", "confext", "--base", base, "--scalar", "rational", "-o", out]) == 0
+    assert main(["construct", "confext", "--base", base, "-o", plain]) == 0
+    assert json.load(open(out))["scalar"] == "rational"
+    assert open(out).read() == open(plain).read()
+
+
+@pytest.mark.parametrize("argv", [["confext", "--base", "@e3f"],
+                                  ["dsum", "--base", "@e3", "--base2", "@e3f"]],
+                         ids=["confext", "dsum-second-base"])
+def test_scalar_rational_on_a_float_base_names_the_file(tmp_path, capsys, argv):
+    """A float base has no exact form: --scalar rational on it is one error
+    line that names the float file."""
+    for stem in ("@e3", "@e3f"):
+        main(["construct"] + BASES[stem] + ["-o", str(tmp_path / stem[1:])])
     capsys.readouterr()
-    assert main(["construct", "confext", "--base", base, "--scalar", "rational"]) == 2
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    out = str(tmp_path / "out.json")
+    assert exit_code(["construct"] + argv + ["--scalar", "rational", "-o", out]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
-    assert "confext" in captured.err and "float" in captured.err
+    assert captured.err.startswith("error: %s is a float algebra" % (tmp_path / "e3f"))
+    assert not os.path.exists(out)
 
 
 def test_alpha_decimal_is_exact(tmp_path, capsys):
@@ -669,7 +689,7 @@ def test_numeric_commands_build_no_fraction_tensor(tmp_path, capsys, monkeypatch
 
 
 @pytest.mark.parametrize("argv", [["herm0", "--n", "3", "--level", "c", "--scalar", "float"],
-                                  ["confext", "--base", "@e3"]],
+                                  ["confext", "--base", "@e3", "--scalar", "float"]],
                          ids=["scalar-float", "confext"])
 def test_float_constructions_build_no_fraction_tensor(tmp_path, capsys, monkeypatch, argv):
     """A float build converts the numerators once, as Python int quotients:
@@ -809,3 +829,27 @@ def test_sect_with_only_degenerate_starts_is_an_input_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
     assert "every one of the 8 starts" in captured.err and "degenerate plane" in captured.err
+
+
+def _parser_words(parser):
+    """Every subcommand, option string and --suite choice of parser and its
+    subcommands."""
+    words = set()
+    for action in parser._actions:
+        words.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            words.update(action.choices)
+            for sub in action.choices.values():
+                words |= _parser_words(sub)
+        elif action.dest == "suite":
+            words.update(action.choices)
+    return words
+
+
+def test_readme_names_every_cli_word():
+    """README.md names every subcommand, option and suite of the CLI, each
+    as a whole word."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    missing = sorted(w for w in _parser_words(tracealg.cli._parser())
+                     if not re.search(r"(?<![\w-])%s(?![\w-])" % re.escape(w), readme))
+    assert missing == []

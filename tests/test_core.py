@@ -298,6 +298,18 @@ def test_float_deunitalization_matches_the_exact_one(n):
     assert np.max(np.abs(fl.gram - ex.gram)) <= 1e-12
 
 
+def test_unitalization_refuses_a_form_of_the_other_kind():
+    """c is a form of the algebra's kind, as direct_sum's operands are of
+    one kind: an exact c on a float algebra and a float c on an exact one
+    are both refused."""
+    A = ta.simplicial(3)
+    fl = ta.as_float(A)
+    with pytest.raises(ValueError, match="form c is float on a rational algebra"):
+        unitalization(A, fl.form)
+    with pytest.raises(ValueError, match="form c is rational on a float algebra"):
+        unitalization(fl, A.form)
+
+
 def test_deunitalization_ignores_the_sign_of_the_metric():
     """Negating the metric of a unital algebra negates h(e, e) and the
     restricted Gram matrix together: the deunitalization is unchanged, in

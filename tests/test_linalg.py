@@ -241,6 +241,21 @@ def test_subspace_canonical_form():
     assert np.array_equal(S.rows[:, S.pivots], np.eye(3, dtype=int))
 
 
+def test_subspace_rows_are_read_only_and_made_once():
+    """`rows`, the Fractions of R / DR, is made on first read, as an
+    algebra's `structure` is; an exact ideal closure never reads it."""
+    S = Subspace(frac_matrix([[1, 2], [Fraction(1, 2), 1], [0, 3]]))
+    assert S._rows is None
+    rows = S.rows
+    assert S.rows is rows and np.array_equal(rows, S._R / S._DR)
+    with pytest.raises(AttributeError):
+        S.rows = rows
+    with pytest.raises(ValueError):
+        rows[0, 0] = Fraction(1)
+    A = tracealg.herm0(3, 2)
+    assert A.ideal_closure([A.basis_vector(0)])._rows is None
+
+
 def test_float_reduction_at_large_scale():
     """Float elimination clears every row of a pivot column, also where the
     normalised pivot rows hold entries below tol times the matrix scale."""
