@@ -347,25 +347,31 @@ def retraction(alg, basis):
     algebras compute it on integer numerators.
     """
     B = as_backend(basis, alg.backend)
-    n, k = B.shape
-    X, DB = _numerators(B)
+    out = _retraction(alg, *_numerators(B.T))
+    out.embedding = B
+    return out
+
+
+def _retraction(alg, X, DB):
+    """retraction(alg, X.T / DB) for the numerators X of a k x n basis as
+    rows: the products B B m and the Gram matrix B G B^T as numerator
+    contractions, and one multi-column solve for the coordinates."""
+    k, n = X.shape
     G, DG = alg.form._G, alg.form._DG
-    # B^T G and (B^T G) B sum n products per entry
-    BG = _contract(lambda b, g: b.T @ g, n, X, G)                  # over DB DG
-    M = _contract(np.matmul, n, BG, X)                             # over DB^2 DG
-    # P[i,j] = B[:,i] B[:,j] sums n^2 products, BG P n products of BG and P
-    P = _contract(lambda b, c, m: np.tensordot(b, np.tensordot(c, m, axes=(0, 1)),
-                                               axes=(0, 1)),
+    # B G and (B G) B^T sum n products per entry
+    BG = _contract(np.matmul, n, X, G)                             # over DB DG
+    M = _contract(lambda bg, b: bg @ b.T, n, BG, X)                # over DB^2 DG
+    # P[i,j] = B[i] B[j] sums n^2 products, BG P n products of BG and P
+    P = _contract(lambda b, c, m: np.tensordot(b, np.tensordot(c, m, axes=(1, 1)),
+                                               axes=(1, 1)),
                   n * n, X, X, alg._N)                             # over DB^2 D
     rhs = _contract(lambda bg, p: bg @ p.reshape(k * k, n).T, n, BG, P)
     # one multi-column solve gives all coordinates: with M^-1 rhs = C / E,
     # they are C / (E DB D), as rhs lies over DB D times M's denominator
     C, E = linalg._solve_numerators(M, rhs)
-    out = MetrizedAlgebra._from_numerators(C.T.reshape(k, k, k), E * DB * alg._D,
-                                           SymBilinearForm._from_numerators(M, DB ** 2 * DG),
-                                           alg.symmetry)
-    out.embedding = B
-    return out
+    return MetrizedAlgebra._from_numerators(C.T.reshape(k, k, k), E * DB * alg._D,
+                                            SymBilinearForm._from_numerators(M, DB ** 2 * DG),
+                                            alg.symmetry)
 
 
 def deunitalization(alg):
@@ -385,11 +391,11 @@ def deunitalization(alg):
     comp = linalg.orthogonal_complement(Subspace(X), alg.form)
     # the coordinates do not depend on the metric's scale, so the form is
     # rescaled afterwards, by p / q = 1 / gee with q > 0: one product per entry
-    out = retraction(alg, comp.basis)
+    out = _retraction(alg, comp._R, comp._DR)
     p, q = _numerators(1 / gee)
     out.form = SymBilinearForm._from_numerators(_contract(np.multiply, 1, out.form._G, p),
                                                 out.form._DG * q)
-    out.unit = e
+    out.embedding, out.unit = comp.basis, e
     out.name = "deunit(%s)" % alg.name
     return out
 
@@ -426,36 +432,60 @@ def voa_kappa(c, n):
 
 
 def _commutant(alg):
-    """Basis of {T : T L(e_i) = L(e_i) T for all i}, as n x n matrices.
+    """Basis of {T : T L(e_i) = L(e_i) T for all i}, as n x n maps: the
+    centroid (Schafer, An Introduction to Nonassociative Algebras, ch. II),
+    whose idempotents project onto the direct summands that are ideals.
 
-    This is the centroid (Schafer, An Introduction to Nonassociative
-    Algebras, ch. II): its idempotents are the projections of the
-    direct-sum decompositions into ideals.  It is the span of I and of the
-    T with T[0, 0] = 0, which K refines one generator at a time: L(e_i)
-    replaces K by K Z, Z the kernel of T -> T L(e_i) - L(e_i) T on K, so no
-    system exceeds n^2 x n^2, and an empty K proves that the centroid is
-    the scalars.  The basis returned is the whole n^3 x n^2 system's
-    nullspace basis, as (X, E) (_canonical_maps).
+    T commutes with every word W in the L(e_i), so T W e_g = W T e_g: T is
+    fixed by its values on generators e_g of A as a module over them
+    (Ronyai, J. Symbolic Comput. 9, 1990), T = [W_j T e_g(j)] B^-1 for the
+    basis B of the W_j e_g(j).  The words grow breadth first from e_0; one
+    elimination of [B | C | I] per level keeps the candidates C = L(e_i) W e_g
+    independent of B, names the first e_g outside an orbit that closes short
+    of n, and holds B^-1 once B is whole.  The T with T[0, 0] = 0 span K,
+    which the L(e_i) refine as K Z, Z the kernel of T -> T L - L T on K, so no
+    system exceeds the first, n^2 x (s n - 1) for s generators; an empty K
+    proves that the centroid is the scalars.  The basis returned, with I, is
+    the whole n^3 x n^2 system's nullspace basis, as (X, E) (_canonical_maps).
     """
     n = alg.dim
-    # m and each K Z divided by their content: the kernels stay, and float
-    # rounding stays relative to 1, as in the whole system's elimination
+    # m, each word and each K Z divided by their content: the kernels stay,
+    # and float rounding stays relative to 1
     N = linalg._divide_content(alg._N)
-    d = np.arange(n)
-    # M[a,c,p,q] is the coefficient of T[p,q] in (T L_0 - L_0 T)[a,c], that
-    # is [p == a] L_0[q,c] - L_0[a,p] [q == c]: two index-diagonal assignments
-    M = np.zeros((n, n, n, n), N.dtype)
-    M[d, :, d, :] = N[0]                                            # [a,c,q]
-    M[:, d, :, d] -= N[0].T                                         # [c,a,p]
-    Z, _ = linalg._kernel(*linalg._reduce_rows(M.reshape(n * n, n * n)[:, 1:]))
-    K = np.vstack([np.zeros((1, Z.shape[1]), Z.dtype), Z]).T       # rows: the T
-    for L in N[1:]:
-        if not len(K):
+    L, I = np.swapaxes(N, 1, 2), np.eye(n, dtype=N.dtype)         # L(e_i) up to a factor
+    words, B, orbits, level, g = I[None][:0], I[:0], [0], I[None], 0
+    R, pivots = I, list(range(n))       # B = I when n = 1 and nothing is eliminated
+    while True:
+        words, B = np.concatenate([words, level]), np.vstack([B, level[:, :, g]])
+        if len(B) == n:
             break
-        # each entry of T L_i - L_i T sums 2n products, of K Z k of them
-        R = _contract(lambda t, l: t @ l.T - l.T @ t, 2 * n, K.reshape(-1, n, n), L)
+        level = linalg._divide_content(level, axis=(1, 2))
+        # the candidates L(e_i) W e_g of the new words W: n products per entry
+        C = _contract(lambda l, b: np.tensordot(b, l, axes=(1, 2)), n,
+                      L, level[:, :, g]).reshape(-1, n)
+        R, pivots = linalg._reduce_rows(np.vstack([B, C, I]).T)
+        # at most n - len(B): float elimination may find a column of B dependent
+        kept = np.array([p - len(B) for p in pivots if len(B) <= p < len(B) + len(C)][:n - len(B)],
+                        dtype=int)
+        # the words L(e_i) W of the kept C, as their columns g: n products per entry
+        level = _contract(np.matmul, n, L[kept % n], level[kept // n])
+        if not len(level):              # the orbit closed short of n
+            g = next(p for p in pivots if p >= len(B) + len(C)) - len(B) - len(C)
+            level, orbits = I[None], orbits + [len(words)]
+    X = linalg._echelon(R, pivots)[0][:, -n:]         # B^-1 up to a factor: B is R's pivots
+    # T(e_p at a generator) sums W_l[:, p] X[l] over its orbit: n products per entry
+    K = np.concatenate([_contract(lambda w, x: np.tensordot(w, x, axes=(0, 0)), n, words[a:b],
+                                  X[a:b]).transpose(1, 0, 2)
+                        for a, b in zip(orbits, orbits[1:] + [n])]).reshape(-1, n * n)[1:]
+    K, i, first = linalg._divide_content(K, axis=1), 0, len(K)
+    while len(K) and i < n:
+        # L(e_j), j = i, ..., as many as keep the system within the first's
+        # size; an entry of T L - L T sums 2n products
+        j, i = i, min(n, i + first // len(K))
+        R = _contract(lambda t, l: t @ np.swapaxes(l, 1, 2) - np.swapaxes(l, 1, 2) @ t, 2 * n,
+                      K.reshape(-1, 1, n, n), N[j:i])
         R, pivots = linalg._reduce_rows(R.reshape(len(K), -1).T)
-        if pivots:                      # else every T in K commutes with L_i
+        if pivots:                      # else every T in K commutes with these L
             # the kernel Z is D at the free rows and -E at the pivot rows, so
             # Z^T K = D K[free] - E[:, free]^T K[pivots] multiplies only by
             # the rank: len(pivots) + 1 products per entry
@@ -464,7 +494,7 @@ def _commutant(alg):
             K = linalg._divide_content(_contract(
                 lambda e, k, d: d * k[free] - e[:, free].T @ k[pivots],
                 len(pivots) + 1, E, K, D), axis=1)
-    return _canonical_maps(np.vstack([np.eye(n, dtype=np.int64).reshape(1, -1), K]), n)
+    return _canonical_maps(np.vstack([I.reshape(1, -1), K]), n)
 
 
 def _canonical_maps(K, n):
@@ -530,29 +560,38 @@ def decompose_ideals(alg):
     raises ValueError.  The commutant is computed once, of the input; a
     piece B's is {T|B : T in its parent's, T(B) in B}: B and its
     complement C are ideals meeting in 0, so BC = 0 and S + 0 is in the
-    parent's, and maps B into B, for each S in B's.
+    parent's, and maps B into B, for each S in B's.  So is S + U for U in
+    C's, and (S, U) -> S + U is one to one: dim C(B) + dim C(C) <= k, the
+    parent's.  So the first piece's is the scalars when k = 2, and the
+    second's when the first's is k - 1: indecomposable, with none computed.
     """
     if not alg.form.is_nondegenerate():
         raise ValueError("metric is degenerate (inertia %s)" % (alg.form.inertia(),))
 
-    def recurse(sub_alg, embed, X):
-        pieces = None if len(X) == 1 else _certified_split(sub_alg, X)
+    def recurse(sub_alg, embed, X, space=None):
+        # X is the commutant, or None when it is proved to be the scalars;
+        # space, when known, is the Subspace that embed spans
+        pieces = None if X is None or len(X) == 1 else _certified_split(sub_alg, X)
         if pieces is None:
-            return [(Subspace(embed), sub_alg)], len(X)
-        parts = []
-        for piece in pieces:
+            return [(space or Subspace(embed), sub_alg)]
+        parts, left = [], len(X)
+        for later, piece in zip((1, 0), pieces):        # pieces that follow this one
+            Y = None if left - later == 1 else _restricted_commutant(X, piece)[0]
+            left -= 1 if Y is None else len(Y)
             # embed @ piece._R.T, a multiple of the piece's basis in the
-            # original coordinates, spans it; each entry sums sub_alg.dim products
-            parts += recurse(retraction(sub_alg, piece.basis),
-                             _contract(np.matmul, sub_alg.dim, embed, piece._R.T),
-                             _restricted_commutant(X, piece)[0])[0]
-        return parts, len(X)
+            # original coordinates, spans it (the piece itself when embed is
+            # the identity); each entry sums sub_alg.dim products
+            parts += recurse(_retraction(sub_alg, piece._R, piece._DR),
+                             _contract(np.matmul, sub_alg.dim, embed, piece._R.T), Y,
+                             piece if sub_alg is alg else None)
+        return parts
 
-    parts, commutant_dim = recurse(alg, np.eye(alg.dim, dtype=np.int64), _commutant(alg)[0])
+    X = _commutant(alg)[0]
+    parts = recurse(alg, np.eye(alg.dim, dtype=np.int64), X)
     if len(parts) > 1:
         verdict = "decomposed"
     else:
-        verdict = "indecomposable" if commutant_dim == 1 else "undetermined"
+        verdict = "indecomposable" if len(X) == 1 else "undetermined"
     return parts, verdict
 
 

@@ -94,7 +94,7 @@ def max_abs(a):
     if not a.size:
         return 0
     if a.dtype.kind in "iu":            # abs of the int64 minimum wraps
-        return max(int(a.max()), -int(a.min()))
+        return max(int(np.maximum.reduce(a, None)), -int(np.minimum.reduce(a, None)))
     return np.max(np.abs(a))
 
 
@@ -413,7 +413,7 @@ def _divide_content(X, axis=None):
     if X.dtype.kind == "f":
         return X / np.max(np.abs(X), axis=axis, keepdims=True, initial=1.0)
     g = np.gcd.reduce(X, axis=axis, keepdims=True, initial=0)      # never negative
-    return X // np.where(g == 0, 1, g)
+    return X // np.maximum(g, 1)
 
 
 def _add_to_first(A, j):
@@ -611,40 +611,46 @@ def _reduce_integer_rows(M):
     1968, divides by the previous pivot instead).  So every row, pivot rows
     too, is primitive at every step, and the rows returned are those that
     dividing each pivot row at its step gives: g r updates to g (p r - c' P).
-    A step runs on int64 when its bound |p| max|rows| + max|c| max|pivot row|
-    is below 2**62, on Python ints otherwise.  Zero rows are dropped first.
+    Int64 rows move to Python ints for good at the first step whose bound
+    |p| max|rows| + max|c| max|pivot row| reaches 2**62; that bound is
+    formed only when 2 t^2, for a running bound t on every entry, does not
+    settle it.  Zero rows are dropped first, and each step goes straight to
+    the next column with a pivot left.
     """
     M = _divide_content(M[M.any(axis=1)], axis=1)
-    m, n = M.shape
-    pivots = []
-    for col in range(n):
+    pivots, col, top = [], 0, max_abs(M)
+    while len(pivots) < len(M):
         row = len(pivots)
-        if row == m:
-            break
-        nonzero = np.flatnonzero(M[:, col] != 0)
-        live = nonzero[nonzero >= row]
+        live = M[row:, col:].any(axis=0).nonzero()[0]     # columns with a pivot left
         if not live.size:
-            continue
-        piv = live[0]
-        others = nonzero[nonzero != piv]
+            break
+        col += int(live[0])
+        nonzero = M[:, col].nonzero()[0]
+        piv = nonzero[nonzero.searchsorted(row)]
         if piv != row:                  # row has a 0 in col: it is not in others
             M[[row, piv]] = M[[piv, row]]
-        P = M[row]
-        if others.size:
-            C, c = M[others], M[others, col]
-            p = int(P[col])
-            # int64 entries here are below 2**63 in magnitude (inputs below
-            # 2**62, or differences of two such), so np.abs cannot wrap
-            bound = (abs(p) * int(np.abs(C).max())
-                     + int(np.abs(c).max()) * int(np.abs(P).max()))
-            dtype = np.int64 if bound < _INT64_LIMIT else object
-            if dtype is object and M.dtype != object:
-                M = M.astype(object)
-            C = C.astype(dtype, copy=False)
+        if len(nonzero) > 1:
+            others = nonzero[nonzero != piv]
+            C, P = M[others], M[row]
+            c, p = C[:, col:col + 1].copy(), int(P[col])
+            # top bounds every |entry| of M, so 2 top^2 bounds the step's
+            # entries; the step's own bound is formed only when that fails
+            bound = 2 * top * top
+            if bound >= _INT64_LIMIT and M.dtype != object:
+                top = max_abs(M)
+                # int64 entries here are below 2**63 in magnitude (inputs
+                # below 2**62, or differences of two such), so np.abs cannot wrap
+                bound = (abs(p) * int(np.abs(C).max())
+                         + int(np.abs(c).max()) * int(np.abs(P).max()))
+                if bound >= _INT64_LIMIT:
+                    M, C, c = M.astype(object), C.astype(object), c.astype(object)
+                    P = M[row]
             C *= p
-            C -= c.astype(dtype)[:, None] * P.astype(dtype)
+            C -= c * P
             M[others] = _divide_content(C, axis=1)
+            top = max(top, bound)
         pivots.append(col)
+        col += 1
     return M[:len(pivots)], pivots
 
 

@@ -748,15 +748,49 @@ def full_commutant_system(alg):
     return M.reshape(n ** 3, n * n)
 
 
+def ref_commutant(alg):
+    """The commutant by refinement on all n^2 entries of T: the T with
+    T[0, 0] = 0 that commute with L(e_0) are the kernel of an n^2 x (n^2 - 1)
+    system, and each later L(e_i) replaces that basis K by K Z, Z the kernel
+    of T -> T L(e_i) - L(e_i) T on K; the identity is added back, and the
+    basis put in canonical form (core._canonical_maps)."""
+    n = alg.dim
+    N = linalg._divide_content(alg._N)
+    d = np.arange(n)
+    # M[a,c,p,q] is the coefficient of T[p,q] in (T L_0 - L_0 T)[a,c]
+    M = np.zeros((n, n, n, n), N.dtype)
+    M[d, :, d, :] = N[0]
+    M[:, d, :, d] -= N[0].T
+    Z, _ = linalg._kernel(*linalg._reduce_rows(M.reshape(n * n, n * n)[:, 1:]))
+    K = np.vstack([np.zeros((1, Z.shape[1]), Z.dtype), Z]).T
+    for L in N[1:]:
+        if not len(K):
+            break
+        R = linalg._contract(lambda t, l: t @ l.T - l.T @ t, 2 * n, K.reshape(-1, n, n), L)
+        R, pivots = linalg._reduce_rows(R.reshape(len(K), -1).T)
+        if pivots:
+            E, D = linalg._echelon(R, pivots)
+            free = np.delete(np.arange(len(K)), pivots)
+            K = linalg._divide_content(linalg._contract(
+                lambda e, k, d: d * k[free] - e[:, free].T @ k[pivots],
+                len(pivots) + 1, E, K, D), axis=1)
+    return core._canonical_maps(np.vstack([np.eye(n, dtype=np.int64).reshape(1, -1), K]), n)
+
+
 @pytest.mark.parametrize("build", [DECOMPOSITIONS["ealg(3)(+)ealg(3)"][0],
                                    DECOMPOSITIONS["lie_so(4)"][0],
-                                   lambda: ta.herm0(3, 2)],
-                         ids=["ealg(3)(+)ealg(3)", "lie_so(4)", "herm0(3,2)"])
+                                   lambda: ta.herm0(3, 2),
+                                   DECOMPOSITIONS["ealg(2)(x)ealg(3)"][0],
+                                   DECOMPOSITIONS["herm0(3,1)(+)ealg(2)"][0],
+                                   lambda: direct_sum(zero_algebra(2), ta.simplicial(2))],
+                         ids=["ealg(3)(+)ealg(3)", "lie_so(4)", "herm0(3,2)",
+                              "ealg(2)(x)ealg(3)", "herm0(3,1)(+)ealg(2)", "zero(2)(+)ealg(2)"])
 def test_commutant_equals_full_system_nullspace(build):
-    """Refining the kernel one L(e_i) at a time, on integers, gives the
-    exact basis of the nullspace of the whole system, as Gauss-Jordan on
-    its Fractions finds it, entry for entry.  The float view of the algebra
-    gives the same basis, to rounding."""
+    """The commutant from module generators (one for a cyclic algebra,
+    several for a sum or a zero product), on integers, gives the exact basis
+    of the nullspace of the whole system, as Gauss-Jordan on its Fractions
+    finds it, entry for entry.  The float view of the algebra gives the
+    same basis, to rounding."""
     alg = build()
     n = alg.dim
     N = ref_nullspace(full_commutant_system(alg))
@@ -791,12 +825,16 @@ def random_structure(rng, n, big):
 @st.composite
 def commutant_inputs(draw):
     """(algebra, big): a drawn structure tensor of dim 1-5, or the direct sum
-    of two drawn pieces of dim 1-3 and 1-2."""
+    or the tensor product of two drawn pieces of dim 1-3 and 1-2."""
     rng = draw(st.randoms(use_true_random=False))
     big = draw(st.booleans()) and draw(st.booleans())
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["one", "sum", "tensor"]))
+    if kind == "one":
         return Algebra(random_structure(rng, draw(st.integers(1, 5)), big)), big
     a, b = (random_structure(rng, draw(st.integers(1, k)), big) for k in (3, 2))
+    if kind == "tensor":
+        m = np.multiply.outer(a, b).transpose(0, 3, 1, 4, 2, 5).reshape((len(a) * len(b),) * 3)
+        return Algebra(m), big
     m = zeros((len(a) + len(b),) * 3)
     m[:len(a), :len(a), :len(a)] = a
     m[len(a):, len(a):, len(a):] = b
@@ -806,7 +844,7 @@ def commutant_inputs(draw):
 @settings(max_examples=40, deadline=None)
 @given(commutant_inputs())
 def test_commutant_refinement_equals_full_system(drawn):
-    """Refining the kernel one L(e_i) at a time gives the basis of the
+    """The commutant from module generators gives the basis of the
     nullspace of the whole system, entry for entry, on numerators small
     and large (the Python-int path of the contractions).  The float view
     finds a nonempty basis, and on small entries the same one to rounding."""
@@ -960,7 +998,8 @@ def test_decompose_ideals_computes_one_commutant(monkeypatch, name):
 def test_decompose_ideals_keeps_the_commutant_on_integers(monkeypatch, name):
     """The commutant reaches the restriction and the split as integer
     numerators: _canonical_maps, _restricted_commutant and _certified_split
-    make no Fraction view and read no Fractions back."""
+    make no Fraction view and read no Fractions back, and each piece is
+    retracted from its numerators, not read back from a Fraction basis."""
     callers = []
     for helper in ("_fractions", "_numerators"):
         def spy(*args, real=getattr(core, helper)):
@@ -969,7 +1008,8 @@ def test_decompose_ideals_keeps_the_commutant_on_integers(monkeypatch, name):
         monkeypatch.setattr(core, helper, spy)
     parts, verdict = ta.decompose_ideals(SPLIT_INPUTS[name]())
     assert verdict == "decomposed" and len(parts) >= 2
-    assert not {"_canonical_maps", "_restricted_commutant", "_certified_split"} & set(callers)
+    assert not ({"_canonical_maps", "_restricted_commutant", "_certified_split", "retraction",
+                 "_retraction"} & set(callers))
 
 
 @pytest.mark.parametrize("build, commutant_dim, part_dims", [
@@ -986,6 +1026,46 @@ def test_zero_product_pieces_restrict_to_the_stabilizer(build, commutant_dim, pa
     assert len(core._commutant(alg)[0]) == commutant_dim
     out = ta.decompose_ideals(alg)
     assert [S.dim for S, _ in out[0]] == part_dims and out[1] == "decomposed"
+    assert decomposition_state(out) == decomposition_state(ref_decompose_ideals(alg))
+
+
+COMMUTANT_INPUTS = {**{name: build for name, (build, _, _) in DECOMPOSITIONS.items()},
+                    **SPLIT_INPUTS,
+                    "lie_su(3)": lambda: ta.lie_su(3),
+                    "herm0(3,4)": lambda: ta.herm0(3, 4),
+                    "herm0(3,8)": lambda: ta.herm0(3, 8),
+                    "ealg(16)": lambda: ta.simplicial(16)}
+
+
+@pytest.mark.parametrize("name", sorted(COMMUTANT_INPUTS))
+def test_commutant_equals_reference_refinement(name):
+    """The commutant from module generators equals the refinement on all
+    n^2 entries of T, in (X, E) and dtype, entry for entry; on the float
+    views of the split inputs it equals it to rounding."""
+    alg = COMMUTANT_INPUTS[name]()
+    (X, E), (Y, F) = core._commutant(alg), ref_commutant(alg)
+    assert X.dtype == Y.dtype and E == F and np.array_equal(X, Y)
+    if name in FLOAT_SPLIT_INPUTS:
+        (X, E), (Y, F) = core._commutant(ta.as_float(alg)), ref_commutant(ta.as_float(alg))
+        assert X.dtype == Y.dtype == float and E == F == 1
+        assert X.shape == Y.shape and max_abs(X - Y) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["ealg(3)(+)ealg(3)", "herm0(3,1)(+)ealg(2)", "lie_so(4)",
+                                  "ealg(2)(x)ealg(2)"])
+def test_two_dimensional_centroid_certifies_both_pieces(monkeypatch, name):
+    """A split piece's commutant and its complement's add up to at most
+    their parent's, so under a two-dimensional commutant both pieces are
+    indecomposable with no restriction computed; the decomposition is the
+    one that computes every piece's commutant afresh."""
+    alg = SPLIT_INPUTS[name]()
+    assert len(core._commutant(alg)[0]) == 2
+    calls, real = [], core._restricted_commutant
+    monkeypatch.setattr(core, "_restricted_commutant",
+                        lambda X, piece: calls.append(piece) or real(X, piece))
+    out = ta.decompose_ideals(alg)
+    monkeypatch.undo()
+    assert not calls and out[1] == "decomposed" and len(out[0]) == 2
     assert decomposition_state(out) == decomposition_state(ref_decompose_ideals(alg))
 
 
