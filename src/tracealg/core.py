@@ -436,64 +436,56 @@ def _commutant(alg):
     centroid (Schafer, An Introduction to Nonassociative Algebras, ch. II),
     whose idempotents project onto the direct summands that are ideals.
 
-    T commutes with every word W in the L(e_i), so T W e_g = W T e_g: T is
-    fixed by its values on generators e_g of A as a module over them
-    (Ronyai, J. Symbolic Comput. 9, 1990), T = [W_j T e_g(j)] B^-1 for the
-    basis B of the W_j e_g(j).  The words grow breadth first from e_0; one
-    elimination of [B | C | I] per level keeps the candidates C = L(e_i) W e_g
-    independent of B, names the first e_g outside an orbit that closes short
-    of n, and holds B^-1 once B is whole.  The T with T[0, 0] = 0 span K,
-    which the L(e_i) refine as K Z, Z the kernel of T -> T L - L T on K, so no
-    system exceeds the first, n^2 x (s n - 1) for s generators; an empty K
+    T is fixed by its values on generators e_g of A as a module over the
+    L(e_i) (Ronyai, J. Symbolic Comput. 9, 1990): T = [W_j T e_g(j)] B^-1
+    for words W_j in the L(e_i) and the basis B of the W_j e_g(j), grown
+    breadth first from e_0.  The L(e_i) refine the span K of the T with
+    T[0, 0] = 0 as K Z, Z the kernel of T -> T L - L T on K, in systems no
+    larger than the first, n^2 x (s n - 1) for s generators; an empty K
     proves that the centroid is the scalars.  The basis returned, with I, is
     the whole n^3 x n^2 system's nullspace basis, as (X, E) (_canonical_maps).
     """
     n = alg.dim
-    # m, each word and each K Z divided by their content: the kernels stay,
-    # and float rounding stays relative to 1
+    # m, each level of words and each K Z divided by their content: the
+    # kernels stay, and float rounding stays relative to 1
     N = linalg._divide_content(alg._N)
     L, I = np.swapaxes(N, 1, 2), np.eye(n, dtype=N.dtype)         # L(e_i) up to a factor
-    words, B, orbits, level, g = I[None][:0], I[:0], [0], I[None], 0
-    R, pivots = I, list(range(n))       # B = I when n = 1 and nothing is eliminated
-    while True:
-        words, B = np.concatenate([words, level]), np.vstack([B, level[:, :, g]])
-        if len(B) == n:
-            break
+    words, gens, level, g = I[None], [0], I[None], 0
+    R, pivots = I, [0]                  # n = 1: B = I
+    while len(words) < n:
+        B = words[np.arange(len(words)), :, gens]                   # the W_j e_g(j)
+        # the level goes on divided by its content; words keeps it as eliminated
         level = linalg._divide_content(level, axis=(1, 2))
-        # the candidates L(e_i) W e_g of the new words W: n products per entry
+        # the candidates C = L(e_i) W e_g of the last level's words: n
+        # products per entry; one elimination of [B | C | I] keeps those
+        # independent of B, else names the next generator, and holds B^-1
         C = _contract(lambda l, b: np.tensordot(b, l, axes=(1, 2)), n,
                       L, level[:, :, g]).reshape(-1, n)
         R, pivots = linalg._reduce_rows(np.vstack([B, C, I]).T)
         # at most n - len(B): float elimination may find a column of B dependent
         kept = np.array([p - len(B) for p in pivots if len(B) <= p < len(B) + len(C)][:n - len(B)],
                         dtype=int)
-        # the words L(e_i) W of the kept C, as their columns g: n products per entry
+        # the words L(e_i) W of the kept C: n products per entry
         level = _contract(np.matmul, n, L[kept % n], level[kept // n])
         if not len(level):              # the orbit closed short of n
             g = next(p for p in pivots if p >= len(B) + len(C)) - len(B) - len(C)
-            level, orbits = I[None], orbits + [len(words)]
+            level = I[None]
+        words, gens = np.concatenate([words, level]), gens + [g] * len(level)
     X = linalg._echelon(R, pivots)[0][:, -n:]         # B^-1 up to a factor: B is R's pivots
-    # T(e_p at a generator) sums W_l[:, p] X[l] over its orbit: n products per entry
-    K = np.concatenate([_contract(lambda w, x: np.tensordot(w, x, axes=(0, 0)), n, words[a:b],
-                                  X[a:b]).transpose(1, 0, 2)
-                        for a, b in zip(orbits, orbits[1:] + [n])]).reshape(-1, n * n)[1:]
-    K, i, first = linalg._divide_content(K, axis=1), 0, len(K)
+    # T at e_p of generator g sums W_j[:, p] X[j] over g's words: n products per entry
+    orbit = np.equal.outer(gens, np.unique(gens))[:, :, None, None]
+    K = _contract(lambda w, x: np.tensordot(orbit * w[:, None], x, axes=(0, 0)), n, words, X)
+    K, i = linalg._divide_content(K.transpose(0, 2, 1, 3).reshape(-1, n * n)[1:], axis=1), 0
+    first = len(K)
     while len(K) and i < n:
         # L(e_j), j = i, ..., as many as keep the system within the first's
         # size; an entry of T L - L T sums 2n products
         j, i = i, min(n, i + first // len(K))
         R = _contract(lambda t, l: t @ np.swapaxes(l, 1, 2) - np.swapaxes(l, 1, 2) @ t, 2 * n,
                       K.reshape(-1, 1, n, n), N[j:i])
-        R, pivots = linalg._reduce_rows(R.reshape(len(K), -1).T)
-        if pivots:                      # else every T in K commutes with these L
-            # the kernel Z is D at the free rows and -E at the pivot rows, so
-            # Z^T K = D K[free] - E[:, free]^T K[pivots] multiplies only by
-            # the rank: len(pivots) + 1 products per entry
-            E, D = linalg._echelon(R, pivots)
-            free = np.delete(np.arange(len(K)), pivots)
-            K = linalg._divide_content(_contract(
-                lambda e, k, d: d * k[free] - e[:, free].T @ k[pivots],
-                len(pivots) + 1, E, K, D), axis=1)
+        # K becomes Z^T K, Z the kernel on K: len(K) products per entry
+        Z, _ = linalg._kernel(*linalg._reduce_rows(R.reshape(len(K), -1).T))
+        K = linalg._divide_content(_contract(lambda z, k: z.T @ k, len(K), Z, K), axis=1)
     return _canonical_maps(np.vstack([I.reshape(1, -1), K]), n)
 
 
@@ -557,27 +549,25 @@ def decompose_ideals(alg):
     "decomposed" when a certified split was found, "indecomposable" when
     the commutant is one-dimensional (a proof), and "undetermined" when no
     commutant eigenspace passed the certificate.  A degenerate metric
-    raises ValueError.  The commutant is computed once, of the input; a
-    piece B's is {T|B : T in its parent's, T(B) in B}: B and its
-    complement C are ideals meeting in 0, so BC = 0 and S + 0 is in the
-    parent's, and maps B into B, for each S in B's.  So is S + U for U in
-    C's, and (S, U) -> S + U is one to one: dim C(B) + dim C(C) <= k, the
-    parent's.  So the first piece's is the scalars when k = 2, and the
-    second's when the first's is k - 1: indecomposable, with none computed.
+    raises ValueError.  The commutant is computed once, of the input.  A
+    piece B and its complement C are ideals with BC = 0, so S + U is in the
+    parent's commutant for S in B's and U in C's, and maps B into B: B's is
+    {T|B : T in its parent's, T(B) in B}, and dim C(B) + dim C(C) <= k, the
+    parent's.  So B's is the scalars when k = 2, and C's when B's is k - 1.
     """
     if not alg.form.is_nondegenerate():
         raise ValueError("metric is degenerate (inertia %s)" % (alg.form.inertia(),))
 
     def recurse(sub_alg, embed, X, space=None):
-        # X is the commutant, or None when it is proved to be the scalars;
         # space, when known, is the Subspace that embed spans
-        pieces = None if X is None or len(X) == 1 else _certified_split(sub_alg, X)
+        pieces = None if len(X) == 1 else _certified_split(sub_alg, X)
         if pieces is None:
             return [(space or Subspace(embed), sub_alg)]
         parts, left = [], len(X)
-        for later, piece in zip((1, 0), pieces):        # pieces that follow this one
-            Y = None if left - later == 1 else _restricted_commutant(X, piece)[0]
-            left -= 1 if Y is None else len(Y)
+        for later, piece in zip((1, 0), pieces):        # pieces after this one
+            Y = (np.eye(piece.dim, dtype=np.int64)[None] if left - later == 1
+                 else _restricted_commutant(X, piece)[0])
+            left -= len(Y)
             # embed @ piece._R.T, a multiple of the piece's basis in the
             # original coordinates, spans it (the piece itself when embed is
             # the identity); each entry sums sub_alg.dim products

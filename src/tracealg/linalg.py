@@ -612,10 +612,9 @@ def _reduce_integer_rows(M):
     too, is primitive at every step, and the rows returned are those that
     dividing each pivot row at its step gives: g r updates to g (p r - c' P).
     Int64 rows move to Python ints for good at the first step whose bound
-    |p| max|rows| + max|c| max|pivot row| reaches 2**62; that bound is
-    formed only when 2 t^2, for a running bound t on every entry, does not
-    settle it.  Zero rows are dropped first, and each step goes straight to
-    the next column with a pivot left.
+    |p| max|rows| + max|c| max|pivot row| reaches 2**62, formed only when
+    2 t^2, t a running bound on every entry, does not settle it.  Zero rows
+    are dropped first.
     """
     M = _divide_content(M[M.any(axis=1)], axis=1)
     pivots, col, top = [], 0, max_abs(M)

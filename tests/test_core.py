@@ -1051,21 +1051,29 @@ def test_commutant_equals_reference_refinement(name):
         assert X.shape == Y.shape and max_abs(X - Y) <= 1e-12
 
 
-@pytest.mark.parametrize("name", ["ealg(3)(+)ealg(3)", "herm0(3,1)(+)ealg(2)", "lie_so(4)",
-                                  "ealg(2)(x)ealg(2)"])
-def test_two_dimensional_centroid_certifies_both_pieces(monkeypatch, name):
+@pytest.mark.parametrize("name, restricted", [
+    ("ealg(3)(+)ealg(3)", []), ("herm0(3,1)(+)ealg(2)", []), ("lie_so(4)", []),
+    ("ealg(2)(x)ealg(2)", []),
+    # k = 3: the first piece's commutant is 2-dimensional, so its
+    # complement's is the scalars, and so are both pieces of the first piece
+    ("ealg(3)(+)ealg(3)(+)ealg(2)", [(3, 5, 2)])])
+def test_commutant_dimensions_certify_pieces(monkeypatch, name, restricted):
     """A split piece's commutant and its complement's add up to at most
     their parent's, so under a two-dimensional commutant both pieces are
-    indecomposable with no restriction computed; the decomposition is the
-    one that computes every piece's commutant afresh."""
+    indecomposable with no restriction computed, and a piece whose commutant
+    takes all but one dimension leaves its complement none; the
+    decomposition is the one that computes every piece's commutant afresh."""
     alg = SPLIT_INPUTS[name]()
-    assert len(core._commutant(alg)[0]) == 2
     calls, real = [], core._restricted_commutant
-    monkeypatch.setattr(core, "_restricted_commutant",
-                        lambda X, piece: calls.append(piece) or real(X, piece))
+
+    def spy(X, piece):
+        out = real(X, piece)
+        calls.append((len(X), piece.dim, len(out[0])))
+        return out
+    monkeypatch.setattr(core, "_restricted_commutant", spy)
     out = ta.decompose_ideals(alg)
     monkeypatch.undo()
-    assert not calls and out[1] == "decomposed" and len(out[0]) == 2
+    assert calls == restricted and out[1] == "decomposed"
     assert decomposition_state(out) == decomposition_state(ref_decompose_ideals(alg))
 
 
