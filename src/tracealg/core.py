@@ -473,7 +473,7 @@ def _commutant(alg):
         words, gens = np.concatenate([words, level]), gens + [g] * len(level)
     X = linalg._echelon(R, pivots)[0][:, -n:]         # B^-1 up to a factor: B is R's pivots
     # T at e_p of generator g sums W_j[:, p] X[j] over g's words: n products per entry
-    orbit = np.equal.outer(gens, np.unique(gens))[:, :, None, None]
+    orbit = np.equal.outer(gens, sorted(set(gens)))[:, :, None, None]
     K = _contract(lambda w, x: np.tensordot(orbit * w[:, None], x, axes=(0, 0)), n, words, X)
     K, i = linalg._divide_content(K.transpose(0, 2, 1, 3).reshape(-1, n * n)[1:], axis=1), 0
     first = len(K)
