@@ -558,22 +558,19 @@ def decompose_ideals(alg):
     if not alg.form.is_nondegenerate():
         raise ValueError("metric is degenerate (inertia %s)" % (alg.form.inertia(),))
 
-    def recurse(sub_alg, embed, X, space=None):
-        # space, when known, is the Subspace that embed spans
+    def recurse(sub_alg, embed, X):
         pieces = None if len(X) == 1 else _certified_split(sub_alg, X)
         if pieces is None:
-            return [(space or Subspace(embed), sub_alg)]
+            return [(Subspace(embed), sub_alg)]
         parts, left = [], len(X)
         for later, piece in zip((1, 0), pieces):        # pieces after this one
             Y = (np.eye(piece.dim, dtype=np.int64)[None] if left - later == 1
                  else _restricted_commutant(X, piece)[0])
             left -= len(Y)
             # embed @ piece._R.T, a multiple of the piece's basis in the
-            # original coordinates, spans it (the piece itself when embed is
-            # the identity); each entry sums sub_alg.dim products
+            # original coordinates, spans it; each entry sums sub_alg.dim products
             parts += recurse(_retraction(sub_alg, piece._R, piece._DR),
-                             _contract(np.matmul, sub_alg.dim, embed, piece._R.T), Y,
-                             piece if sub_alg is alg else None)
+                             _contract(np.matmul, sub_alg.dim, embed, piece._R.T), Y)
         return parts
 
     X = _commutant(alg)[0]

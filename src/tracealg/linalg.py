@@ -611,13 +611,13 @@ def _reduce_integer_rows(M):
     1968, divides by the previous pivot instead).  So every row, pivot rows
     too, is primitive at every step, and the rows returned are those that
     dividing each pivot row at its step gives: g r updates to g (p r - c' P).
-    Int64 rows move to Python ints for good at the first step whose bound
-    |p| max|rows| + max|c| max|pivot row| reaches 2**62, formed only when
-    2 t^2, t a running bound on every entry, does not settle it.  Zero rows
-    are dropped first.
+    A step runs on int64 when its bound |p| max|rows| + max|c| max|pivot row|
+    is below 2**62, on Python ints otherwise.  While M is int64, a running
+    bound t on every entry skips forming it when 2 t^2 is below 2**62.
+    Zero rows are dropped first.
     """
     M = _divide_content(M[M.any(axis=1)], axis=1)
-    pivots, col, top = [], 0, max_abs(M)
+    pivots, col, top = [], 0, _INT64_LIMIT
     while len(pivots) < len(M):
         row = len(pivots)
         live = M[row:, col:].any(axis=0).nonzero()[0]     # columns with a pivot left
@@ -632,22 +632,23 @@ def _reduce_integer_rows(M):
             others = nonzero[nonzero != piv]
             C, P = M[others], M[row]
             c, p = C[:, col:col + 1].copy(), int(P[col])
-            # top bounds every |entry| of M, so 2 top^2 bounds the step's
-            # entries; the step's own bound is formed only when that fails
             bound = 2 * top * top
-            if bound >= _INT64_LIMIT and M.dtype != object:
-                top = max_abs(M)
+            if bound >= _INT64_LIMIT:
+                if M.dtype != object:
+                    top = max_abs(M)
                 # int64 entries here are below 2**63 in magnitude (inputs
                 # below 2**62, or differences of two such), so np.abs cannot wrap
                 bound = (abs(p) * int(np.abs(C).max())
                          + int(np.abs(c).max()) * int(np.abs(P).max()))
-                if bound >= _INT64_LIMIT:
-                    M, C, c = M.astype(object), C.astype(object), c.astype(object)
-                    P = M[row]
+                dtype = np.int64 if bound < _INT64_LIMIT else object
+                if dtype is object and M.dtype != object:
+                    M = M.astype(object)
+                C, c, P = (x.astype(dtype, copy=False) for x in (C, c, P))
             C *= p
             C -= c * P
             M[others] = _divide_content(C, axis=1)
-            top = max(top, bound)
+            # on Python-int rows top stays at 2**62: every step forms its bound
+            top = max(top, bound) if M.dtype != object else _INT64_LIMIT
         pivots.append(col)
         col += 1
     return M[:len(pivots)], pivots

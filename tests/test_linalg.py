@@ -1,6 +1,7 @@
 """Exact/float linear algebra helpers."""
 from fractions import Fraction
 import math
+import random
 import sys
 
 import numpy as np
@@ -360,11 +361,12 @@ def assert_reduces_like_fractions(M):
     every row elimination returns is primitive, and M is left as it is."""
     before = M.copy()
     R, pivots = rref(M)
-    ref, ref_pivots = ref_reduce_rows(frac_matrix(M))
+    # tolist: Fractions of int64 entries would keep int64 numerators, which wrap
+    ref, ref_pivots = ref_reduce_rows(frac_matrix(M.tolist()))
     assert pivots == ref_pivots and R.shape == ref.shape
     assert all(isinstance(x, Fraction) for x in R.flat)
     assert np.array_equal(R, ref)
-    assert np.array_equal(nullspace(M), ref_nullspace(frac_matrix(M)))
+    assert np.array_equal(nullspace(M), ref_nullspace(frac_matrix(M.tolist())))
     # positive row scaling changes no row that elimination returns
     rows, row_pivots = _reduce_rows(M)
     numerators = ref_row_numerators(M)
@@ -454,6 +456,21 @@ def test_elimination_edge_cases():
     X = 2 ** 70
     assert_reduces_like_fractions(frac_matrix([[1, 2, 3], [0, 1, 4],
                                                [X, 2 * X + 1, 3 * X + 5]]))
+
+
+def test_elimination_of_many_steps_on_big_entries():
+    """Thirty steps on dense rows of Python ints, and on int64 rows whose
+    first step passes 2**62: each step's bound is formed from the rows it
+    updates, so the work follows the size of the entries, not the number
+    of steps taken since the rows left int64."""
+    rng = random.Random(5)
+    big = frac_matrix([[Fraction(rng.choice((-1, 1)) * rng.randrange(2 ** 62, 2 ** 64),
+                                 rng.randrange(1, 2 ** 10)) for _ in range(31)]
+                       for _ in range(30)])
+    assert_reduces_like_fractions(big)
+    crossing = np.array([[rng.randrange(-2 ** 40, 2 ** 40) for _ in range(31)]
+                         for _ in range(30)], dtype=np.int64)
+    assert_reduces_like_fractions(crossing)
 
 
 # -- differential test: rational eigenvalues on integer powers against Fraction powers --
