@@ -456,13 +456,10 @@ def test_elimination_edge_cases():
     X = 2 ** 70
     assert_reduces_like_fractions(frac_matrix([[1, 2, 3], [0, 1, 4],
                                                [X, 2 * X + 1, 3 * X + 5]]))
-
-
-def test_elimination_of_many_steps_on_big_entries():
-    """Thirty steps on dense rows of Python ints, and on int64 rows whose
-    first step passes 2**62: each step's bound is formed from the rows it
-    updates, so the work follows the size of the entries, not the number
-    of steps taken since the rows left int64."""
+    # thirty steps on dense rows of Python ints, and on int64 rows whose
+    # first step passes 2**62: each step's bound is formed from the rows it
+    # updates, so the work follows the size of the entries, not the number
+    # of steps taken since the rows left int64
     rng = random.Random(5)
     big = frac_matrix([[Fraction(rng.choice((-1, 1)) * rng.randrange(2 ** 62, 2 ** 64),
                                  rng.randrange(1, 2 ** 10)) for _ in range(31)]
