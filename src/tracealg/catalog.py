@@ -21,8 +21,10 @@ def talg(n, alpha):
     off[i, j, i] = off[i, j, j] = 1
     diag = np.zeros((n, n, n), dtype=np.int64)
     diag[range(n), range(n), range(n)] = 1
-    # numerators over the denominator q of alpha = p / q; one product per entry
-    N = _contract(lambda p, q: p * off + q * diag, 1, alpha.numerator, alpha.denominator)
+    # numerators over the denominator q of alpha = p / q; one product per
+    # entry, as off and diag are disjoint
+    N = _contract(lambda p, q, o, d: p * o + q * d, 1, alpha.numerator, alpha.denominator,
+                  off, diag)
     return Algebra._from_numerators(N, alpha.denominator, COMMUTATIVE, name="talg(%d)" % n)
 
 

@@ -177,7 +177,7 @@ class Algebra:
         b = np.eye(n, dtype=np.int64).reshape(n * n)
         if self.backend == RATIONAL:
             # one product per entry
-            M = _contract(lambda a, d: np.column_stack([a, -d * b]), 1, A, self._D)
+            M = _contract(lambda a, d, b: np.column_stack([a, -d * b]), 1, A, self._D, b)
             v = next((v for v in linalg._kernel(*linalg._reduce_rows(M))[0].T if v[n] != 0), None)
             return None if v is None else _fractions(v[:n] if v[n] > 0 else -v[:n], abs(int(v[n])))
         e, *_ = np.linalg.lstsq(A, b, rcond=None)
@@ -473,8 +473,8 @@ def _commutant(alg):
         words, gens = np.concatenate([words, level]), gens + [g] * len(level)
     X = linalg._echelon(R, pivots)[0][:, -n:]         # B^-1 up to a factor: B is R's pivots
     # T at e_p of generator g sums W_j[:, p] X[j] over g's words: n products per entry
-    orbit = np.equal.outer(gens, sorted(set(gens)))[:, :, None, None]
-    K = _contract(lambda w, x: np.tensordot(orbit * w[:, None], x, axes=(0, 0)), n, words, X)
+    orbit = np.equal.outer(gens, sorted(set(gens))).astype(np.int64)[:, :, None, None]
+    K = _contract(lambda w, x, o: np.tensordot(o * w[:, None], x, axes=(0, 0)), n, words, X, orbit)
     K, i = linalg._divide_content(K.transpose(0, 2, 1, 3).reshape(-1, n * n)[1:], axis=1), 0
     first = len(K)
     while len(K) and i < n:
@@ -529,7 +529,7 @@ def _certified_split(alg, commutant):
         for mu in eigenvalues:
             # two products per entry
             S = Subspace(linalg._kernel(*linalg._reduce_rows(
-                _contract(lambda x, m: x - m * I, 2, X, mu)))[0])
+                _contract(lambda x, m, i: x - m * i, 2, X, mu, I)))[0])
             if not 0 < S.dim < n:
                 continue
             # the restricted form R G R^T / (DR^2 DG): n^2 products per entry

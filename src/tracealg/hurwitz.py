@@ -90,13 +90,15 @@ def hmul(x, y, level):
 
 
 def hconj(x):
+    """Conjugate of a scalar, broadcast over leading axes."""
     out = np.array(x, copy=True)
-    out[1:] = -out[1:]
+    out[..., 1:] = -out[..., 1:]
     return out
 
 
 def hre(x):
-    return x[0]
+    """Real part of a scalar, broadcast over leading axes."""
+    return np.asarray(x)[..., 0][()]
 
 
 def hmat(n, level):

@@ -191,12 +191,8 @@ def _made_once(name, make):
 def _contract(fn, terms, *operands):
     """fn(*operands), with integer operands in a dtype it cannot overflow.
 
-    Every entry fn computes, and every partial sum on the way, must be a
-    sum of at most `terms` products that take at most one factor from each
-    operand (a coefficient is a scalar operand; pass an array once per
-    factor it supplies).  Its magnitude is then at most terms times the
-    product of max(1, max |operand|), the bound.  Integer operands take one
-    of three tiers:
+    The bound is terms times the product of max(1, max |operand|), and
+    integer operands take one of three tiers by it:
 
     - float64, when the bound is below 2**53 and the work, terms times the
       size of the largest operand, reaches _FLOAT64_WORK.  Every integer
@@ -207,15 +203,15 @@ def _contract(fn, terms, *operands):
     - int64, when the bound is below 2**62.
     - Python ints otherwise, which are exact at any size.
 
-    So fn may only add, subtract, multiply, trace, sum or take max_abs (or
-    the largest of several) of its operands, with no division, other
-    comparison or dtype test; an array it closes over must hold entries
-    within +-1 (an identity, a 0/1 mask), as they are not in the bound;
-    `terms` must be a true bound, as a float64 sum past 2**53 rounds where
-    int64 had headroom to 2**62; and an array fn returns is new, or a view
-    of a new array or of an operand, as the float64 tier may cast it in
-    place.  Float operands go in as they are.  A scalar result comes back
-    as a Python number.
+    The bound holds under two rules.  fn only adds, subtracts, multiplies,
+    sums, traces or takes max_abs (or the largest of several) of its
+    operands, so every array it adds or multiplies is an operand (passed
+    once per factor it supplies); index lists, shapes and ints may be
+    closures.  And every entry fn computes, and every partial sum on the
+    way, is a sum of at most `terms` products that take at most one factor
+    from each operand: a float64 sum past 2**53 rounds where int64 had
+    headroom to 2**62.  Float operands go in as they are.  A scalar result
+    comes back as a Python number.
     """
     arrays = [np.asarray(op) for op in operands]
     if any(a.dtype.kind == "f" for a in arrays):
@@ -225,28 +221,11 @@ def _contract(fn, terms, *operands):
         for a in arrays:
             bound *= max(1, int(max_abs(a)))
         if bound < _FLOAT64_LIMIT and terms * max(a.size for a in arrays) >= _FLOAT64_WORK:
-            out = fn(*(a.astype(np.float64) for a in arrays))
-            return int(out) if np.ndim(out) == 0 else _as_int64(out)
-        dtype = np.int64 if bound < _INT64_LIMIT else object
-        out = fn(*(a.astype(dtype, copy=False) for a in arrays))
+            out = np.asarray(fn(*(a.astype(np.float64) for a in arrays))).astype(np.int64)
+        else:
+            dtype = np.int64 if bound < _INT64_LIMIT else object
+            out = fn(*(a.astype(dtype, copy=False) for a in arrays))
     return np.asarray(out).item() if np.ndim(out) == 0 else out
-
-
-def _as_int64(out):
-    """The integer-valued float64 array out as int64.  When out views a
-    writeable contiguous float64 array, the values are cast in that
-    array's own buffer: a second array of its size can cost more in page
-    faults than the BLAS product saved (herm0(4,4)'s 373 KB table of
-    products).  Otherwise out is copied."""
-    owner = out
-    while isinstance(owner.base, np.ndarray):
-        owner = owner.base
-    if (owner.base is not None or owner.dtype != np.float64 or out.dtype != np.float64
-            or not (owner.flags.c_contiguous and owner.flags.writeable)):
-        return out.astype(np.int64)
-    flat = owner.reshape(-1)            # a view; a 1-D cast onto itself needs no buffer
-    np.copyto(flat.view(np.int64), flat, casting="unsafe")
-    return out.view(np.int64)
 
 
 def _residual(X, DX, Y, DY, c=1):

@@ -162,6 +162,11 @@ def test_conformal_associativity():
     assert ok
 
 
+def test_conformal_tensor_needs_dim_3():
+    with pytest.raises(ValueError, match="needs dim >= 3"):
+        ta.conformal_tensor(ta.simplicial(2))
+
+
 def test_conformal_tensor_vanishes_constant_sect():
     E = ta.simplicial(4)
     M = MetrizedAlgebra(E.structure, E.killing_form().gram, "commutative")

@@ -95,6 +95,18 @@ def test_talg_idempotents_closed_form():
         assert max_abs(A.multiply(v, v) - v) == 0
 
 
+def test_talg_idempotents_and_square_zero_rays():
+    """At alpha = -1/2 a subset I gives d = 2 - |I|: the three pairs span
+    square-zero rays, and the singletons and the whole set idempotents."""
+    data = ta.talg_idempotents(3, F(-1, 2))
+    assert (len(data["idempotents"]), len(data["szero_rays"]), data["count"]) == (4, 3, 7)
+    A = ta.talg(3, F(-1, 2))
+    for v in data["idempotents"]:
+        assert max_abs(A.multiply(v, v) - v) == 0
+    for v in data["szero_rays"]:
+        assert max_abs(A.multiply(v, v)) == 0 and max_abs(v) == 1
+
+
 # ----------------------------------------------------------- simplicial
 
 
@@ -392,6 +404,8 @@ def test_diagonal_generators():
             assert max_abs(A.multiply(g, g) - g) == 0
             assert g @ G @ g == F(n - 1, (n - 2) ** 2)
         assert gam[0] @ G @ gam[1] == F(-1, (n - 2) ** 2)
+    with pytest.raises(ValueError, match="need n > 2"):
+        ta.diagonal_generators(2, 1)
 
 
 def test_diagonal_generators_simplicial_embedding():

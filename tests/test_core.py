@@ -171,6 +171,11 @@ def test_find_unit_is_exact():
     assert ta.simplicial(3).find_unit() is None
 
 
+def test_structure_tensor_must_be_cubic():
+    with pytest.raises(ValueError, match=r"shape \(2, 2, 3\) is not n x n x n"):
+        Algebra(zeros((2, 2, 3)))
+
+
 def test_direct_sum():
     A = ta.simplicial(2)
     B = ta.simplicial(3)
@@ -719,6 +724,25 @@ def test_decompose_ideals_undetermined_without_rational_eigenvalues():
     parts, verdict = ta.decompose_ideals(A)
     assert verdict == "undetermined"
     assert [S.dim for S, _ in parts] == [2]
+
+
+def test_decompose_ideals_skips_isotropic_eigenspaces(monkeypatch):
+    """The zero product on 2 dims, metrized by [[0, 1], [1, 0]]: its
+    commutant is all of gl(2), and each of the six eigenspaces of its
+    basis is an isotropic line, on which the form is zero, so none is tried
+    as a piece and the verdict is undetermined."""
+    A = MetrizedAlgebra(zeros((2, 2, 2)), [[F(0), F(1)], [F(1), F(0)]])
+    assert len(core._commutant(A)[0]) == 4
+    inertias, real = [], linalg.inertia
+
+    def spy(gram):
+        inertias.append(real(gram))
+        return inertias[-1]
+    monkeypatch.setattr(linalg, "inertia", spy)
+    parts, verdict = ta.decompose_ideals(A)
+    assert verdict == "undetermined" and [S.dim for S, _ in parts] == [2]
+    # the metric's own, then one per eigenspace
+    assert inertias == [(1, 1, 0)] + [(0, 0, 1)] * 6
 
 
 @pytest.mark.parametrize("name, dim", [("lie_so(4)", 2), ("ealg(3)(+)ealg(3)", 2),
@@ -1676,8 +1700,9 @@ def symmetric_integers(rng, n, zero_diagonal=False):
 def exact_computations(tmp_path):
     """(name, computation) pairs: every exact report suite on six
     algebras, decompose_ideals on the DECOMPOSITIONS table,
-    rational_eigenvalues, inertia, retraction, the CONSTRUCT_SHA256 builds,
-    herm0(3,8)'s Killing form and one 6 x 6 product."""
+    rational_eigenvalues, inertia, retraction, Subspace.equals, the
+    CONSTRUCT_SHA256 builds, herm0(3,8)'s Killing form and one 6 x 6
+    product."""
     from test_cli import CONSTRUCT_SHA256
     from tracealg.cli import SUITES, main, run_suite
 
@@ -1702,6 +1727,7 @@ def exact_computations(tmp_path):
     bases = [(X, B) for X in (A, H) for B in retraction_bases(random.Random(4), X)]
     octonionic = ta.herm0(3, 8)
     X6 = np.arange(36, dtype=np.int64).reshape(6, 6) % 7
+    spans = [Subspace(np.array(V)) for V in ([[1, 0], [1, 0], [0, 1]], [[2, 1], [2, 1], [1, 3]])]
     return ([("report " + name, lambda build=build: reports(build))
              for name, build in (("ealg(4)", lambda: ta.simplicial(4)),
                                  ("herm0(3,1)", lambda: ta.herm0(3, 1)),
@@ -1716,6 +1742,7 @@ def exact_computations(tmp_path):
                ("inertia", lambda: [inertia(octonionic.killing_form()._G)]
                 + [inertia(M) for M in symmetric]),
                ("retraction", lambda: [retraction(X, B) for X, B in bases]),
+               ("Subspace.equals", lambda: spans[0].equals(spans[1])),
                ("herm0(3,8) Killing form", lambda: octonionic._killing()),
                ("matmul 6x6", lambda: linalg._contract(np.matmul, 6, X6, X6))]
             + [("construct " + argv, lambda argv=argv: construct(argv))
@@ -1749,6 +1776,71 @@ def test_float64_tier_equals_int64_tier(work, monkeypatch, tmp_path):
     assert "float64" in tiers["construct herm0 --n 4 --level h"]
     assert "float64" in tiers["herm0(3,8) Killing form"]
     assert tiers["matmul 6x6"] == ["float64" if work == "every-call" else "int64"]
+
+
+
+class Majorant(np.ndarray):
+    """|operand| as an object array of Python ints, on which subtraction
+    adds and negation keeps the sign.  fn run on majorants gives at each
+    entry the sum of the magnitudes of the products it adds, which bounds
+    the entry and every partial sum on the way to it."""
+
+    @staticmethod
+    def of(operand):
+        a = np.asarray(operand)
+        out = np.empty(a.shape, dtype=object)
+        out.reshape(-1)[:] = [abs(v) for v in a.ravel().tolist()]
+        return out.view(Majorant)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        ufunc = {np.subtract: np.add, np.negative: np.positive}.get(ufunc, ufunc)
+        plain = [x.view(np.ndarray) if isinstance(x, Majorant) else x
+                 for x in inputs + kwargs.pop("out", ())]
+        out = getattr(ufunc, method)(*plain[:len(inputs)], out=tuple(plain[len(inputs):]) or None,
+                                     **kwargs)
+        return None if out is None else np.asarray(out).view(Majorant)
+
+    def __array_function__(self, func, types, args, kwargs):
+        out = super().__array_function__(func, types, args, kwargs)
+        return out.view(Majorant) if isinstance(out, np.ndarray) else out
+
+
+def check_terms(monkeypatch):
+    """Route every _contract call through a spy that first runs its fn on
+    the majorants of integer operands, and asserts that no entry exceeds
+    the bound: terms times the product of max(1, max |operand|).  Returns
+    the list of the fns checked."""
+    real = linalg._contract
+    checked = []
+
+    def spy(fn, terms, *operands):
+        if not any(np.asarray(op).dtype.kind == "f" for op in operands):
+            majorants = [Majorant.of(op) for op in operands]
+            bound = terms * math.prod(max(1, int(max_abs(m))) for m in majorants)
+            assert max_abs(np.asarray(fn(*majorants))) <= bound, (fn, terms)
+            checked.append(fn)
+        return real(fn, terms, *operands)
+    for module in CONTRACTING:
+        monkeypatch.setattr(module, "_contract", spy)
+    return checked
+
+
+def test_every_contraction_states_a_true_term_count(monkeypatch, tmp_path):
+    """Every _contract call of the exact computations and of the split
+    decompositions keeps its bound on majorants: its `terms` counts every
+    product an entry sums.  Setting the count of _pair_times_identity or of
+    _residual to 1 fails here.  The conformal tensor's count does not, even
+    at 1: its bound multiplies the maxima of all eight operands, and that
+    product covers the 2 n^2 + 6 terms with room to spare."""
+    computations = exact_computations(tmp_path) + [
+        ("decompose " + name, lambda build=build: ta.decompose_ideals(build()))
+        for name, build in sorted(SPLIT_INPUTS.items())]
+    checked = check_terms(monkeypatch)
+    for name, compute in computations:
+        compute()
+    names = {getattr(fn, "__qualname__", getattr(fn, "__name__", "")) for fn in checked}
+    assert {"_pair_times_identity.<locals>.<lambda>", "_residual.<locals>.<lambda>",
+            "_conformal.<locals>.w"} <= names
 
 
 # -- the float view: one conversion, from the numerators --

@@ -100,6 +100,16 @@ def test_conj_transpose_involution():
         assert np.all(hmat_conj_t(hmat_conj_t(X)) == X)
 
 
+def test_conj_and_re_on_a_stack():
+    """[[1, 2], [3, 4]] is the stack 1+2i, 3+4i: conjugate and real part act
+    per scalar, so x conj(x) is |x|^2."""
+    x = np.array([[1, 2], [3, 4]])
+    assert hconj(x).tolist() == [[1, -2], [3, -4]]
+    assert hre(x).tolist() == [1, 3]
+    assert hmul(x, hconj(x), 2).tolist() == [[5, 0], [25, 0]]
+    assert hconj(x[1]).tolist() == [3, -4] and hre(x[1]) == 3
+
+
 def test_re_tr_and_frobenius():
     rng = random.Random(4)
     X = rand_herm(rng, 3, 4)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import random
 
 import numpy as np
+import pytest
 
 import tracealg as ta
 from tracealg.hurwitz import LEVELS, frobenius, hmat_commutator
@@ -101,6 +102,11 @@ def test_bw_reduction_identity():
 def test_bw_lie_so3_exact_half():
     est = bw_lie_estimate(ta.lie_so(3), samples=800, ascent=80, seed=0)
     assert abs(est["value"] - 0.5) < 1e-6
+
+
+def test_bw_lie_estimate_needs_a_negative_definite_killing_form():
+    with pytest.raises(ValueError, match=r"negative definite, inertia \(3, 0, 0\)"):
+        bw_lie_estimate(ta.simplicial(3))
 
 
 def test_bw_lie_bounds():

@@ -199,6 +199,10 @@ def test_orthogonal_complement():
     C = orthogonal_complement(S, form)
     # v is isotropic so it lies in its own complement
     assert C.dim == 1 and C.contains(v)
+    # span(e_2) lies in the radical of diag(1, 0): its complement is everything
+    with pytest.raises(ValueError, match="degenerate"):
+        orthogonal_complement(Subspace.from_spanning([np.array([Fraction(0), Fraction(1)])]),
+                              SymBilinearForm(frac_matrix([[1, 0], [0, 0]])))
 
 
 def test_sym_bilinear_form():
@@ -643,22 +647,3 @@ def test_form_inertia_makes_no_fraction_gram(monkeypatch):
     assert form.inertia() == want == (8, 0, 0)
     assert shapes == [] and form._gram is None
 
-
-def test_float64_results_become_int64_in_their_own_buffer():
-    """_as_int64 casts a view of a writeable contiguous float64 array in
-    that array's buffer, and copies anything else; the values are the
-    same either way."""
-    ints = np.arange(-12, 12, dtype=np.int64) * (2 ** 52 // 12)
-    owner = ints.astype(float).reshape(2, 3, 4)
-    view = np.swapaxes(owner, 0, 2)[1:]
-    out = linalg._as_int64(view)
-    assert out.dtype == np.int64 and np.shares_memory(out, owner)
-    assert np.array_equal(out, np.swapaxes(ints.reshape(2, 3, 4), 0, 2)[1:])
-    read_only = ints.astype(float)
-    read_only.setflags(write=False)
-    foreign = np.frombuffer(ints.astype(float).tobytes())
-    strided = np.asfortranarray(ints.astype(float).reshape(4, 6))
-    for a in (read_only, foreign, strided):
-        out = linalg._as_int64(a)
-        assert out.dtype == np.int64 and not np.shares_memory(out, a)
-        assert np.array_equal(out, ints.reshape(a.shape))
