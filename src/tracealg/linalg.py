@@ -203,15 +203,16 @@ def _contract(fn, terms, *operands):
     - int64, when the bound is below 2**62.
     - Python ints otherwise, which are exact at any size.
 
-    The bound holds under two rules.  fn only adds, subtracts, multiplies,
-    sums, traces or takes max_abs (or the largest of several) of its
-    operands, so every array it adds or multiplies is an operand (passed
-    once per factor it supplies); index lists, shapes and ints may be
-    closures.  And every entry fn computes, and every partial sum on the
-    way, is a sum of at most `terms` products that take at most one factor
-    from each operand: a float64 sum past 2**53 rounds where int64 had
-    headroom to 2**62.  Float operands go in as they are.  A scalar result
-    comes back as a Python number.
+    The bound holds when callers keep two rules.  First, fn only adds,
+    subtracts, multiplies, sums, traces or takes max_abs (or the largest of
+    several) of its operands, and every array it adds or multiplies is an
+    operand, passed once per factor it supplies; index lists, shapes and
+    ints may be closures.  Second, `terms` is a true count: every entry fn
+    computes, and every partial sum on the way, is a sum of at most `terms`
+    products that take at most one factor from each operand, as a float64
+    sum past 2**53 rounds where int64 had headroom to 2**62.  Float
+    operands go in as they are.  A scalar result comes back as a Python
+    number.
     """
     arrays = [np.asarray(op) for op in operands]
     if any(a.dtype.kind == "f" for a in arrays):

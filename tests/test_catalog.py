@@ -86,25 +86,17 @@ def test_talg_ricci_inertia_tables():
 
 
 def test_talg_idempotents_closed_form():
-    n, al = 4, F(1, 3)
-    data = ta.talg_idempotents(n, al)
-    idems = data["idempotents"] if isinstance(data, dict) else data
-    A = ta.talg(n, al)
-    for v in idems:
-        v = np.asarray(v)
-        assert max_abs(A.multiply(v, v) - v) == 0
-
-
-def test_talg_idempotents_and_square_zero_rays():
-    """At alpha = -1/2 a subset I gives d = 2 - |I|: the three pairs span
-    square-zero rays, and the singletons and the whole set idempotents."""
-    data = ta.talg_idempotents(3, F(-1, 2))
-    assert (len(data["idempotents"]), len(data["szero_rays"]), data["count"]) == (4, 3, 7)
-    A = ta.talg(3, F(-1, 2))
-    for v in data["idempotents"]:
-        assert max_abs(A.multiply(v, v) - v) == 0
-    for v in data["szero_rays"]:
-        assert max_abs(A.multiply(v, v)) == 0 and max_abs(v) == 1
+    """Each nonempty subset I gives d = 1 - 2 alpha + 2 alpha |I|: at
+    alpha = -1/2, d = 2 - |I|, so the three pairs of talg(3) span
+    square-zero rays."""
+    for n, al, counts in ((4, F(1, 3), (15, 0)), (3, F(-1, 2), (4, 3))):
+        data = ta.talg_idempotents(n, al)
+        assert (len(data["idempotents"]), len(data["szero_rays"])) == counts
+        A = ta.talg(n, al)
+        for v in data["idempotents"]:
+            assert max_abs(A.multiply(v, v) - v) == 0
+        for v in data["szero_rays"]:
+            assert max_abs(A.multiply(v, v)) == 0 and max_abs(v) == 1
 
 
 # ----------------------------------------------------------- simplicial
