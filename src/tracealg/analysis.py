@@ -6,8 +6,8 @@ import numpy as np
 
 from . import linalg
 from .core import _first_anisotropic, _with_metric, as_float, deunitalization
-from .catalog import gamma_vectors, triple, triple_embeddings
-from .linalg import (EPS_DEDUP, RATIONAL, _contract, _fractions, _is_zero, _lowest_terms,
+from .catalog import triple, triple_embeddings
+from .linalg import (EPS_DEDUP, _contract, _fractions, _is_zero, _lowest_terms,
                      _numerators, _residual, max_abs, to_float, zeros)
 
 
@@ -159,7 +159,7 @@ def talg_idempotents(n, alpha):
     idems, szeros = [], []
     for mask in range(1, 2 ** n):
         I = [i for i in range(n) if mask >> i & 1]
-        eI = zeros(n, RATIONAL)
+        eI = zeros(n)
         for i in I:
             eI[i] = Fraction(1)
         d = 1 - 2 * alpha + 2 * alpha * len(I)
@@ -175,24 +175,13 @@ def simplicial_idempotents(n):
     """Closed-form nonzero idempotents and square-zero rays of ealg(n).
 
     sigma_I = (n-1)/(n+1-2|I|) gamma_I over subsets of {0..n} modulo
-    complements; subsets with 2|I| = n+1 give square-zero rays.
+    complements; subsets with 2|I| = n+1 give square-zero rays.  Each
+    pair of complements has one member that leaves out gamma_0, a subset I
+    of the generators gamma_1..gamma_n, the basis of ealg(n) = talg(n, alpha)
+    at alpha = -1/(n-1).  There 1 - 2 alpha + 2 alpha |I| = (n+1-2|I|)/(n-1),
+    so talg_idempotents gives them all.
     """
-    gs = gamma_vectors(n)
-    idems, szeros = [], []
-    seen = set()
-    for mask in range(1, 2 ** (n + 1) - 1):
-        comp = (2 ** (n + 1) - 1) ^ mask
-        if comp in seen:
-            continue
-        seen.add(mask)
-        I = [i for i in range(n + 1) if mask >> i & 1]
-        gI = sum(gs[i] for i in I)
-        if 2 * len(I) == n + 1:
-            szeros.append(gI)
-        else:
-            idems.append(Fraction(n - 1, n + 1 - 2 * len(I)) * gI)
-    return {"idempotents": idems, "szero_rays": szeros,
-            "count": len(idems) + len(szeros)}
+    return talg_idempotents(n, Fraction(-1, n - 1))
 
 
 # The numeric searches' fixed settings.  Each search runs on the float

@@ -3,9 +3,10 @@
 Each command cmd_<name> returns (document, passed).  main writes every
 document, through _dumps, to stdout or, through _write, to --out, and
 decides every exit code: 0 when the command passed, 1 on a verification
-failure, 2 on a usage or input error.  An input error is an OSError or a
-ValueError, raised while the command runs or its document is written;
-main prints it as one line.
+failure, 2 on a usage or input error.  An input error is an OSError, a
+ValueError or an OverflowError (a value past the float range where a
+command computes in floats), raised while the command runs or its
+document is written; main prints it as one line.
 """
 import argparse
 import functools
@@ -257,7 +258,7 @@ def main(argv=None):
             _write(args.out, text + "\n")
         else:
             print(text)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, OverflowError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     return 0 if passed else 1

@@ -20,7 +20,7 @@ import numpy as np
 from . import linalg
 from .linalg import (FLOAT, RATIONAL, SymBilinearForm, Subspace, _contract,
                      _fractions, _is_zero, _lowest_terms, _made_once, _numerators,
-                     _read, _residual, _view, as_backend, backend_of, is_zero, max_abs, zeros)
+                     _read, _residual, _view, backend_of, is_zero, max_abs)
 
 COMMUTATIVE = "commutative"
 ANTICOMMUTATIVE = "anticommutative"
@@ -69,9 +69,7 @@ class Algebra:
         return self._N.shape[0]
 
     def basis_vector(self, i):
-        v = zeros(self.dim, self.backend)
-        v[i] += 1
-        return v
+        return _fractions(np.eye(self.dim, dtype=self._N.dtype)[i], 1)
 
     def multiply(self, x, y):
         t = np.tensordot(np.asarray(x), self.structure, axes=(0, 0))
@@ -193,7 +191,7 @@ def _twice_killing(a, b):
 
 class MetrizedAlgebra(Algebra):
     def __init__(self, structure, gram, symmetry=COMMUTATIVE, name=""):
-        form = SymBilinearForm(as_backend(gram, backend_of(structure)))
+        form = SymBilinearForm._from_numerators(*_read(gram, backend_of(structure)))
         self._init(*_read(structure), form, symmetry, name)
 
     def _init(self, N, D, form, symmetry=COMMUTATIVE, name=""):
@@ -343,12 +341,13 @@ def retraction(alg, basis):
     """Orthogonal-projection algebra on the span of the given basis columns.
 
     Products: pi(x) pi(y) projected back; metric: the restricted Gram
-    matrix.  Returns a MetrizedAlgebra in the basis coordinates.  Exact
-    algebras compute it on integer numerators.
+    matrix.  Returns a MetrizedAlgebra in the basis coordinates, with the
+    basis, read in the algebra's kind, as its embedding.  Exact algebras
+    compute it on integer numerators.
     """
-    B = as_backend(basis, alg.backend)
-    out = _retraction(alg, *_numerators(B.T))
-    out.embedding = B
+    X, DB = _read(basis, alg.backend)
+    out = _retraction(alg, X.T, DB)
+    out.embedding = _fractions(X, DB)
     return out
 
 

@@ -114,7 +114,8 @@ def hmat_mul(X, Y, level):
 
 
 def hmat_conj_t(X):
-    out = np.array(np.swapaxes(X, 0, 1), copy=True)
+    """Conjugate transpose, broadcast over leading axes."""
+    out = np.array(np.swapaxes(X, -3, -2), copy=True)
     out[..., 1:] = -out[..., 1:]
     return out
 

@@ -2,10 +2,12 @@
 
 An array's dtype says which kind of scalar it holds: an object array of
 fractions.Fraction, or an integer array, is exact (RATIONAL), a float64
-array is FLOAT.  Functions read the kind from their input; only builders
-that start from nothing (zeros, eye, the target of as_backend) are told
-it.  Everything in this module is deterministic: echelon pivots are the
-first nonzero entry, with the largest-magnitude entry chosen on floats.
+array is FLOAT.  Functions read the kind from their input (backend_of)
+and are never told it: zeros and eye build exact arrays, and _read, the
+one reader of caller arrays, reads a Gram matrix, a basis or a right side
+in the kind of what it joins.  Everything in this module is
+deterministic: echelon pivots are the first nonzero entry, with the
+largest-magnitude entry chosen on floats.
 
 There is one elimination entry, _reduce_rows.  It keeps its input's kind:
 exact rows are reduced fraction-free, as integers (_reduce_integer_rows),
@@ -36,30 +38,14 @@ EPS_DEDUP = 1e-6  # deduplication radius (max-norm) of the numeric searches
 _ZERO = Fraction(0)
 
 
-def zeros(shape, backend=RATIONAL):
-    if backend == RATIONAL:
-        a = np.empty(shape, dtype=object)
-        a[...] = Fraction(0)
-        return a
-    return np.zeros(shape, dtype=float)
+def zeros(shape):
+    """An exact array of zeros (Fractions) of the given shape."""
+    return _fractions(np.zeros(shape, dtype=np.int64), 1)
 
 
-def eye(n, backend=RATIONAL):
-    a = zeros((n, n), backend)
-    a[np.diag_indices(n)] += 1          # Fraction(0) + 1 stays a Fraction
-    return a
-
-
-def as_backend(data, backend):
-    """A new array holding nested lists / arrays as the requested kind."""
-    if backend == FLOAT:
-        return np.array(data, dtype=float)
-    a = np.asarray(data)
-    out = np.empty(a.shape, dtype=object)
-    flat = out.reshape(-1)
-    for i, x in enumerate(a.flat):
-        flat[i] = x if isinstance(x, Fraction) else Fraction(x)
-    return out
+def eye(n):
+    """The exact n x n identity (Fractions)."""
+    return _fractions(np.eye(n, dtype=np.int64), 1)
 
 
 def to_float(a):
@@ -302,20 +288,29 @@ def _json_values(N, D):
     return list(map(text.__getitem__, nums))
 
 
-def _read(data):
-    """(N, D) of nested lists or an array, read in its own kind (backend_of):
-    the one reader of the matrices and tensors a caller passes in."""
-    return _numerators(as_backend(data, backend_of(data)))
+def _read(data, kind=None):
+    """(N, D) of nested lists or an array, as _numerators gives them, read
+    in kind, or in its own (backend_of) when kind is None: the one reader
+    of the matrices and tensors a caller passes in.  Integers and Fractions
+    go to _numerators as they are, and FLOAT reads anything as floats; only
+    where RATIONAL is asked of anything else, floats among it, is each
+    entry read as the Fraction it equals, a float as its binary fraction."""
+    a = np.asarray(data)
+    if (kind or backend_of(a)) == FLOAT:
+        return np.array(a, dtype=float), 1
+    exact = a.dtype.kind in "iu" or (a.dtype.kind == "O"
+                                     and {type(x) for x in a.flat} <= {int, Fraction})
+    return _numerators(a if exact else np.frompyfunc(Fraction, 1, 1)(a))
 
 
 def solve(A, b):
     """Solve the square system A x = b exactly (exact A) or via numpy
-    (float A), through _solve_numerators."""
+    (float A), through _solve_numerators; b is read in A's kind."""
     n = len(A)
     if np.shape(A) != (n, n):
         raise np.linalg.LinAlgError("A of shape %s is not square" % (np.shape(A),))
     b = np.asarray(b)
-    S = as_backend(np.column_stack([A, b]), backend_of(A))
+    S, _ = _read(np.column_stack([A, b]), backend_of(A))
     X = _fractions(*_solve_numerators(S[:, :n], S[:, n:]))
     return X[:, 0] if b.ndim == 1 else X
 
@@ -335,7 +330,7 @@ def _solve_numerators(A, B):
 
 
 def inv(A):
-    return solve(A, eye(len(A), backend_of(A)))
+    return solve(A, np.eye(len(A), dtype=np.int64))
 
 
 def inertia(gram):
@@ -412,10 +407,7 @@ class SymBilinearForm:
     """
 
     def __init__(self, gram):
-        G, DG = _read(gram)
-        if np.ndim(G) != 2 or G.shape[0] != G.shape[1]:
-            raise ValueError("Gram matrix of shape %s is not square" % (np.shape(G),))
-        self._init(G, DG)
+        self._init(*_read(gram))
 
     @classmethod
     def _from_numerators(cls, G, DG):
@@ -426,6 +418,8 @@ class SymBilinearForm:
         return form
 
     def _init(self, G, DG):
+        if np.ndim(G) != 2 or G.shape[0] != G.shape[1]:
+            raise ValueError("Gram matrix of shape %s is not square" % (np.shape(G),))
         self._G, self._DG = _lowest_terms(G, DG)
         self._gram = None
 

@@ -135,6 +135,11 @@ UNUSABLE = {
     # JSON true and false are not the numbers 1 and 0; this file once
     # passed the einstein suite
     "bool-values": {"dim": 1, "structure": [[0, 0, 0, True]], "metric": {"gram": [[True]]}},
+    # values past the float range: each command that computes in floats
+    # ended in an OverflowError traceback (exit 1) on them
+    "past-float-range": {"dim": 3, "structure": [[0, 0, 0, "1e200"], [1, 1, 1, "1"],
+                                                 [0, 1, 2, "1"], [2, 2, 0, "1e200"]]},
+    "past-float-range-dim-two": {"dim": 2, "structure": [[0, 0, 0, "1e400"], [1, 1, 1, "1"]]},
 }
 
 
@@ -158,6 +163,31 @@ def test_unusable_input_exits_2(tmp_path, capsys, source, argv):
     assert exit_code(argv + ["--in", path]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+PAST_FLOAT_RANGE_RUNS = (
+    [("past-float-range", ["report", "--suite", s, "--in", "{}"])
+     for s in ("killing-invariant", "ricci-invariant", "proj-assoc", "conf-assoc",
+               "const-sect", "norton")]
+    + [("past-float-range", ["sect", "--trials", "2", "--in", "{}"]),
+       ("past-float-range", ["check", "--in", "{}"]),
+       ("past-float-range", ["construct", "confext", "--base", "{}", "--scalar", "float"]),
+       ("past-float-range", ["construct", "dsum", "--base", "{}", "--base2", "{}",
+                             "--scalar", "float"]),
+       ("past-float-range-dim-two", ["report", "--suite", "exact", "--in", "{}"])])
+
+
+@pytest.mark.parametrize("source, argv", PAST_FLOAT_RANGE_RUNS,
+                         ids=["%s-%s" % (source, {"report": argv[2], "construct": argv[1]}.get(
+                             argv[0], argv[0])) for source, argv in PAST_FLOAT_RANGE_RUNS])
+def test_values_past_the_float_range_exit_2(tmp_path, capsys, source, argv):
+    path, out = str(tmp_path / "in.json"), str(tmp_path / "out.json")
+    with open(path, "w") as fh:
+        json.dump(UNUSABLE[source], fh)
+    assert exit_code([a.format(path) for a in argv] + ["-o", out]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert not os.path.exists(out)
 
 
 def test_ideals_suite_reports_certified_split(tmp_path, capsys):

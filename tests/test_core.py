@@ -24,11 +24,13 @@ from tracealg.core import (Algebra, MetrizedAlgebra, deunitalization,
                            to_json, unitalization, verify_homomorphism, voa_kappa)
 from tracealg.hurwitz import LEVELS, hmat_commutator, hmat_jordan, hmat_mul
 from tracealg.linalg import (FLOAT, RATIONAL, SymBilinearForm, Subspace, _is_zero,
-                             _numerators, _reduce_rows, as_backend, eye, inv, inertia,
+                             _numerators, _reduce_rows, eye, inv, inertia,
                              max_abs, rational_eigenvalues, solve, to_float, zeros)
 from test_linalg import ref_nullspace, ref_reduce_rows, rref
 
 F = Fraction
+# the dtype of an array of each kind of scalar
+KIND_DTYPE = {RATIONAL: object, FLOAT: float}
 
 
 def random_metrized(rng, n):
@@ -190,9 +192,9 @@ def test_zero_subspace_is_ideal(backend):
     A = ta.simplicial(3)
     if backend == FLOAT:
         A = ta.as_float(A)
-    zero = Subspace(zeros((A.dim, 0), backend))
+    zero = Subspace(np.zeros((A.dim, 0), KIND_DTYPE[backend]))
     assert zero.dim == 0 and A.is_ideal(zero)
-    assert A.ideal_closure([zeros(A.dim, backend)]).dim == 0
+    assert A.ideal_closure([np.zeros(A.dim, KIND_DTYPE[backend])]).dim == 0
 
 
 def test_tensor_product_killing_is_product():
@@ -366,6 +368,11 @@ def test_json_anticommutative():
 
 
 def test_structure_and_gram_are_read_only_and_made_once():
+    """The structure and Gram views are read-only and made once.  A caller's
+    Gram matrix is read in its structure's kind, a retraction basis in its
+    algebra's and the right side of a solve in A's: a float read as exact
+    is the binary fraction it is, and a Fraction read as a float is
+    rounded."""
     A = ta.herm0(3, 2)
     assert A._structure is None and A.form._gram is None
     m, g = A.structure, A.gram
@@ -384,6 +391,22 @@ def test_structure_and_gram_are_read_only_and_made_once():
         B.structure[0, 0, 0] = F(1)
     with pytest.raises(ValueError):
         B.gram[0, 0] = F(1)
+    ints = np.zeros((2, 2, 2), dtype=np.int64)
+    ints[0, 0, 0] = ints[1, 1, 1] = 1
+    floats = np.array([[1 / 3, 0.0], [0.0, 0.1]])
+    exact = MetrizedAlgebra(ints, floats)
+    assert exact.backend == RATIONAL and exact.gram.dtype == object
+    assert exact.gram[0, 0] == F(1 / 3) != F(1, 3) and exact.gram[1, 1] == F(0.1)
+    fl = MetrizedAlgebra(to_float(ints), [[F(1, 3), 0], [0, F(1, 10)]])
+    assert fl.backend == FLOAT and np.array_equal(fl.gram, floats)
+    basis = np.array([[1.0, 0.0], [0.1, 1.0], [0.0, 0.25]])
+    R, binary = retraction(ta.simplicial(3), basis), np.frompyfunc(F, 1, 1)(basis)
+    assert R.backend == RATIONAL and R.embedding.dtype == object
+    assert np.array_equal(R.embedding, binary)
+    assert np.array_equal(R.structure, retraction(ta.simplicial(3), binary).structure)
+    M = np.array([[2.0, 1.0], [1.0, 3.0]])
+    x = solve(M, np.array([F(1, 3), F(0)], dtype=object))
+    assert x.dtype == float and np.array_equal(x, solve(M, np.array([1 / 3, 0.0])))
 
 
 # -- differential test: the numerator loader against the Fraction-tensor loader --
@@ -416,7 +439,7 @@ def ref_from_json(doc):
     if backend not in (RATIONAL, FLOAT):
         raise ValueError("unknown scalar kind %r" % (backend,))
     symmetry = doc.get("symmetry", "commutative")
-    s = zeros((n, n, n), backend)
+    s = np.zeros((n, n, n), KIND_DTYPE[backend])
     sign = 1 if symmetry == "commutative" else -1
     scalar = ref_parse_scalar
     if backend == FLOAT:
@@ -431,7 +454,7 @@ def ref_from_json(doc):
             s[j, i, k] = sign * val
     if "metric" in doc and doc["metric"] is not None:
         gram = [[scalar(v) for v in row] for row in doc["metric"]["gram"]]
-        alg = MetrizedAlgebra(s, as_backend(gram, backend), symmetry, name=doc.get("name", ""))
+        alg = MetrizedAlgebra(s, gram, symmetry, name=doc.get("name", ""))
         G, _ = _numerators(alg.gram)
         if not np.all(_is_zero(G - G.T, scale=lambda: max_abs(G))):
             raise ValueError("Gram matrix is not symmetric")
@@ -1135,7 +1158,7 @@ def test_rational_eigenvalues():
 def ref_killing(A):
     n = A.dim
     Ls = [A.left_mult_matrix(A.basis_vector(i)) for i in range(n)]
-    g = zeros((n, n), A.backend)
+    g = np.zeros((n, n), KIND_DTYPE[A.backend])
     for i in range(n):
         for j in range(i + 1):
             g[i, j] = g[j, i] = np.sum(Ls[i] * Ls[j].T)
@@ -1180,7 +1203,7 @@ def ref_conformal(A):
     nn = F(n) if A.backend == RATIONAL else float(n)
     c1 = 1 / (nn - 2)
     c2 = scal / ((nn - 1) * (nn - 2))
-    w = zeros((n, n, n, n), A.backend)
+    w = np.zeros((n, n, n, n), KIND_DTYPE[A.backend])
     for i, j, k, l in itertools.product(range(n), repeat=4):
         w[i, j, k, l] = (hp[j, k, i, l] - hp[k, i, l, j]
                          + c1 * (R[i, k] * H[j, l] - R[j, k] * H[i, l]
@@ -1220,7 +1243,7 @@ def ref_ideal_closure(A, generators):
 def ref_retraction(A, B):
     k = B.shape[1]
     M = B.T @ A.gram @ B
-    s = zeros((k, k, k), A.backend)
+    s = np.zeros((k, k, k), KIND_DTYPE[A.backend])
     for i in range(k):
         for j in range(k):
             s[i, j, :] = solve(M, B.T @ A.gram @ A.multiply(B[:, i], B[:, j]))
@@ -1738,7 +1761,7 @@ def exact_computations(tmp_path):
             + [("decompose " + name, lambda build=build: ta.decompose_ideals(build()))
                for name, (build, _, _) in sorted(DECOMPOSITIONS.items())]
             + [("rational_eigenvalues", lambda: [rational_eigenvalues(M) for M in eigen]
-                + [rational_eigenvalues(as_backend(M, RATIONAL) / 3) for M in eigen]),
+                + [rational_eigenvalues(M / F(3)) for M in eigen]),
                ("inertia", lambda: [inertia(octonionic.killing_form()._G)]
                 + [inertia(M) for M in symmetric]),
                ("retraction", lambda: [retraction(X, B) for X, B in bases]),
@@ -1779,14 +1802,18 @@ def test_float64_tier_equals_int64_tier(work, monkeypatch, tmp_path):
 
 
 class Majorant(np.ndarray):
-    """|operand| as an object array of Python ints, on which subtraction
-    adds and negation keeps the sign.  fn run on majorants gives at each
-    entry the sum of the magnitudes of the products it adds, which bounds
-    the entry and every partial sum on the way to it."""
+    """|operand|, on which subtraction adds and negation keeps the sign:
+    float64, or an object array of Python ints when exact.  fn run on
+    majorants gives at each entry the sum of the magnitudes of the products
+    it adds, which bounds the entry and every partial sum on the way to it.
+    On float64 that sum of nonnegative terms is rounded, but only by a
+    relative error of about the number of steps times 2**-53."""
 
     @staticmethod
-    def of(operand):
+    def of(operand, exact=True):
         a = np.asarray(operand)
+        if not exact:
+            return np.abs(a.astype(float)).view(Majorant)
         out = np.empty(a.shape, dtype=object)
         out.reshape(-1)[:] = [abs(v) for v in a.ravel().tolist()]
         return out.view(Majorant)
@@ -1798,26 +1825,39 @@ class Majorant(np.ndarray):
         if "out" in kwargs:
             kwargs["out"] = tuple(map(plain, kwargs["out"]))
         out = getattr(ufunc, method)(*map(plain, inputs), **kwargs)
-        return None if out is None else np.asarray(out, dtype=object).view(Majorant)
+        if out is None:
+            return None
+        out = np.asarray(out)
+        return (out if out.dtype.kind == "f" else out.astype(object)).view(Majorant)
 
     def __array_function__(self, func, types, args, kwargs):
         out = super().__array_function__(func, types, args, kwargs)
         return out.view(Majorant) if isinstance(out, np.ndarray) else out
 
 
+def majorant_peak(fn, operands, exact):
+    """The largest entry of fn run on the majorants of the operands."""
+    with np.errstate(over="ignore", invalid="ignore"):      # inf fails the float check
+        return max_abs(np.asarray(fn(*(Majorant.of(op, exact) for op in operands))))
+
+
 def check_terms(monkeypatch):
     """Route every _contract call through a spy that first runs its fn on
     the majorants of integer operands, and asserts that no entry exceeds
-    the bound: terms times the product of max(1, max |operand|).  Returns
-    the list of the fns checked."""
+    the bound: terms times the product of max(1, max |operand|).  Operands
+    below 2**53 are checked on float64 majorants first, a margin of 2**-30
+    above their rounding; a call that does not pass there is checked on
+    Python ints.  Returns the list of the fns checked."""
     real = linalg._contract
     checked = []
 
     def spy(fn, terms, *operands):
         if not any(np.asarray(op).dtype.kind == "f" for op in operands):
-            majorants = [Majorant.of(op) for op in operands]
-            bound = terms * math.prod(max(1, int(max_abs(m))) for m in majorants)
-            assert max_abs(np.asarray(fn(*majorants))) <= bound, (fn, terms)
+            peaks = [int(max_abs(op)) for op in operands]
+            bound = terms * math.prod(max(1, p) for p in peaks)
+            if not (max(peaks) < 2 ** 53
+                    and float(majorant_peak(fn, operands, False)) * (1 + 2 ** -30) <= bound):
+                assert majorant_peak(fn, operands, True) <= bound, (fn, terms)
             checked.append(fn)
         return real(fn, terms, *operands)
     for module in CONTRACTING:
@@ -1922,16 +1962,42 @@ def test_as_float_copies_a_float_algebra_unchanged():
     assert not np.shares_memory(C._N, B._N) and not np.shares_memory(C.form._G, B.form._G)
 
 
+def public_members():
+    """(name, member) of every public function and class of the package's
+    modules, and of every public method of those classes."""
+    from tracealg import cli, inequalities
+    members = []
+    for module in (analysis, catalog, cli, core, hurwitz, inequalities, linalg):
+        for name, member in vars(module).items():
+            if (name.startswith("_") or not callable(member)
+                    or getattr(member, "__module__", None) != module.__name__):
+                continue
+            members.append((name, member))
+            if inspect.isclass(member):
+                members += [("%s.%s" % (name, method), attr)
+                            for method, attr in inspect.getmembers(member)
+                            if not method.startswith("_") and callable(attr)]
+    return members
+
+
 def test_no_public_signature_takes_a_tolerance():
     """Zero tests read the module constants EPS0 and EPS_RANK.  Only the
     real-eigenvalue split and the spectrum grouping radius take a tol."""
-    members = [(name, getattr(ta, name)) for name in ta.__all__]
-    for cls in (Algebra, MetrizedAlgebra, SymBilinearForm, Subspace):
-        members += [("%s.%s" % (cls.__name__, name), member)
-                    for name, member in inspect.getmembers(cls) if not name.startswith("_")]
-    members = [(name, member) for name, member in members if callable(member)]
+    members = public_members()
+    assert {name for name in ta.__all__ if callable(getattr(ta, name))} <= {
+        name for name, _ in members}
     assert {"Subspace", "Subspace.contains", "Algebra.is_exact", "decompose_ideals",
             "SymBilinearForm.inertia", "group_spectrum"} <= {name for name, _ in members}
     with_tol = {name for name, member in members
                 if "tol" in inspect.signature(member).parameters}
     assert with_tol == {"general_real_eigenvalues", "group_spectrum"}
+
+
+def test_no_public_signature_takes_a_backend():
+    """Every function reads the kind of scalar from its input, and zeros and
+    eye build exact arrays: no public function, class or method takes a
+    backend."""
+    members = public_members()
+    assert {"zeros", "eye", "retraction", "MetrizedAlgebra"} <= {name for name, _ in members}
+    assert not {name for name, member in members
+                if "backend" in inspect.signature(member).parameters}

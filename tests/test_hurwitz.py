@@ -100,6 +100,18 @@ def test_conj_transpose_involution():
         assert np.all(hmat_conj_t(hmat_conj_t(X)) == X)
 
 
+def test_conj_transpose_on_a_stack():
+    """A (2, 3, 3, 4) stack keeps its shape under hmat_conj_t, which acts per
+    matrix, as is_hermitian then does."""
+    rng = random.Random(6)
+    X = np.stack([rand_herm(rng, 3, 4), rand_herm(rng, 3, 4)])
+    X[1, 0, 1, 2] += 1                  # the second matrix is not Hermitian
+    T = hmat_conj_t(X)
+    assert T.shape == X.shape
+    assert all(np.array_equal(T[k], hmat_conj_t(X[k])) for k in range(2))
+    assert is_hermitian(X[:1]) and not is_hermitian(X)
+
+
 def test_conj_and_re_on_a_stack():
     """[[1, 2], [3, 4]] is the stack 1+2i, 3+4i: conjugate and real part act
     per scalar, so x conj(x) is |x|^2."""
